@@ -195,9 +195,36 @@ def threshold_vectors(k: int, vectors: Sequence[BitVector]) -> BitVector:
     return BitVector(length, threshold_streams(k, streams, length))
 
 
+def _open_streams(
+    codec_names: str | Sequence[str],
+    payloads: Sequence,
+    length: int,
+) -> list[BlockStream]:
+    """One block stream per input of a multiway kernel.
+
+    ``codec_names`` is one codec name for every payload or one name per
+    payload.  An input that already is a
+    :class:`~repro.compress.streams.BlockStream` is used as-is (a caller
+    that keeps opened streams skips re-parsing the payload); any other
+    input is an encoded payload opened through
+    :func:`~repro.compress.streams.open_stream`.
+    """
+    if isinstance(codec_names, str):
+        codec_names = [codec_names] * len(payloads)
+    elif len(codec_names) != len(payloads):
+        raise BitmapError(
+            f"multiway operation got {len(codec_names)} codec names "
+            f"for {len(payloads)} payloads"
+        )
+    return [
+        p if isinstance(p, BlockStream) else open_stream(name, p, length)
+        for name, p in zip(codec_names, payloads)
+    ]
+
+
 def multiway_threshold(
     k: int,
-    codec_name: str,
+    codec_name: str | Sequence[str],
     payloads: Sequence,
     length: int,
     block_words: int = DEFAULT_BLOCK_WORDS,
@@ -207,9 +234,13 @@ def multiway_threshold(
     Each payload decodes incrementally through its
     :class:`~repro.compress.streams.BlockStream` (runs for WAH/EWAH/BBC,
     containers for roaring), so N encoded bitmaps are combined without
-    decoding any of them whole.
+    decoding any of them whole.  ``codec_name`` is one name for every
+    payload or one name per payload, and any input may be an
+    already-opened :class:`~repro.compress.streams.BlockStream` — so
+    payloads of different codecs, decoded ``raw`` words and cached
+    streams mix freely.
     """
-    streams = [open_stream(codec_name, p, length) for p in payloads]
+    streams = _open_streams(codec_name, payloads, length)
     return BitVector(
         length, threshold_streams(k, streams, length, block_words)
     )
@@ -217,7 +248,7 @@ def multiway_threshold(
 
 def multiway_logical(
     op: str,
-    codec_name: str,
+    codec_name: str | Sequence[str],
     payloads: Sequence,
     length: int,
     block_words: int = DEFAULT_BLOCK_WORDS,
@@ -226,7 +257,8 @@ def multiway_logical(
 
     Equivalent to the left-fold of pairwise compressed-domain ops but
     with zero intermediate payloads: every input block is combined into
-    the output accumulator the moment it is decoded.
+    the output accumulator the moment it is decoded.  Inputs are
+    resolved as in :func:`multiway_threshold`.
     """
     if op not in _REDUCERS:
         raise BitmapError(
@@ -234,7 +266,7 @@ def multiway_logical(
             f"{sorted(_REDUCERS)}"
         )
     reducer = _REDUCERS[op]
-    streams = [open_stream(codec_name, p, length) for p in payloads]
+    streams = _open_streams(codec_name, payloads, length)
     _check_streams(streams, length)
     num_words = (length + 63) // 64
     out = np.empty(num_words, dtype=np.uint64)

@@ -66,11 +66,22 @@ class BlockStream:
     ``[start, stop)`` (``stop`` capped at ``num_words`` by the caller).
     The returned array may alias internal or mapped memory and may be
     overwritten by the next :meth:`block` call.
+
+    ``len(stream)`` is the size in bytes of the encoded form it streams
+    (set by :func:`open_stream`), so an opened stream can stand in for
+    its payload wherever payload bytes are summed.  A stream holds no
+    cursor: one opened stream can serve any number of passes.
     """
+
+    #: Encoded bytes behind the stream (see :func:`open_stream`).
+    nbytes = 0
 
     def __init__(self, length: int):
         self.length = int(length)
         self.num_words = _num_words(length)
+
+    def __len__(self) -> int:
+        return self.nbytes
 
     def block(self, start: int, stop: int) -> np.ndarray:
         raise NotImplementedError
@@ -82,6 +93,7 @@ class VectorStream(BlockStream):
     def __init__(self, vector: BitVector):
         super().__init__(len(vector))
         self._words = vector.words
+        self.nbytes = self._words.nbytes
 
     def block(self, start: int, stop: int) -> np.ndarray:
         return self._words[start:stop]
@@ -287,7 +299,10 @@ def register_stream(codec_name: str, factory) -> None:
 
 
 def open_stream(codec_name: str, payload, length: int) -> BlockStream:
-    """A :class:`BlockStream` over ``payload`` for the named codec."""
+    """A :class:`BlockStream` over ``payload`` for the named codec.
+
+    The stream's ``len()`` is ``len(payload)``.
+    """
     try:
         cls = _STREAMS[codec_name]
     except KeyError:
@@ -295,7 +310,9 @@ def open_stream(codec_name: str, payload, length: int) -> BlockStream:
             f"codec {codec_name!r} has no block stream; "
             f"available: {sorted(_STREAMS)}"
         ) from None
-    return cls(payload, length)
+    stream = cls(payload, length)
+    stream.nbytes = len(payload)
+    return stream
 
 
 def decode_blockwise(

@@ -12,13 +12,17 @@ covered in ``tests/serve``.
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.bitmap import BitVector
+from repro.compress import streams
+from repro.compress.base import Codec
+from repro.expr.nodes import Or
 from repro.index import BitmapIndex, IndexSpec
 from repro.index.compressed_engine import CompressedQueryEngine
 from repro.index.evaluation import QueryEngine
 from repro.index.segmented import SegmentedBitmapIndex
 from repro.queries import IntervalQuery, MembershipQuery
-from repro.storage import BitmapStore, BufferPool
+from repro.storage import BitmapStore, BufferPool, CostClock
 
 CARDINALITY = 20
 
@@ -169,3 +173,70 @@ class TestEnginesSurviveAppend:
         index.append(np.array([5]))
         engine.execute(query)
         assert engine.clock.pages_read > pages_warm  # stale copies re-read
+
+
+class TestCompressedEngineStreamCache:
+    """Multi-way results are never re-encoded, and a pooled leaf's block
+    stream is parsed once per residency — until an append replaces the
+    payload (the store-version path)."""
+
+    QUERY = IntervalQuery(3, 11, CARDINALITY)
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """Counts ``auto`` leaf streams opened through the registry."""
+        calls = []
+        factory = streams._STREAMS["auto"]
+
+        def counting(payload, length):
+            calls.append(length)
+            return factory(payload, length)
+
+        monkeypatch.setitem(streams._STREAMS, "auto", counting)
+        return calls
+
+    @pytest.fixture
+    def encodes(self, monkeypatch):
+        """Counts ``Codec.encode`` calls on every codec."""
+        calls = []
+        encode = Codec.encode
+
+        def counting(self, vector):
+            calls.append(self.name)
+            return encode(self, vector)
+
+        monkeypatch.setattr(Codec, "encode", counting)
+        return calls
+
+    def test_leaf_streams_opened_once_until_append(self, rng, opened, encodes):
+        base = rng.integers(0, CARDINALITY, size=3000)
+        batch = rng.integers(0, CARDINALITY, size=500)
+        index = BitmapIndex.build(
+            base, IndexSpec(cardinality=CARDINALITY, scheme="E", codec="auto")
+        )
+        expr = index.rewriter.rewrite_interval(self.QUERY)
+        assert isinstance(expr, Or) and len(expr.children()) >= 3
+        num_leaves = len(expr.leaf_keys())
+        clock = CostClock()
+        engine = CompressedQueryEngine(index, clock=clock)
+        encodes.clear()  # the build encoded every stored bitmap
+
+        with obs.observed() as o:
+            first = engine.execute(self.QUERY)
+        assert first.bitmap == BitVector.from_bools(self.QUERY.matches(base))
+        assert encodes == []
+        assert "compress.auto.selected" not in o.metrics.to_dict()
+        assert clock.bytes_decompressed == 0  # the multi-way root is decoded
+        assert len(opened) == num_leaves
+
+        opened.clear()
+        engine.execute(self.QUERY)
+        assert opened == []  # every leaf stream reused from the pool
+
+        index.append(batch)
+        merged = np.concatenate([base, batch])
+        opened.clear()
+        after = engine.execute(self.QUERY)
+        assert len(opened) == num_leaves
+        assert after.bitmap == BitVector.from_bools(self.QUERY.matches(merged))
+        assert clock.bytes_decompressed == 0

@@ -1,14 +1,25 @@
 """Tests for the compressed-domain query engine."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bitmap import BitVector
+from repro.compress import COMPRESSED_DOMAIN_CODECS
 from repro.errors import QueryError
+from repro.expr import EvalStats
+from repro.expr.nodes import And, Const, Leaf, Not, Or, Xor
+from repro.expr.threshold import Threshold
 from repro.index import BitmapIndex, CompressedQueryEngine, IndexSpec
 from repro.queries import IntervalQuery, MembershipQuery
 from repro.storage import CostClock
 from repro.workload import zipf_column
+
+#: Every codec the engine accepts, including ``auto`` and the
+#: list codecs registered on import.
+ENGINE_CODECS = sorted(COMPRESSED_DOMAIN_CODECS)
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +40,7 @@ class TestCorrectness:
         with pytest.raises(QueryError, match="compressed-domain"):
             CompressedQueryEngine(index)
 
-    @pytest.mark.parametrize("codec", ["bbc", "wah", "ewah", "roaring"])
+    @pytest.mark.parametrize("codec", ENGINE_CODECS)
     def test_all_compressed_domain_codecs_agree(self, rng, codec):
         values = rng.integers(0, 10, size=400)
         index = BitmapIndex.build(
@@ -112,6 +123,114 @@ class TestAccounting:
         assert engine.execute(query).row_count == int(
             query.matches(values).sum()
         )
+
+
+DIFF_CARDINALITY = 9
+#: Roaring chunk edges and the engine's default block window (2048 words).
+DIFF_LENGTHS = [2**16 - 1, 2**16 + 1, 2048 * 64 - 1, 2048 * 64 + 1]
+
+
+@lru_cache(maxsize=None)
+def _diff_values(length: int) -> np.ndarray:
+    """Runs of mid-frequency values plus one sparse value, so ``auto``
+    mixes run-length, container and list inner codecs."""
+    rng = np.random.default_rng(length)
+    runs = rng.geometric(1 / 40, size=length)
+    values = np.repeat(rng.integers(0, DIFF_CARDINALITY - 1, size=length), runs)
+    values = values[:length]
+    values[rng.random(length) < 0.0005] = DIFF_CARDINALITY - 1
+    return values
+
+
+@lru_cache(maxsize=None)
+def _diff_engine(codec: str, reorder: str, length: int) -> CompressedQueryEngine:
+    index = BitmapIndex.build(
+        _diff_values(length),
+        IndexSpec(
+            cardinality=DIFF_CARDINALITY, scheme="E", codec=codec,
+            reorder=reorder,
+        ),
+    )
+    return CompressedQueryEngine(index)
+
+
+def _or3(a, b, c):
+    return Or((Leaf((0, a)), Leaf((0, b)), Leaf((0, c))))
+
+
+#: Constituent lists whose decoded (multi-way) intermediates meet every
+#: operand kind: a word NOT, a compressed leaf on either side, threshold
+#: counting, constants and the constituent combine.
+DECODED_INTERMEDIATE_CASES = {
+    "not_of_multiway": [Not(_or3(0, 1, 2))],
+    "and_multiway_leaf": [And((_or3(0, 1, 3), Leaf((0, 3))))],
+    "and_leaf_multiway": [And((Leaf((0, 4)), _or3(3, 4, 5)))],
+    "xor_multiway_leaf": [Xor((_or3(0, 1, 2), Leaf((0, 2))))],
+    "xor_multiway_multiway": [Xor((_or3(0, 1, 2), _or3(2, 3, 8)))],
+    "threshold_of_multiways": [
+        Threshold(2, (_or3(0, 1, 2), _or3(2, 3, 4), _or3(4, 5, 0)))
+    ],
+    "threshold_mixed": [
+        Threshold(2, (_or3(0, 1, 2), Leaf((0, 1)), Not(Leaf((0, 2)))))
+    ],
+    "const_children": [
+        Or((Const(False), Leaf((0, 1)), Leaf((0, 8)))),
+        And((Const(True), Leaf((0, 5)))),
+        Xor((Const(True), Not(Const(False)), Leaf((0, 6)))),
+    ],
+    "not_of_const": [Not(Const(True)), Not(Const(False))],
+    "two_constituents_decoded_and_leaf": [_or3(0, 1, 2), Leaf((0, 5))],
+    "two_constituents_both_decoded": [_or3(0, 1, 2), _or3(5, 6, 8)],
+}
+
+
+def _naive(expr, values: np.ndarray) -> np.ndarray:
+    """Row-by-row truth of ``expr`` over the raw column (E-scheme keys)."""
+    if isinstance(expr, Leaf):
+        return values == expr.key[1]
+    if isinstance(expr, Const):
+        return np.full(len(values), expr.value)
+    if isinstance(expr, Not):
+        return ~_naive(expr.child, values)
+    children = [_naive(child, values) for child in expr.children()]
+    if isinstance(expr, Threshold):
+        return np.sum(children, axis=0) >= expr.k
+    op = {And: np.logical_and, Or: np.logical_or, Xor: np.logical_xor}
+    return op[type(expr)].reduce(children)
+
+
+class TestDecodedIntermediates:
+    """Multi-way results stay decoded; every consumer must agree with a
+    naive scan of the column."""
+
+    @pytest.mark.parametrize("length", DIFF_LENGTHS)
+    @pytest.mark.parametrize("reorder", ["none", "lexicographic"])
+    @pytest.mark.parametrize("codec", ENGINE_CODECS)
+    @pytest.mark.parametrize("case", sorted(DECODED_INTERMEDIATE_CASES))
+    def test_matches_naive_scan(self, case, codec, reorder, length):
+        engine = _diff_engine(codec, reorder, length)
+        values = _diff_values(length)
+        constituents = DECODED_INTERMEDIATE_CASES[case]
+        bitmap = engine.evaluate_shared(constituents, {}, EvalStats())
+        want = np.logical_or.reduce([_naive(c, values) for c in constituents])
+        # Word-level equality: padding bits past ``length`` must be clear.
+        assert bitmap == BitVector.from_bools(want)
+
+    @pytest.mark.parametrize("length", DIFF_LENGTHS)
+    @pytest.mark.parametrize("reorder", ["none", "lexicographic"])
+    @pytest.mark.parametrize("codec", ENGINE_CODECS)
+    def test_queries_match_naive_scan(self, codec, reorder, length):
+        engine = _diff_engine(codec, reorder, length)
+        values = _diff_values(length)
+        for query in (
+            IntervalQuery(1, 6, DIFF_CARDINALITY),
+            IntervalQuery(0, 2, DIFF_CARDINALITY),
+            MembershipQuery.of({0, 1, 2, 5, 6, 7}, DIFF_CARDINALITY),
+            MembershipQuery.of({1, 8}, DIFF_CARDINALITY),
+        ):
+            result = engine.execute(query)
+            assert result.bitmap == BitVector.from_bools(query.matches(values))
+            assert result.row_count == int(query.matches(values).sum())
 
 
 @given(
