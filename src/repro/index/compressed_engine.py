@@ -1,41 +1,55 @@
-"""Compressed-domain query evaluation (extension).
+"""Compressed-index query evaluation with a per-node physical choice (extension).
 
 The paper's cost model charges decompression CPU for every compressed
 bitmap a query reads — that charge is why compressed indexes lose to
 uncompressed ones at low skew (Figure 9).  Compressed-domain codecs
-admit a way out: logical operations can run *directly on the compressed
-payloads* (:mod:`repro.compress.compressed_ops`), touching only the
-dirty words (or, for roaring, only the matching containers), so the
-decompression charge disappears and the CPU charge shrinks with the
-compression ratio.
+admit a way out: a logical operation can consume the *compressed
+payloads* directly, so the decompression charge disappears and the CPU
+charge shrinks with the compression ratio.
 
-:class:`CompressedQueryEngine` is the engine-level realization for any
-index stored under a codec in
-:data:`~repro.compress.COMPRESSED_DOMAIN_CODECS` (the registry, so
-``auto`` and any codec registered at runtime are included): stored
-payloads are fetched (and buffered) in compressed form and never
-decoded whole.  Each node's result stays in the form its kernel
-produced: a pairwise op on two compressed operands (and NOT of one)
-yields a compressed payload, while a multi-way or threshold pass
-(:mod:`repro.compress.multiway`) yields decoded words, which are kept
-decoded, since the next node would only stream an encoded copy back
-into words.  Decoded operands feed later multi-way passes as
-``raw`` word payloads, and the final answer is decoded only when it is
-still compressed.  The ``bench_compressed_ops`` benchmark quantifies
-the saving against the standard decompress-then-operate engine.
+:class:`CompressedQueryEngine` evaluates any index stored under a codec
+in :data:`~repro.compress.COMPRESSED_DOMAIN_CODECS` (the registry, so
+``auto`` and any codec registered at runtime are included).  Stored
+payloads are fetched and buffered in compressed form by a payload pool
+sized in pages.  Every operator node yields decoded words; what varies
+per node is how it reads its leaves, decided from what the engine can
+observe:
+
+* **words** — every leaf operand's decoded copy is resident in the
+  pool, or fits into the room its encoded payloads leave free.  The
+  node runs :func:`~repro.bitmap.or_all`/``and_all``/``xor_all``, ``~``
+  or :func:`~repro.compress.multiway.threshold_vectors` on words, and
+  the copies stay resident for later queries (the paper's buffer pool,
+  Section 6.3, likewise keeps decoded bitmaps for reuse);
+* **stream** — otherwise: one :mod:`repro.compress.multiway` pass
+  streams every operand block-at-a-time from its payload (a pooled
+  leaf's parsed stream is kept for its residency), so a pool too
+  small for decoded copies never holds a whole decoded leaf.
+
+The ``CostClock`` charge is the same on both paths — the bytes a node
+reads (encoded bytes of a leaf, word bytes of a decoded value), no
+decompression charge — so, as with fused vs materialized evaluation,
+the choice never changes a simulated number; the
+``compress.physical{path=}`` counter makes it visible.  The
+``bench_compressed_ops`` benchmark quantifies the saving against the
+standard decompress-then-operate engine.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Hashable
+from collections.abc import Hashable, Sequence
 
 import numpy as np
 
 from repro import obs as _obs
-from repro.bitmap import BitVector
-from repro.compress import COMPRESSED_DOMAIN_CODECS, CompressedBitmap
-from repro.compress.multiway import multiway_logical, multiway_threshold
+from repro.bitmap import BitVector, and_all, or_all, xor_all
+from repro.compress import COMPRESSED_DOMAIN_CODECS, CompressedBitmap, get_codec
+from repro.compress.multiway import (
+    multiway_logical,
+    multiway_threshold,
+    threshold_vectors,
+)
 from repro.compress.streams import BlockStream, open_stream
 from repro.errors import QueryError
 from repro.expr import EvalStats, Expr
@@ -46,21 +60,29 @@ from repro.queries.model import IntervalQuery, MembershipQuery, ThresholdQuery
 from repro.storage import BufferStats, CostClock
 from repro.storage.pages import pages_for
 
-#: A node's value: still compressed, or decoded by a multi-way pass.
-Value = CompressedBitmap | BitVector
+_WORD_OPS = {"and": and_all, "or": or_all, "xor": xor_all}
+
+
+def _decoded_pages(length: int, page_size: int) -> int:
+    """Pages one decoded ``length``-bit bitmap occupies."""
+    return pages_for(8 * -(-length // 64), page_size)
 
 
 class _PooledBitmap(CompressedBitmap):
-    """A resident payload plus its block stream, parsed on first use.
+    """A resident payload plus at most one parsed form of it.
 
-    Multi-way passes stream their leaves; keeping the opened stream
-    beside the payload means a resident leaf is parsed (and validated)
-    once per residency rather than once per query.  A replaced or
-    evicted payload takes its stream with it.
+    The form is either the decoded copy (:attr:`decoded`, attached by
+    the pool when it fits) or the block stream the stream path opens on
+    first use — never both, so a leaf is decoded or parsed (and
+    validated) once per residency rather than once per query.  Both go
+    with the payload on eviction or a store-version change.
     """
 
-    def __init__(self, payload, length: int, codec: str):
+    def __init__(self, key: Hashable, payload, length: int, codec: str):
         super().__init__(payload, length, codec)
+        self.key = key
+        #: The decoded copy while the pool holds one (read-only).
+        self.decoded: BitVector | None = None
         self._stream: BlockStream | None = None
 
     def stream(self) -> BlockStream:
@@ -68,15 +90,25 @@ class _PooledBitmap(CompressedBitmap):
             self._stream = open_stream(self.codec, self.payload, self.length)
         return self._stream
 
+    def attach(self, vector: BitVector) -> None:
+        self.decoded = vector
+        self._stream = None
+
+
+#: A node's value: a pooled leaf (still encoded) or decoded words.
+Value = _PooledBitmap | BitVector
+
 
 class _PayloadPool:
-    """LRU cache of compressed payloads, sized in *compressed* pages.
+    """LRU cache of compressed payloads plus their decoded copies.
 
-    Unlike :class:`~repro.storage.BufferPool`, residents stay encoded —
-    that is the whole point: a compressed-domain engine's buffer holds
-    several times more bitmaps in the same memory.  Each resident also
-    carries its opened block stream (:class:`_PooledBitmap`), dropped
-    with the payload on eviction or when the store version changes.
+    Capacity is in pages.  Encoded payloads are admitted and evicted in
+    LRU order exactly as if no decoded copy existed, so hits, misses,
+    evictions and pages read never depend on the copies.  A decoded copy
+    (:meth:`decoded`) only takes room the encoded payloads leave free,
+    charged in decoded pages, and is the first thing dropped when a
+    payload needs that room; it also goes with its payload on eviction
+    or a store-version change.
     """
 
     def __init__(self, store, capacity_pages: int, clock: CostClock | None):
@@ -87,7 +119,9 @@ class _PayloadPool:
         self._resident: OrderedDict[
             Hashable, tuple[_PooledBitmap, int, int]
         ] = OrderedDict()
+        #: Pages of resident encoded payloads / of their decoded copies.
         self._used = 0
+        self._decoded_used = 0
         self.stats = BufferStats()
 
     def fetch(self, key: Hashable) -> _PooledBitmap:
@@ -98,8 +132,7 @@ class _PayloadPool:
             if version != self._store.version(key):
                 # The stored payload was replaced (an append rewrites
                 # every bitmap); drop the entry and read through below.
-                del self._resident[key]
-                self._used -= pages
+                self._drop(key)
             else:
                 self._resident.move_to_end(key)
                 self.stats.hits += 1
@@ -114,37 +147,95 @@ class _PayloadPool:
         if self._clock is not None:
             self._clock.charge_read(info.pages)
             # No decompression charge: the payload is used as-is.
-        bitmap = _PooledBitmap(payload, length, self._codec_name)
+        bitmap = _PooledBitmap(key, payload, length, self._codec_name)
         pages = pages_for(len(payload), self._store.page_size)
         while self._resident and self._used + pages > self._capacity:
-            _, (_, old_pages, _) = self._resident.popitem(last=False)
-            self._used -= old_pages
+            self._drop(next(iter(self._resident)))
             self.stats.evictions += 1
             if o is not None:
                 o.count("buffer.evictions", 1, pool="compressed")
         self._resident[key] = (bitmap, pages, self._store.version(key))
         self._used += pages
+        self._free_decoded(0)
         if o is not None:
-            o.gauge_set("buffer.used_pages", self._used, pool="compressed")
+            o.gauge_set("buffer.used_pages", self.used_pages, pool="compressed")
         return bitmap
 
+    @property
+    def used_pages(self) -> int:
+        """Pages held by resident payloads and their decoded copies."""
+        return self._used + self._decoded_used
+
+    def decoded(self, bitmaps: Sequence[_PooledBitmap]) -> list[BitVector] | None:
+        """Decoded copies of ``bitmaps``, or None when they cannot all be held.
+
+        A missing copy is decoded (one ``Codec.decode``) and kept when
+        every bitmap is still resident and all their copies fit beside
+        the encoded payloads, dropping other copies LRU-first to make
+        room; the returned vectors are read-only.
+        """
+        missing = {id(b): b for b in bitmaps if b.decoded is None}
+        if missing:
+            held = {id(b): b for b in bitmaps if id(b) not in missing}
+            page_size = self._store.page_size
+            need = sum(_decoded_pages(b.length, page_size) for b in missing.values())
+            pinned = sum(_decoded_pages(b.length, page_size) for b in held.values())
+            if self._used + pinned + need > self._capacity or not all(
+                self._holds(bitmap) for bitmap in missing.values()
+            ):
+                return None
+            self._free_decoded(need, keep={*missing, *held})
+            codec = get_codec(self._codec_name)
+            for bitmap in missing.values():
+                bitmap.attach(codec.decode(bitmap.payload, bitmap.length))
+            self._decoded_used += need
+        return [bitmap.decoded for bitmap in bitmaps]
+
+    def _holds(self, bitmap: _PooledBitmap) -> bool:
+        """True iff ``bitmap`` is the pool's current resident for its key."""
+        entry = self._resident.get(bitmap.key)
+        return entry is not None and entry[0] is bitmap
+
+    def _free_decoded(self, incoming: int, keep=frozenset()) -> None:
+        """Drop decoded copies, least recently used first, until
+        ``incoming`` more decoded pages fit; copies of the bitmaps whose
+        ids are in ``keep`` stay."""
+        for bitmap, _, _ in self._resident.values():
+            if self.used_pages + incoming <= self._capacity:
+                return
+            if bitmap.decoded is not None and id(bitmap) not in keep:
+                self._drop_decoded(bitmap)
+
+    def _drop_decoded(self, bitmap: _PooledBitmap) -> None:
+        self._decoded_used -= _decoded_pages(bitmap.length, self._store.page_size)
+        bitmap.decoded = None
+
+    def _drop(self, key: Hashable) -> None:
+        bitmap, pages, _ = self._resident.pop(key)
+        self._used -= pages
+        if bitmap.decoded is not None:
+            self._drop_decoded(bitmap)
+
     def clear(self) -> None:
-        self._resident.clear()
-        self._used = 0
+        for key in list(self._resident):
+            self._drop(key)
 
 
 class CompressedQueryEngine:
-    """Evaluates queries over a compressed index without decompressing it.
+    """Evaluates queries over a compressed index, leaves kept encoded.
 
     Mirrors :class:`~repro.index.evaluation.QueryEngine` (component-wise
-    strategy) but never decodes a stored bitmap whole: leaves stay
-    compressed, pairwise ops on two compressed operands run in the
-    compressed domain, and multi-way/threshold nodes stream their inputs
-    and keep their decoded result.  CPU is charged per word an operation
-    touches — compressed bytes for compressed operands, word bytes for
-    decoded ones — rather than per uncompressed word of every input.
-    Works for any codec in
+    strategy) over a pool of compressed payloads.  Each operator node
+    runs on words when its leaves' decoded copies are resident in, or
+    fit into, that pool, and streams its operands through one
+    multi-way pass otherwise; both yield decoded words.  CPU is charged
+    per byte a node reads — compressed bytes for a leaf, word bytes for
+    a decoded value — rather than per uncompressed word of every input,
+    on either path.  Works for any codec in
     :data:`~repro.compress.COMPRESSED_DOMAIN_CODECS`.
+
+    ``buffer_pages`` bounds encoded payloads and decoded copies
+    together; the default holds every bitmap in both forms.
     """
 
     def __init__(self, index, buffer_pages: int | None = None,
@@ -163,7 +254,8 @@ class CompressedQueryEngine:
         self.block_words = int(block_words)
         self.clock = clock if clock is not None else CostClock()
         if buffer_pages is None:
-            buffer_pages = max(1, index.size_pages() + 2)
+            decoded = _decoded_pages(index.num_records, index.store.page_size)
+            buffer_pages = index.size_pages() + decoded * index.num_bitmaps() + 2
         self.pool = _PayloadPool(index.store, buffer_pages, self.clock)
 
     @property
@@ -174,7 +266,7 @@ class CompressedQueryEngine:
     def execute(
         self, query: IntervalQuery | MembershipQuery | ThresholdQuery
     ) -> EvaluationResult:
-        """Rewrite and evaluate ``query`` in the compressed domain.
+        """Rewrite and evaluate ``query`` over the compressed index.
 
         Traced like the decoded engine (``engine="compressed"`` spans
         and the same per-(scheme, class) latency histogram).
@@ -231,8 +323,8 @@ class CompressedQueryEngine:
         batch's leaf bitmaps once and pass the same ``cache`` to every
         query in the batch, so each stored bitmap crosses the buffer
         pool at most once per batch.  Returns the decoded answer; a
-        still-compressed answer's final decode is charged as
-        decompression, exactly as in :meth:`execute`.
+        bare-leaf answer's decode is charged as decompression, exactly
+        as in :meth:`execute`.
         """
         return self._evaluate(constituents, cache, stats)
 
@@ -252,53 +344,36 @@ class CompressedQueryEngine:
         return self._decode_answer(self._logical("or", results, stats))
 
     def _decode_answer(self, answer: Value) -> BitVector:
-        """The answer as a plain vector in original row order.
+        """The answer as a caller-owned vector in original row order.
 
-        A decoded answer is used as-is — no decode, no decompression
-        charge.  A compressed one is decoded once, charged as
-        decompression, by streaming the payload through the codec's
-        block kernel (decode scratch stays ~16 KiB instead of scaling
-        with the run count).  On a reordered index the vector is
-        translated back to original row order here — the result
-        boundary — so every operation above ran in sorted space.
+        An operator node's answer is already decoded and used as-is.  A
+        bare leaf is charged as decompression and copied from its
+        resident decoded copy, or decoded by streaming its payload
+        through the codec's block kernel (decode scratch stays ~16 KiB
+        instead of scaling with the run count).  On a reordered index
+        the vector is translated back to original row order here — the
+        result boundary — so every operation above ran in sorted space.
         """
-        if isinstance(answer, CompressedBitmap):
+        if isinstance(answer, _PooledBitmap):
             self.clock.charge_decompress(answer.compressed_size())
-            answer = answer.decode_blockwise(self.block_words)
+            vectors = self.pool.decoded([answer])
+            answer = (
+                vectors[0].copy() if vectors is not None
+                else answer.decode_blockwise(self.block_words)
+            )
         return self.index.restore_row_order(answer)
 
     def _logical(self, op: str, operands: list[Value], stats: EvalStats) -> Value:
-        """``op`` over ``operands``: pairwise when both are compressed.
+        """``op`` over ``operands``; one operand passes through as-is.
 
-        Two compressed operands use their compressed-domain pairwise
-        op; three or more operands, or any decoded operand, go through
-        one multi-way pass.
+        ``stats.operations`` counts the logical ``n - 1`` ops of the
+        n-ary node, so expression-level accounting matches the pairwise
+        fold the node replaces.
         """
         if len(operands) == 1:
             return operands[0]
-        if len(operands) == 2 and not any(
-            isinstance(operand, BitVector) for operand in operands
-        ):
-            return self._charged_op(operands[0], operands[1], op, stats)
-        return self._multiway_op(op, operands, stats)
-
-    def _charged_op(
-        self,
-        left: CompressedBitmap,
-        right: CompressedBitmap,
-        op: str,
-        stats: EvalStats,
-    ) -> CompressedBitmap:
-        if op == "and":
-            result = left & right
-        elif op == "or":
-            result = left | right
-        else:
-            result = left ^ right
-        stats.operations += 1
-        touched = (left.compressed_size() + right.compressed_size()) // 8
-        self.clock.charge_word_ops(1, max(1, touched))
-        return result
+        stats.operations += len(operands) - 1
+        return self._node(op, operands)
 
     def _eval(
         self,
@@ -322,13 +397,8 @@ class CompressedQueryEngine:
             result = BitVector.ones(length) if expr.value else BitVector.zeros(length)
         elif isinstance(expr, Not):
             child = self._eval(expr.child, stats, cache, memo)
-            result = ~child
             stats.operations += 1
-            touched = (
-                child.words.nbytes if isinstance(child, BitVector)
-                else child.compressed_size()
-            )
-            self.clock.charge_word_ops(1, max(1, touched // 8))
+            result = self._node("not", [child])
         elif isinstance(expr, (And, Or, Xor)):
             op = {And: "and", Or: "or", Xor: "xor"}[type(expr)]
             operands = [
@@ -341,79 +411,87 @@ class CompressedQueryEngine:
                 self._eval(child, stats, cache, memo)
                 for child in expr.children()
             ]
-            result = self._threshold_op(expr.k, operands, stats)
+            # The evaluator's convention: one counter addition per input.
+            stats.operations += len(operands)
+            result = self._node("threshold", operands, expr.k)
         else:
             raise TypeError(f"unknown expression node {type(expr).__name__}")
         memo[expr] = result
         return result
 
-    def _multiway_op(
-        self,
-        op: str,
-        operands: list[Value],
-        stats: EvalStats,
-    ) -> BitVector:
-        """N-way logical op in one pass over the operands.
+    def _node(self, op: str, operands: list[Value], k: int = 0) -> BitVector:
+        """One ``and``/``or``/``xor``/``not``/``threshold`` node, decoded.
 
-        Charged by the bytes actually streamed — compressed payload
-        bytes, or word bytes for a decoded operand — where the pairwise
-        fold would also re-charge every intermediate it materializes;
-        for N >= 3 the multi-way pass is therefore strictly cheaper in
-        words operated.  ``stats.operations`` still counts the logical
-        ``n - 1`` ops of the n-ary node, so expression-level accounting
-        is unchanged.  The decoded result is returned as-is.
+        Runs on words when every leaf operand's decoded copy is resident
+        or fits (:meth:`_PayloadPool.decoded`); otherwise one
+        ``multiway_logical``/``multiway_threshold`` pass streams the
+        operands (``not`` streams its operand, then inverts).  Both
+        paths charge the bytes the operands occupy — compressed payload
+        bytes for a leaf, word bytes for a decoded value — with no
+        decompression charge.
         """
-        names, inputs = _kernel_inputs(operands)
-        vector = multiway_logical(
-            op, names, inputs, self.index.num_records, self.block_words
+        vectors = self._words(operands)
+        if vectors is not None:
+            path = "words"
+            if op == "threshold":
+                result = threshold_vectors(k, vectors)
+            elif op == "not":
+                result = ~vectors[0]
+            else:
+                result = _WORD_OPS[op](vectors)
+        else:
+            path = "stream"
+            names, inputs = _kernel_inputs(operands)
+            length = self.index.num_records
+            if op == "threshold":
+                result = multiway_threshold(
+                    k, names, inputs, length, self.block_words
+                )
+            elif op == "not":
+                result = ~multiway_logical(
+                    "or", names, inputs, length, self.block_words
+                )
+            else:
+                result = multiway_logical(
+                    op, names, inputs, length, self.block_words
+                )
+        touched = sum(
+            operand.words.nbytes if isinstance(operand, BitVector)
+            else operand.compressed_size()
+            for operand in operands
         )
-        stats.operations += len(operands) - 1
-        self._charge_streamed(inputs)
-        return vector
+        self.clock.charge_word_ops(1, max(1, touched // 8))
+        o = _obs.active()
+        if o is not None:
+            o.count("compress.physical", 1, path=path)
+        return result
 
-    def _threshold_op(
-        self,
-        k: int,
-        operands: list[Value],
-        stats: EvalStats,
-    ) -> BitVector:
-        """k-of-N counting pass over the operands.
-
-        One lockstep stream of the N operands through the bit-sliced
-        counter; charged like :meth:`_multiway_op` by the bytes
-        streamed, with ``stats.operations`` counting the node's ``n``
-        counter additions (the evaluator's convention).
-        """
-        names, inputs = _kernel_inputs(operands)
-        vector = multiway_threshold(
-            k, names, inputs, self.index.num_records, self.block_words
-        )
-        stats.operations += len(operands)
-        self._charge_streamed(inputs)
-        return vector
-
-    def _charge_streamed(self, inputs: list) -> None:
-        touched = sum(len(item) for item in inputs) // 8
-        self.clock.charge_word_ops(1, max(1, touched))
+    def _words(self, operands: list[Value]) -> list[BitVector] | None:
+        """Every operand as words, or None when a leaf's decoded copy
+        is neither resident nor fits into the pool."""
+        leaves = [o for o in operands if not isinstance(o, BitVector)]
+        decoded = self.pool.decoded(leaves)
+        if decoded is None:
+            return None
+        copies = iter(decoded)
+        return [o if isinstance(o, BitVector) else next(copies) for o in operands]
 
 
 def _kernel_inputs(operands: list[Value]) -> tuple[list[str], list]:
     """Codec names and inputs of a multi-way kernel call.
 
-    A decoded operand travels as a zero-copy ``raw`` payload of its
-    words, a pooled leaf as its cached block stream, and any other
-    compressed operand as its payload.  ``len()`` of every input is the
+    Decoded words — a decoded operand, or a pooled leaf's resident
+    decoded copy — travel as a zero-copy ``raw`` payload, any other
+    leaf as its cached block stream.  ``len()`` of every input is the
     bytes it streams.
     """
     names, inputs = [], []
     for operand in operands:
-        if isinstance(operand, BitVector):
+        words = operand if isinstance(operand, BitVector) else operand.decoded
+        if words is not None:
             names.append("raw")
-            inputs.append(operand.words.view(np.uint8))
-        elif isinstance(operand, _PooledBitmap):
-            names.append(operand.codec)
-            inputs.append(operand.stream())
+            inputs.append(words.words.view(np.uint8))
         else:
             names.append(operand.codec)
-            inputs.append(operand.payload)
+            inputs.append(operand.stream())
     return names, inputs

@@ -82,7 +82,9 @@ class ServiceConfig:
     default_timeout_s: float | None = None
     #: Result-cache capacity in entries (0 disables caching).
     cache_entries: int = 256
-    #: Buffer-pool capacity; None uses the engine's default sizing.
+    #: Buffer-pool capacity in pages; None uses the engine's default
+    #: sizing.  Under the compressed engine it covers encoded payloads
+    #: plus the leaves' decoded copies.
     buffer_pages: int | None = None
     #: ``"decoded"`` (BufferPool + BitVector ops) or ``"compressed"``
     #: (payload pool + compressed-domain ops).

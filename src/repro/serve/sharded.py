@@ -108,7 +108,9 @@ class ShardedConfig:
     max_batch: int = 16
     #: Per-shard result-cache capacity in entries (0 disables).
     cache_entries: int = 256
-    #: Per-segment buffer-pool capacity; None = engine default sizing.
+    #: Per-segment buffer-pool capacity in pages; None = engine default
+    #: sizing.  Under the compressed engine it covers encoded payloads
+    #: plus the leaves' decoded copies.
     buffer_pages: int | None = None
     #: ``"decoded"`` or ``"compressed"`` per-shard evaluation engine.
     engine: str = "decoded"
@@ -290,10 +292,15 @@ class _Shard:
     ):
         self.service = service
         self.id = shard_id
-        #: Acked rows — the router's authoritative copy, updated only
+        #: Acked rows — the router's authoritative copy, extended only
         #: after the engine acknowledges an append, so a rebuild from
-        #: them reconstructs exactly the acknowledged state.
-        self.rows = np.asarray(rows)
+        #: them reconstructs exactly the acknowledged state.  Kept as
+        #: appended chunks (an append copies only its own rows) and
+        #: joined by :meth:`acked_rows` where a whole array is needed.
+        self._row_chunks = [np.asarray(rows)]
+        self._rows_lock = threading.Lock()
+        #: Number of acked rows.
+        self.num_rows = len(self._row_chunks[0])
         self.failed = False
         self._queue: deque[_Call] = deque()
         self._cond = threading.Condition()
@@ -303,7 +310,7 @@ class _Shard:
         if index is not None:
             self.epoch = index.epoch
         else:
-            self.epoch = 1 if self.rows.size else 0
+            self.epoch = 1 if self.num_rows else 0
         self._thread = threading.Thread(
             target=self._loop, name=f"shard-{shard_id}-dispatch", daemon=True
         )
@@ -315,6 +322,19 @@ class _Shard:
         if isinstance(self.handle, ProcessWorker):
             return self.handle.pid
         return None
+
+    def acked_rows(self) -> np.ndarray:
+        """Every acked row as one array (chunks joined once, on demand)."""
+        with self._rows_lock:
+            if len(self._row_chunks) > 1:
+                self._row_chunks = [np.concatenate(self._row_chunks)]
+            return self._row_chunks[0]
+
+    def _ack_append(self, rows: np.ndarray) -> None:
+        """Record an acknowledged append (a copy of ``rows``)."""
+        with self._rows_lock:
+            self._row_chunks.append(np.array(rows))
+            self.num_rows += len(rows)
 
     # ------------------------------------------------------------------
 
@@ -348,13 +368,13 @@ class _Shard:
         if self.service.config.transport == "process":
             return ProcessWorker(
                 build_shard_engine,
-                args=(self.rows, self.service.spec, options),
+                args=(self.acked_rows(), self.service.spec, options),
                 name=f"shard-{self.id}",
                 fault=fault,
             )
         if index is not None:
             options = dict(options, index=index)
-        return ShardEngine(self.rows, self.service.spec, **options)
+        return ShardEngine(self.acked_rows(), self.service.spec, **options)
 
     def _invoke(self, method: str, args: tuple):
         if isinstance(self.handle, ProcessWorker):
@@ -401,7 +421,12 @@ class _Shard:
                 )
                 continue
             try:
-                call.resolve(self._invoke(call.method, call.args))
+                result = self._invoke(call.method, call.args)
+                if call.method == "append":
+                    # Acked in the shard's own serialized history, so a
+                    # rebuild queued behind this append sees its rows.
+                    self._ack_append(call.args[0])
+                call.resolve(result)
             except (WorkerCrashed, WorkerUnresponsive) as exc:
                 self.failed = True
                 self.service._note_shard_failure(self, exc)
@@ -432,7 +457,7 @@ class _Shard:
         """Rebuild the engine from the acked rows (dispatcher thread).
 
         The old worker is killed first (it may be merely hung), then a
-        fresh engine is built from :attr:`rows` and its epoch is
+        fresh engine is built from :meth:`acked_rows` and its epoch is
         fast-forwarded to the acked epoch — same rows, same epoch, so
         answers before and after the rebuild are indistinguishable to
         the oracle.
@@ -448,7 +473,7 @@ class _Shard:
             pass
         self.handle = self._build_handle()
         target = self.epoch
-        fresh = 1 if self.rows.size else 0
+        fresh = 1 if self.num_rows else 0
         if target > fresh:
             self._invoke("set_epoch", (target,))
         else:
@@ -639,8 +664,8 @@ class ShardedQueryService:
 
         Only the tail shard's epoch bumps and only its cache
         invalidates; answers from other shards stay cached and valid.
-        The router's authoritative row copy is extended only after the
-        shard acknowledges, so a crash mid-append leaves the batch
+        The shard's authoritative row copy is extended only after its
+        engine acknowledges, so a crash mid-append leaves the batch
         cleanly un-applied (the caller sees
         :class:`~repro.errors.ShardFailed` and may retry).
         """
@@ -651,9 +676,6 @@ class ShardedQueryService:
             with self._layout_lock:
                 tail = self._layout.shards[-1]
             report = tail.dispatch("append", (rows,)).wait()
-            tail.rows = (
-                np.concatenate([tail.rows, rows]) if tail.rows.size else rows.copy()
-            )
             tail.epoch = report["epoch"]
             with self._lock:
                 self.stats.appends += 1
@@ -689,7 +711,7 @@ class ShardedQueryService:
                 shards = list(self._layout.shards)
             if shard_id is None:
                 position = max(
-                    range(len(shards)), key=lambda i: len(shards[i].rows)
+                    range(len(shards)), key=lambda i: shards[i].num_rows
                 )
             else:
                 ids = [shard.id for shard in shards]
@@ -697,7 +719,7 @@ class ShardedQueryService:
                     raise ServeError(f"no shard with id {shard_id}")
                 position = ids.index(shard_id)
             parent = shards[position]
-            total = len(parent.rows)
+            total = parent.num_rows
             if total < 2:
                 raise ServeError(
                     f"cannot split shard {parent.id} with {total} row(s)"
@@ -715,8 +737,9 @@ class ShardedQueryService:
             ):
                 # Sealed segments shared by reference — no re-encode.
                 left_index = parent.dispatch("split_left", (row,)).wait()
-            left = self._new_shard(parent.rows[:row], index=left_index)
-            right = self._new_shard(parent.rows[row:])
+            rows = parent.acked_rows()
+            left = self._new_shard(rows[:row], index=left_index)
+            right = self._new_shard(rows[row:])
             replacement = shards[:position] + [left, right] + shards[position + 1 :]
             with self._layout_lock:
                 old = self._layout
@@ -749,7 +772,7 @@ class ShardedQueryService:
         return [
             {
                 "id": shard.id,
-                "num_records": int(len(shard.rows)),
+                "num_records": shard.num_rows,
                 "epoch": shard.epoch,
                 "failed": shard.failed,
                 "pid": shard.pid,

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.bitmap import BitVector
+from repro.compress import COMPRESSED_DOMAIN_CODECS
 from repro.compress.compressed_ops import CompressedBitmap
 from repro.compress.multiway import (
     DEFAULT_BLOCK_WORDS,
@@ -37,7 +38,7 @@ from repro.queries import IntervalQuery
 from repro.storage import CostClock
 from repro.workload import zipf_column
 
-COMPRESSED_CODECS = ("bbc", "wah", "ewah", "roaring")
+COMPRESSED_CODECS = sorted(COMPRESSED_DOMAIN_CODECS)
 
 lengths = st.sampled_from([1, 63, 64, 65, 1000, 2**16 - 1, 2**16 + 1])
 densities = st.sampled_from([0.0, 0.05, 0.5, 1.0])

@@ -176,7 +176,8 @@ class TestEnginesSurviveAppend:
 
 
 class TestCompressedEngineStreamCache:
-    """Multi-way results are never re-encoded, and a pooled leaf's block
+    """On the stream path (a pool with no room for decoded copies),
+    multi-way results are never re-encoded, and a pooled leaf's block
     stream is parsed once per residency — until an append replaces the
     payload (the store-version path)."""
 
@@ -218,7 +219,10 @@ class TestCompressedEngineStreamCache:
         assert isinstance(expr, Or) and len(expr.children()) >= 3
         num_leaves = len(expr.leaf_keys())
         clock = CostClock()
-        engine = CompressedQueryEngine(index, clock=clock)
+        # Exactly the leaves' encoded pages: every leaf stays resident
+        # and no page is left for a decoded copy.
+        leaf_pages = sum(index.store.info(key).pages for key in expr.leaf_keys())
+        engine = CompressedQueryEngine(index, buffer_pages=leaf_pages, clock=clock)
         encodes.clear()  # the build encoded every stored bitmap
 
         with obs.observed() as o:
@@ -226,6 +230,9 @@ class TestCompressedEngineStreamCache:
         assert first.bitmap == BitVector.from_bools(self.QUERY.matches(base))
         assert encodes == []
         assert "compress.auto.selected" not in o.metrics.to_dict()
+        assert o.metrics.to_dict()["compress.physical"] == {
+            "path=stream": {"type": "counter", "value": 1.0}
+        }
         assert clock.bytes_decompressed == 0  # the multi-way root is decoded
         assert len(opened) == num_leaves
 
@@ -240,3 +247,70 @@ class TestCompressedEngineStreamCache:
         assert len(opened) == num_leaves
         assert after.bitmap == BitVector.from_bools(self.QUERY.matches(merged))
         assert clock.bytes_decompressed == 0
+
+
+class TestCompressedEngineDecodedResidency:
+    """With the default pool every leaf's decoded copy stays resident:
+    one decode per leaf per residency, re-decoded only after an append
+    replaces the payload."""
+
+    QUERY = IntervalQuery(3, 11, CARDINALITY)
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        """Counts ``Codec.decode`` calls on every codec."""
+        calls = []
+        decode = Codec.decode
+
+        def counting(self, payload, length):
+            calls.append(length)
+            return decode(self, payload, length)
+
+        monkeypatch.setattr(Codec, "decode", counting)
+        return calls
+
+    def test_leaves_decoded_once_until_append(self, rng, decodes):
+        base = rng.integers(0, CARDINALITY, size=3000)
+        batch = rng.integers(0, CARDINALITY, size=500)
+        index = BitmapIndex.build(
+            base, IndexSpec(cardinality=CARDINALITY, scheme="E", codec="auto")
+        )
+        expr = index.rewriter.rewrite_interval(self.QUERY)
+        num_leaves = len(expr.leaf_keys())
+        assert num_leaves >= 3
+        clock = CostClock()
+        engine = CompressedQueryEngine(index, clock=clock)
+
+        with obs.observed() as o:
+            first = engine.execute(self.QUERY)
+        assert first.bitmap == BitVector.from_bools(self.QUERY.matches(base))
+        assert decodes == [len(base)] * num_leaves
+        assert o.metrics.to_dict()["compress.physical"] == {
+            "path=words": {"type": "counter", "value": 1.0}
+        }
+
+        decodes.clear()
+        again = engine.execute(self.QUERY)
+        assert decodes == []  # every decoded copy reused from the pool
+        assert again.bitmap == first.bitmap
+
+        index.append(batch)
+        merged = np.concatenate([base, batch])
+        decodes.clear()
+        after = engine.execute(self.QUERY)
+        assert decodes == [len(merged)] * num_leaves
+        assert after.bitmap == BitVector.from_bools(self.QUERY.matches(merged))
+        assert clock.bytes_decompressed == 0
+
+    def test_bare_leaf_answer_is_a_copy(self, rng):
+        base = rng.integers(0, CARDINALITY, size=3000)
+        index = BitmapIndex.build(
+            base, IndexSpec(cardinality=CARDINALITY, scheme="E", codec="auto")
+        )
+        engine = CompressedQueryEngine(index)
+        query = IntervalQuery(4, 4, CARDINALITY)
+        answer = engine.execute(query).bitmap
+        answer.words[:] = 0  # the caller owns its answer
+        assert engine.execute(query).bitmap == BitVector.from_bools(
+            query.matches(base)
+        )

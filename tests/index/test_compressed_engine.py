@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.bitmap import BitVector
 from repro.compress import COMPRESSED_DOMAIN_CODECS
 from repro.errors import QueryError
@@ -15,6 +16,7 @@ from repro.expr.threshold import Threshold
 from repro.index import BitmapIndex, CompressedQueryEngine, IndexSpec
 from repro.queries import IntervalQuery, MembershipQuery
 from repro.storage import CostClock
+from repro.storage.pages import pages_for
 from repro.workload import zipf_column
 
 #: Every codec the engine accepts, including ``auto`` and the
@@ -142,16 +144,37 @@ def _diff_values(length: int) -> np.ndarray:
     return values
 
 
+#: Payload-pool regimes: the default pool holds every leaf encoded and
+#: decoded (nodes run on words); ``no_decoded`` is smaller than one
+#: decoded bitmap, so no copy ever fits and nodes stream their leaves.
+POOLS = ["default", "no_decoded"]
+
+
+def _pool_pages(pool: str, length: int) -> int | None:
+    if pool == "default":
+        return None
+    return pages_for(8 * -(-length // 64)) - 1
+
+
 @lru_cache(maxsize=None)
-def _diff_engine(codec: str, reorder: str, length: int) -> CompressedQueryEngine:
-    index = BitmapIndex.build(
+def _diff_index(codec: str, reorder: str, length: int) -> BitmapIndex:
+    return BitmapIndex.build(
         _diff_values(length),
         IndexSpec(
             cardinality=DIFF_CARDINALITY, scheme="E", codec=codec,
             reorder=reorder,
         ),
     )
-    return CompressedQueryEngine(index)
+
+
+@lru_cache(maxsize=None)
+def _diff_engine(
+    codec: str, reorder: str, length: int, pool: str
+) -> CompressedQueryEngine:
+    return CompressedQueryEngine(
+        _diff_index(codec, reorder, length),
+        buffer_pages=_pool_pages(pool, length),
+    )
 
 
 def _or3(a, b, c):
@@ -200,27 +223,35 @@ def _naive(expr, values: np.ndarray) -> np.ndarray:
 
 
 class TestDecodedIntermediates:
-    """Multi-way results stay decoded; every consumer must agree with a
-    naive scan of the column."""
+    """Operator nodes yield decoded words on either physical path; every
+    consumer must agree with a naive scan of the column."""
 
+    @pytest.mark.parametrize("pool", POOLS)
     @pytest.mark.parametrize("length", DIFF_LENGTHS)
     @pytest.mark.parametrize("reorder", ["none", "lexicographic"])
     @pytest.mark.parametrize("codec", ENGINE_CODECS)
     @pytest.mark.parametrize("case", sorted(DECODED_INTERMEDIATE_CASES))
-    def test_matches_naive_scan(self, case, codec, reorder, length):
-        engine = _diff_engine(codec, reorder, length)
+    def test_matches_naive_scan(self, case, codec, reorder, length, pool):
+        engine = _diff_engine(codec, reorder, length, pool)
         values = _diff_values(length)
         constituents = DECODED_INTERMEDIATE_CASES[case]
-        bitmap = engine.evaluate_shared(constituents, {}, EvalStats())
+        with obs.observed() as o:
+            bitmap = engine.evaluate_shared(constituents, {}, EvalStats())
         want = np.logical_or.reduce([_naive(c, values) for c in constituents])
         # Word-level equality: padding bits past ``length`` must be clear.
         assert bitmap == BitVector.from_bools(want)
+        paths = set(o.metrics.to_dict().get("compress.physical", {}))
+        if pool == "default":
+            assert paths == {"path=words"}
+        elif case != "not_of_const":  # a node over leaves streams them
+            assert "path=stream" in paths
 
+    @pytest.mark.parametrize("pool", POOLS)
     @pytest.mark.parametrize("length", DIFF_LENGTHS)
     @pytest.mark.parametrize("reorder", ["none", "lexicographic"])
     @pytest.mark.parametrize("codec", ENGINE_CODECS)
-    def test_queries_match_naive_scan(self, codec, reorder, length):
-        engine = _diff_engine(codec, reorder, length)
+    def test_queries_match_naive_scan(self, codec, reorder, length, pool):
+        engine = _diff_engine(codec, reorder, length, pool)
         values = _diff_values(length)
         for query in (
             IntervalQuery(1, 6, DIFF_CARDINALITY),
@@ -231,6 +262,47 @@ class TestDecodedIntermediates:
             result = engine.execute(query)
             assert result.bitmap == BitVector.from_bools(query.matches(values))
             assert result.row_count == int(query.matches(values).sum())
+
+
+class TestPhysicalChoice:
+    """The words/stream choice moves no simulated charge, and an
+    explicit ``buffer_pages`` bounds payloads and decoded copies
+    together."""
+
+    @pytest.mark.parametrize("codec", ENGINE_CODECS)
+    def test_charges_identical_on_both_paths(self, codec):
+        length = DIFF_LENGTHS[1]
+        index = _diff_index(codec, "none", length)
+        clocks, answers = [], []
+        for pool in POOLS:
+            clock = CostClock()
+            engine = CompressedQueryEngine(
+                index, buffer_pages=_pool_pages(pool, length), clock=clock
+            )
+            stats = EvalStats()
+            answers.append([
+                engine.evaluate_shared(constituents, {}, stats)
+                for constituents in DECODED_INTERMEDIATE_CASES.values()
+            ] + [engine.execute(IntervalQuery(4, 4, DIFF_CARDINALITY)).bitmap])
+            clocks.append((clock.words_operated, clock.cpu_ms,
+                           clock.bytes_decompressed, stats.operations))
+        assert clocks[0] == clocks[1]
+        assert answers[0] == answers[1]
+
+    def test_explicit_pool_bounds_payloads_and_copies(self):
+        length = DIFF_LENGTHS[0]
+        index = _diff_index("wah", "none", length)
+        capacity = index.size_pages() + 2 * pages_for(8 * -(-length // 64))
+        engine = CompressedQueryEngine(index, buffer_pages=capacity)
+        values = _diff_values(length)
+        for low in range(DIFF_CARDINALITY - 1):
+            for query in (
+                IntervalQuery(low, low + 1, DIFF_CARDINALITY),
+                MembershipQuery.of({low, 8}, DIFF_CARDINALITY),
+            ):
+                result = engine.execute(query)
+                assert result.bitmap == BitVector.from_bools(query.matches(values))
+                assert engine.pool.used_pages <= capacity
 
 
 @given(

@@ -12,7 +12,7 @@ just counts.
 import numpy as np
 import pytest
 
-from repro.compress import COMPRESSED_DOMAIN_CODECS
+from repro.compress import COMPRESSED_DOMAIN_CODECS, available_codecs
 from repro.encoding import ALL_SCHEME_NAMES
 from repro.errors import (
     ChecksumMismatchError,
@@ -31,7 +31,7 @@ from repro.index.segmented import SegmentedBitmapIndex
 from repro.queries import IntervalQuery, MembershipQuery
 
 CARDINALITY = 12
-ALL_CODECS = ("raw", "bbc", "wah", "ewah", "roaring")
+ALL_CODECS = available_codecs()
 
 
 def column(rng, size=420):

@@ -12,6 +12,7 @@ a test says otherwise; the chaos suite owns the process transport's
 failure paths.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -298,6 +299,57 @@ class TestShardBoundaries:
             assert np.array_equal(
                 result.row_ids(), np.flatnonzero(combined == 3)
             )
+
+    def test_appended_rows_feed_split_and_recovery(self):
+        values = self.column(64)
+        batches = [self.column(5 + i) for i in range(4)]
+        combined = np.concatenate([values, *batches])
+        config = inline_config(shards=2, segment_size=16)
+        query = MembershipQuery.of({3}, CARDINALITY)
+        expected = np.flatnonzero(combined == 3)
+        with ShardedQueryService(values, make_spec(), config) as s:
+            for batch in batches:
+                s.append(batch.copy())
+            tail = s.shard_info()[-1]
+            assert tail["num_records"] == 32 + 5 + 6 + 7 + 8
+            # Cut inside the first appended batch: both children are
+            # rebuilt from the acked rows, base and appended alike.
+            s.split(shard_id=tail["id"], at_row=35)
+            assert np.array_equal(s.execute(query).row_ids(), expected)
+            assert s.recover(s.shard_info()[-1]["id"])
+            assert np.array_equal(s.execute(query).row_ids(), expected)
+
+    def test_appends_racing_recoveries_lose_no_rows(self):
+        values = self.column(64)
+        batches = [self.column(3 + i % 5) for i in range(40)]
+        combined = np.concatenate([values, *batches])
+        config = inline_config(shards=2, segment_size=16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ShardedQueryService(values, make_spec(), config) as s:
+                tail = s.shard_info()[-1]["id"]
+                done = threading.Event()
+
+                def recover_until_done():
+                    while not done.is_set():
+                        s.recover(tail)
+
+                recoverer = threading.Thread(target=recover_until_done)
+                recoverer.start()
+                try:
+                    for batch in batches:
+                        s.append(batch)
+                finally:
+                    done.set()
+                    recoverer.join(timeout=30)
+                assert not recoverer.is_alive()
+                assert s.recover(tail)  # rebuild from the acked rows alone
+                query = IntervalQuery(0, CARDINALITY - 1, CARDINALITY)
+                assert s.execute(query).row_count == len(combined)
+                assert s.shard_info()[-1]["num_records"] == len(combined) - 32
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_append_bumps_only_tail_epoch(self, values):
         with ShardedQueryService(values, make_spec(), inline_config()) as s:

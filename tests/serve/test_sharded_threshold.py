@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.bitmap import BitVector
+from repro.compress import COMPRESSED_DOMAIN_CODECS
 from repro.errors import QueryError
 from repro.index import BitmapIndex, IndexSpec
 from repro.queries import IntervalQuery, MembershipQuery, ThresholdQuery
@@ -108,7 +109,7 @@ class TestBoundaries:
             theirs = single.execute(query)
         assert ours.bitmap == theirs.bitmap == naive(query, values)
 
-    @pytest.mark.parametrize("codec", ["bbc", "wah", "ewah", "roaring"])
+    @pytest.mark.parametrize("codec", sorted(COMPRESSED_DOMAIN_CODECS))
     def test_compressed_engine_codecs(self, codec):
         values = column(129)
         config = inline_config(engine="compressed")

@@ -10,9 +10,16 @@ smoke = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(smoke)
 
 
-def output(*lines, correct=True, failed=0):
-    result = {"correct": correct, "attempted": 10, "failed": failed, "metrics": {}}
+def output(*lines, correct=True, failed=0, metrics=None):
+    result = {
+        "correct": correct, "attempted": 10, "failed": failed,
+        "metrics": metrics or {},
+    }
     return "\n".join([*lines, json.dumps(result)]) + "\n"
+
+
+def unattributed(value):
+    return {"trace.unattributed_frac": {"value": value, "unit": "1"}}
 
 
 def test_clean_run_passes():
@@ -37,3 +44,18 @@ def test_missing_result_line_and_exit_status_fail():
         "exit status 1",
         "no JSON result line",
     ]
+
+
+def test_unattributed_time_over_bound_fails():
+    assert smoke.problems(output(metrics=unattributed(0.12)), 0) == [
+        "trace.unattributed_frac: 0.12 > 0.1"
+    ]
+
+
+def test_unattributed_time_within_bound_passes():
+    assert smoke.problems(output(metrics=unattributed(0.1)), 0) == []
+
+
+def test_untraced_run_without_the_metric_passes():
+    metrics = {"query_p50_ms": {"value": 1.0, "unit": "ms"}}
+    assert smoke.problems(output(metrics=metrics), 0) == []

@@ -9,7 +9,10 @@ a run:
 * ends with a JSON result line that has ``"correct": false``;
 * reports ``failed > 0``;
 * prints a ``NOTE: entry point not traced`` line (the tracer could not
-  wrap an entry point, so a layer's time would be misattributed).
+  wrap an entry point, so a layer's time would be misattributed);
+* reports ``trace.unattributed_frac`` above 0.10, the bound
+  ``perfbench/README.md`` sets on op time no layer span covers (an
+  untraced run has no such metric and passes).
 
 Run from anywhere; it changes nothing under ``perfbench/``::
 
@@ -26,6 +29,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 UNTRACED_NOTE = "NOTE: entry point not traced"
+#: Largest share of traced op time that may fall outside every layer span.
+MAX_UNATTRIBUTED_FRAC = 0.10
 
 
 def problems(stdout: str, returncode: int) -> list[str]:
@@ -43,6 +48,12 @@ def problems(stdout: str, returncode: int) -> list[str]:
         found.append(f"correct: {result.get('correct')!r}")
     if result.get("failed", 1) > 0:
         found.append(f"failed: {result.get('failed')!r}")
+    unattributed = result.get("metrics", {}).get("trace.unattributed_frac")
+    if unattributed is not None and unattributed["value"] > MAX_UNATTRIBUTED_FRAC:
+        found.append(
+            f"trace.unattributed_frac: {unattributed['value']!r} > "
+            f"{MAX_UNATTRIBUTED_FRAC}"
+        )
     return found
 
 
