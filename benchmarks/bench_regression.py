@@ -6,9 +6,9 @@ fused-vs-materializing expression evaluators, and one end-to-end
 figure regeneration, then writes ``BENCH_PR10.json`` at the repo root.
 Prior recorded numbers are merged in under prefixed names — ``seed:``
 for the pre-vectorization baseline (``benchmarks/results/
-seed_baseline.json``) and ``pr1:`` through ``pr9:`` for each PR's
-recorded numbers (``BENCH_PR<n>.json``) — so a single file shows
-current medians next to every baseline.
+seed_baseline.json``) and ``pr<n>:`` for every recorded
+``BENCH_PR<n>.json`` except the one being written — so a single file
+shows current medians next to every baseline.
 
 Schema: ``{bench_name: {"median_s": float, "iterations": int,
 "params": {...}}}``, plus two special entries: ``obs_export`` holds the
@@ -114,15 +114,6 @@ from benchmarks.bench_serving import check_sharded_gates, run_serving_bench
 from benchmarks.bench_serving import run_sharded_bench
 
 SEED_BASELINE = Path(__file__).parent / "results" / "seed_baseline.json"
-PR1_BASELINE = REPO_ROOT / "BENCH_PR1.json"
-PR2_BASELINE = REPO_ROOT / "BENCH_PR2.json"
-PR3_BASELINE = REPO_ROOT / "BENCH_PR3.json"
-PR4_BASELINE = REPO_ROOT / "BENCH_PR4.json"
-PR5_BASELINE = REPO_ROOT / "BENCH_PR5.json"
-PR6_BASELINE = REPO_ROOT / "BENCH_PR6.json"
-PR7_BASELINE = REPO_ROOT / "BENCH_PR7.json"
-PR8_BASELINE = REPO_ROOT / "BENCH_PR8.json"
-PR9_BASELINE = REPO_ROOT / "BENCH_PR9.json"
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_PR10.json"
 
 #: Maximum tolerated slowdown of the kernel workload with obs installed.
@@ -606,19 +597,31 @@ def measure_obs_overhead(n_bits: int, density: float, pairs: int = 15) -> dict:
     }
 
 
-def merge_baseline(results: dict[str, dict], path: Path, prefix: str) -> None:
-    """Add ``prefix:``-prefixed entries from a recorded baseline file.
+def merge_baselines(results: dict[str, dict], skip: set) -> None:
+    """Add the recorded baselines under prefixed names.
 
-    Already-prefixed entries and non-bench entries (``obs_export``) of
-    the prior file are skipped; each baseline merges from its own file.
+    The seed baseline merges as ``seed:``; every ``BENCH_PR<n>.json`` at
+    the repo root merges as ``pr<n>:``, except the paths in ``skip``
+    (this driver's own output file and the one this run writes).
+    Already-prefixed entries and non-bench entries (``obs_export``) of a
+    recorded file are skipped, so each baseline merges from its own file.
     """
-    if not path.exists():
-        return
-    baseline = json.loads(path.read_text())
-    for bench_name, entry in baseline.items():
-        if ":" in bench_name or "median_s" not in entry:
+    skip = {path.resolve() for path in skip if path is not None}
+    recorded = [(SEED_BASELINE, "seed")] + sorted(
+        (
+            (path, path.stem.lower().replace("bench_", ""))
+            for path in REPO_ROOT.glob("BENCH_PR*.json")
+            if path.resolve() not in skip
+        ),
+        key=lambda item: int(item[1][2:]),
+    )
+    for path, prefix in recorded:
+        if not path.exists():
             continue
-        results[f"{prefix}:{bench_name}"] = entry
+        baseline = json.loads(path.read_text())
+        for bench_name, entry in baseline.items():
+            if ":" not in bench_name and "median_s" in entry:
+                results[f"{prefix}:{bench_name}"] = entry
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -655,20 +658,10 @@ def main(argv: list[str] | None = None) -> int:
         workers=args.workers,
         iters=iters,
     )
-    merge_baseline(results, SEED_BASELINE, "seed")
-    merge_baseline(results, PR1_BASELINE, "pr1")
-    merge_baseline(results, PR2_BASELINE, "pr2")
-    merge_baseline(results, PR3_BASELINE, "pr3")
-    merge_baseline(results, PR4_BASELINE, "pr4")
-    merge_baseline(results, PR5_BASELINE, "pr5")
-    merge_baseline(results, PR6_BASELINE, "pr6")
-    merge_baseline(results, PR7_BASELINE, "pr7")
-    merge_baseline(results, PR8_BASELINE, "pr8")
-    merge_baseline(results, PR9_BASELINE, "pr9")
-
     output = args.output
     if output is None and not args.quick:
         output = DEFAULT_OUTPUT
+    merge_baselines(results, skip={DEFAULT_OUTPUT, output})
     if output is not None:
         output.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
         print(f"wrote {output}", file=sys.stderr)

@@ -2,12 +2,21 @@
 
 The paper evaluates one query at a time; a deployment answers many
 selection queries concurrently over shared bitmaps.  This package is
-the in-process serving layer that closes that gap:
+the serving layer that closes that gap:
 
-* :class:`~repro.serve.service.QueryService` — bounded queue, worker
-  pool, per-request deadlines, typed load shedding
+* :mod:`~repro.serve.sharded` — the one serving front-end: bounded
+  queue, router workers, per-request deadlines, typed load shedding
   (:class:`~repro.errors.Overloaded` /
-  :class:`~repro.errors.DeadlineExceeded`);
+  :class:`~repro.errors.DeadlineExceeded`), stats and metrics over a
+  layout of one or more row-range shards, merged by concatenation;
+* :class:`~repro.serve.service.QueryService` — the front-end over one
+  prebuilt index, served in the caller's thread as a single shard;
+* :class:`~repro.serve.sharded.ShardedQueryService` — the front-end
+  over N shards built from a raw column (inline or each behind a
+  :class:`~repro.parallel.ProcessWorker`): appends routed to the tail
+  shard, online splits, recovery from acked rows;
+* :class:`~repro.serve.shard_worker.ShardEngine` — the only per-index
+  evaluator: query rewrite, result cache, shared-scan batches;
 * :mod:`~repro.serve.batcher` — shared-scan batching: one buffer-pool
   pass over the union of a batch's bitmaps serves every query in the
   batch;
@@ -15,13 +24,7 @@ the in-process serving layer that closes that gap:
   canonical expression)``, invalidated when an append bumps the epoch;
 * :mod:`~repro.serve.driver` — closed- and open-loop workload replay
   with throughput and p50/p95/p99 latency reporting from
-  :mod:`repro.obs` histograms;
-* :mod:`~repro.serve.sharded` — the multi-process tier:
-  :class:`~repro.serve.sharded.ShardedQueryService` partitions rows
-  into shards (one :class:`~repro.serve.shard_worker.ShardEngine` per
-  shard, inline or behind a :class:`~repro.parallel.ProcessWorker`),
-  scatter-gathers queries, routes appends to the tail shard, and
-  splits shards online.
+  :mod:`repro.obs` histograms.
 
 See ``docs/serving.md`` for the architecture and the ``serve.*``
 metric catalog; ``repro serve-bench`` is the CLI entry point.
@@ -42,23 +45,19 @@ from repro.serve.driver import (
     run_closed_loop,
     run_open_loop,
 )
-from repro.serve.service import (
+from repro.serve.service import QueryService
+from repro.serve.shard_worker import ShardAnswer, ShardEngine
+from repro.serve.sharded import (
     ENGINES,
-    QueryService,
+    TRANSPORTS,
     ServeResult,
     ServiceConfig,
     ServiceStats,
-    Ticket,
-)
-from repro.serve.shard_worker import ShardAnswer, ShardEngine
-from repro.serve.sharded import (
-    TRANSPORTS,
     ShardAppend,
     ShardSplit,
     ShardedConfig,
     ShardedQueryService,
-    ShardedResult,
-    ShardedStats,
+    Ticket,
 )
 
 __all__ = [
@@ -70,8 +69,6 @@ __all__ = [
     "ENGINES",
     "ShardedQueryService",
     "ShardedConfig",
-    "ShardedResult",
-    "ShardedStats",
     "ShardAppend",
     "ShardSplit",
     "ShardAnswer",

@@ -10,9 +10,8 @@ invalidation a comparison rather than a search: when
 minted under an older epoch is unreachable and is swept out eagerly by
 :meth:`ResultCache.invalidate_below`.
 
-The cache is thread-safe (one lock around the LRU dict) because cache
-probes happen on submitter threads while fills happen on worker
-threads.
+The cache is thread-safe (one lock around the LRU dict), so it can be
+probed and inspected from any thread.
 """
 
 from __future__ import annotations
@@ -62,26 +61,18 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(
-        self, epoch: int, expression: tuple, record_miss: bool = True
-    ) -> BitVector | None:
+    def get(self, epoch: int, expression: tuple) -> BitVector | None:
         """The cached answer for ``expression`` at ``epoch``, or None.
 
-        ``record_miss=False`` makes an unsuccessful probe silent: the
-        submit fast-path probes the cache opportunistically and, on a
-        miss, the *same* request is probed again when a worker picks it
-        up — only that second probe is the request's real miss.
-        Counting both would double-book misses, breaking the
-        ``hits + misses == completed`` invariant the bench reports rely
-        on.  Hits are always recorded (a hit ends the request, so it is
-        seen exactly once).
+        Every probe is recorded as one hit or one miss: the shard engine
+        probes each request exactly once, so ``hits + misses`` equals
+        the requests it answered.
         """
         key = (epoch, expression)
         with self._lock:
             answer = self._entries.get(key)
             if answer is None:
-                if record_miss:
-                    self.stats.misses += 1
+                self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1

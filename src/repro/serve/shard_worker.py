@@ -1,22 +1,29 @@
-"""Per-shard engine for the sharded serving tier.
+"""Per-shard engine: the only per-index evaluator of the serving tier.
 
-A :class:`ShardEngine` owns one shard's rows as a
-:class:`~repro.index.segmented.SegmentedBitmapIndex` plus the serving
-machinery the single-process :class:`~repro.serve.QueryService` keeps
-per index: a persistent query engine per segment, an
+A :class:`ShardEngine` owns one shard's rows plus the serving
+machinery: a persistent query engine per segment, an
 ``(epoch, expression)`` result cache, and shared-scan batch planning.
-It is deliberately *transport-agnostic*: the router calls the same
+It is the one place that rewrites a query, probes the cache, plans
+shared-scan batches, fetches each batch's bitmaps once and evaluates.
+The rows are either a :class:`~repro.index.segmented.SegmentedBitmapIndex`
+(the sharded service builds one per shard) or a prebuilt
+:class:`~repro.index.BitmapIndex` served whole as the only segment
+(:class:`~repro.serve.QueryService`; the index may be plain, reordered
+or mapped).
+
+It is deliberately *transport-agnostic*: the front-end calls the same
 methods whether the engine lives in the router process (``"inline"``
 transport) or behind a :class:`~repro.parallel.ProcessWorker` pipe
 (``"process"`` transport) — which is why every argument and return
 value is picklable (queries, numpy rows, :class:`ShardAnswer`).
 
-The engine is single-threaded by contract: the router serializes all
-calls to one shard through that shard's dispatcher, so no locking
-happens here.  It also emits no :mod:`repro.obs` metrics — in a worker
-process there is no registry to emit into, and keeping the inline and
-process transports observationally identical means all ``serve.shard.*``
-accounting lives in the router.
+The engine is single-threaded by contract: the front-end serializes all
+calls to one shard (under its scan lock inline, through the shard's
+dispatcher thread otherwise), so no locking happens here.  It also
+emits no :mod:`repro.obs` metrics — in a worker process there is no
+registry to emit into, and keeping the inline and process transports
+observationally identical means all ``serve.shard.*`` accounting lives
+in the front-end.
 """
 
 from __future__ import annotations
@@ -28,8 +35,8 @@ import numpy as np
 from repro.bitmap import BitVector, concatenate
 from repro.encoding import get_scheme
 from repro.errors import QueryError
-from repro.expr import EvalStats, Expr
-from repro.index.bitmap_index import IndexSpec
+from repro.expr import EvalStats, Expr, Leaf
+from repro.index.bitmap_index import BitmapIndex, IndexSpec
 from repro.index.compressed_engine import CompressedQueryEngine
 from repro.index.evaluation import QueryEngine
 from repro.index.rewrite import QueryRewriter
@@ -62,16 +69,22 @@ class ShardAnswer:
     simulated_ms: float
     scans: int
     operations: int
+    #: True when the shard still holds ``bitmap`` (in its result cache
+    #: or buffer pool): whoever hands it to a caller unchanged must copy
+    #: it first.
+    shared: bool = False
 
 
 class ShardEngine:
     """Serving engine for one row-range shard.
 
     ``values`` are the shard's rows; ``index`` (inline transport only)
-    injects a prebuilt :class:`SegmentedBitmapIndex` instead — the
-    shard-split path hands the left child its sealed segments by
+    injects a prebuilt index instead: a :class:`SegmentedBitmapIndex`
+    (the shard-split path hands the left child its sealed segments by
     reference via :meth:`SegmentedBitmapIndex.split_at`, skipping the
-    rebuild.
+    rebuild) or a :class:`~repro.index.BitmapIndex`, which is served
+    whole as the only segment with its own rewriter, and grows in place
+    on :meth:`append`.
     """
 
     def __init__(
@@ -84,7 +97,7 @@ class ShardEngine:
         buffer_pages: int | None = None,
         segment_size: int = DEFAULT_SEGMENT_SIZE,
         max_batch: int = 16,
-        index: SegmentedBitmapIndex | None = None,
+        index: SegmentedBitmapIndex | BitmapIndex | None = None,
     ):
         self.spec = spec
         self.engine_kind = engine
@@ -100,9 +113,14 @@ class ShardEngine:
                 self.index.append(rows)
         self.cache = ResultCache(cache_entries)
         self.clock = CostClock()
-        self.rewriter = QueryRewriter(
-            spec.cardinality, spec.resolved_bases(), get_scheme(spec.scheme)
-        )
+        if isinstance(self.index, BitmapIndex):
+            self.rewriter = self.index.rewriter
+        else:
+            self.rewriter = QueryRewriter(
+                spec.cardinality,
+                spec.resolved_bases(),
+                get_scheme(spec.scheme),
+            )
         self._engines: list = []
 
     # ------------------------------------------------------------------
@@ -130,11 +148,18 @@ class ShardEngine:
             self.index.epoch = epoch
         return self.index.epoch
 
+    def segments(self) -> list:
+        """The indexes evaluated one after another, in row order."""
+        if isinstance(self.index, BitmapIndex):
+            return [self.index]
+        return self.index.segments()
+
     def status(self) -> dict:
-        """Picklable counters for the router's metrics snapshot."""
+        """Picklable counters for the front-end's metrics snapshot."""
+        pools = [engine.pool.stats for engine in self._engines]
         return {
             "num_records": self.index.num_records,
-            "num_segments": self.index.num_segments,
+            "num_segments": len(self.segments()),
             "epoch": self.index.epoch,
             "cache_hits": self.cache.stats.hits,
             "cache_misses": self.cache.stats.misses,
@@ -142,6 +167,9 @@ class ShardEngine:
             "pages_read": self.clock.pages_read,
             "read_requests": self.clock.read_requests,
             "simulated_ms": self.clock.total_ms,
+            "pool_hits": sum(stats.hits for stats in pools),
+            "pool_misses": sum(stats.misses for stats in pools),
+            "pool_evictions": sum(stats.evictions for stats in pools),
         }
 
     # ------------------------------------------------------------------
@@ -150,13 +178,13 @@ class ShardEngine:
         """Append rows to this shard, bumping only this shard's epoch."""
         rows = np.asarray(values)
         report = self.index.append(rows)
-        self.cache.invalidate_below(self.index.epoch)
         return {
             "epoch": self.index.epoch,
             "num_records": self.index.num_records,
             "records_appended": report.records_appended,
             "bitmaps_extended": report.bitmaps_extended,
             "bitmaps_touched": report.bitmaps_touched,
+            "invalidated": self.cache.invalidate_below(self.index.epoch),
         }
 
     def split_left(self, row: int) -> SegmentedBitmapIndex:
@@ -180,11 +208,11 @@ class ShardEngine:
     def evaluate_batch(self, queries: list[Query]) -> list[ShardAnswer]:
         """Answer ``queries`` over this shard's rows, batching scans.
 
-        The batch is planned exactly as the single-process service plans
-        its worker batches (:func:`~repro.serve.batcher.plan_batches`
-        over leaf-key sharing, capped at ``max_batch``), each planned
-        batch fetches the union of its bitmaps once per segment, and
-        answers land in the shard's ``(epoch, expression)`` cache.
+        The batch is planned into shared scans
+        (:func:`~repro.serve.batcher.plan_batches` over leaf-key
+        sharing, capped at ``max_batch``), each planned batch fetches
+        the union of its bitmaps once per segment, and answers land in
+        the shard's ``(epoch, expression)`` cache.
         """
         epoch = self.index.epoch
         answers: list[ShardAnswer | None] = [None] * len(queries)
@@ -209,6 +237,7 @@ class ShardEngine:
                     simulated_ms=0.0,
                     scans=0,
                     operations=0,
+                    shared=True,
                 )
             else:
                 pending.append(i)
@@ -238,14 +267,14 @@ class ShardEngine:
             return [self.rewriter.rewrite_threshold(query)]
         raise QueryError(f"unsupported query type {type(query).__name__}")
 
-    def _segment_engines(self) -> list:
+    def segment_engines(self) -> list:
         """Persistent per-segment engines, extended as segments appear.
 
         Segments are only ever appended (the tail fills in place and its
         store versions make existing buffer pools re-read), so engine
         ``i`` always serves segment ``i``.
         """
-        segments = self.index.segments()
+        segments = self.segments()
         while len(self._engines) < len(segments):
             segment = segments[len(self._engines)]
             if self.engine_kind == "compressed":
@@ -273,7 +302,7 @@ class ShardEngine:
         answers: list,
     ) -> None:
         """One shared fetch of the batch's bitmaps, per segment."""
-        engines = self._segment_engines()
+        engines = self.segment_engines()
         keys = sorted(
             {key for i in batch for key in keysets[i]},
             key=lambda key: (key[0], repr(key[1])),
@@ -295,9 +324,17 @@ class ShardEngine:
                 )
                 for k, engine in enumerate(engines)
             ]
-            bitmap = (
-                concatenate(pieces) if pieces else BitVector.zeros(0)
-            )
+            if len(pieces) == 1:
+                bitmap = pieces[0]
+                # A bare-leaf answer is the pooled bitmap itself.
+                only = expressions[i][0] if len(expressions[i]) == 1 else None
+                pooled = (
+                    isinstance(only, Leaf)
+                    and shared[0].get(only.key) is bitmap
+                )
+            else:
+                bitmap = concatenate(pieces) if pieces else BitVector.zeros(0)
+                pooled = False
             self.cache.put(epoch, expressions[i], bitmap)
             answers[i] = ShardAnswer(
                 bitmap=bitmap,
@@ -306,6 +343,7 @@ class ShardEngine:
                 simulated_ms=(self.clock.total_ms - eval_start) + fetch_share,
                 scans=len(keysets[i]),
                 operations=stats.operations,
+                shared=pooled or self.cache.capacity > 0,
             )
 
 

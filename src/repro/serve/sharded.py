@@ -1,41 +1,54 @@
-"""Sharded multi-process serving: scatter-gather over row-range shards.
+"""The serving front-end, and the sharded service built on it.
 
-:class:`ShardedQueryService` partitions the indexed column into N
-contiguous row-range shards, runs one
-:class:`~repro.serve.shard_worker.ShardEngine` per shard, and answers
-each query by scatter-gather: fan the query to every shard, evaluate
-per shard (each shard reuses the single-process machinery — fused
-evaluation, shared-scan batching, an ``(epoch, expression)`` result
-cache), and merge the partial bitmaps by concatenation.  Because the
+Every service answers queries through one front-end over a *layout*: an
+ordered list of one or more row-range shards, each served by a
+:class:`~repro.serve.shard_worker.ShardEngine`.  The front-end owns
+admission (a bounded queue that sheds with a typed
+:class:`~repro.errors.Overloaded`), the router workers that drain it,
+per-request deadlines, tickets, the stats and ``serve.*`` metrics, and
+the merge: it fans each batch of queries to every shard of the layout
+and concatenates the partial bitmaps in shard order.  Because the
 shards' row ranges are disjoint and ordered, concatenation in shard
 order *is* the translation back to global row ids — the same seam
 :class:`~repro.index.segmented.SegmentedBitmapIndex` exploits between
-segments, lifted one level to processes.
+segments, lifted one level.  A one-shard answer is handed out without
+a merge.  The shard engines do everything per index: rewrite, the
+``(epoch, expression)`` result cache, shared-scan batching, evaluation.
+
+Two services build layouts:
+
+* :class:`~repro.serve.QueryService` serves one prebuilt
+  :class:`~repro.index.BitmapIndex` as a single inline shard;
+* :class:`ShardedQueryService` partitions a raw column into N shards,
+  routes appends to the tail shard, splits shards online, keeps each
+  shard's acked rows to rebuild it after a failure, and can host every
+  shard in its own process.
 
 Transports
 ----------
-``"inline"`` hosts every shard engine in the router process.  It is
-deterministic and cheap to set up — the differential and
-linearizability suites run on it — but evaluation serializes on one
-lock because the :mod:`repro.obs` instruments and the storage layer's
-counters are deliberately lock-free.  ``"process"`` hosts each shard in
-a :class:`~repro.parallel.ProcessWorker`: evaluation runs GIL-free in
-the children (which have no obs registry, so nothing races), giving
-real multi-core scaling, at the price of pickling queries and partial
+``"inline"`` hosts the shard engines in this process and runs each call
+on the caller's thread, under the service's *scan lock* and its obs
+lock: the :mod:`repro.obs` instruments and the storage layer's counters
+are deliberately lock-free, so inline evaluation serializes anyway, and
+running it in place saves a thread handoff per call.  ``"process"``
+hosts each shard in a :class:`~repro.parallel.ProcessWorker` with one
+dispatcher thread in front of it: evaluation runs GIL-free in the
+children (which have no obs registry, so nothing races), giving real
+multi-core scaling, at the price of pickling queries and partial
 bitmaps across pipes.
 
 Consistency model
 -----------------
-Every operation against one shard flows through that shard's dispatcher
-thread, so per-shard histories are serial: an append (which bumps only
-that shard's epoch and invalidates only that shard's cache) is either
-entirely before or entirely after any evaluation on the same shard.  A
-scatter pins the current *layout* (the ordered shard list), so a racing
-split cannot recompose row ranges under it; a retired (split) shard
-keeps serving pinned readers and is shut down only when its last pin
-drains.  Each answer therefore reports, per shard, the epoch it
-reflects — a composite snapshot the linearizability suite checks
-against a per-shard naive-scan oracle.
+Every operation on one shard is serialized — under the scan lock
+inline, through the shard's dispatcher thread otherwise — so per-shard
+histories are serial: an append (which bumps only that shard's epoch
+and invalidates only that shard's cache) is either entirely before or
+entirely after any evaluation on the same shard.  A scatter pins the
+current layout, so a racing split cannot recompose row ranges under it;
+a retired (split) shard keeps serving pinned readers and is shut down
+only when its last pin drains.  Each answer therefore reports, per
+shard, the epoch it reflects — a composite snapshot the
+linearizability suites check against a per-shard naive-scan oracle.
 
 Failure model
 -------------
@@ -43,10 +56,10 @@ A dead or hung shard worker surfaces as
 :class:`~repro.errors.ShardFailed` (wrapping the typed
 :class:`~repro.errors.WorkerCrashed` /
 :class:`~repro.errors.WorkerUnresponsive`) for every in-flight query
-that needed that shard — never a partial or wrong answer.  The router
-keeps each shard's acked rows authoritatively, so recovery rebuilds the
-engine from exactly the rows whose appends were acknowledged
-(``auto_recover=True`` rebuilds immediately; otherwise
+that needed that shard — never a partial or wrong answer.  The sharded
+service keeps each shard's acked rows authoritatively, so recovery
+rebuilds the engine from exactly the rows whose appends were
+acknowledged (``auto_recover=True`` rebuilds immediately; otherwise
 :meth:`ShardedQueryService.recover` does it on demand), fast-forwarding
 the epoch so ``(shard, epoch)`` never aliases two different row states.
 """
@@ -56,7 +69,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -75,7 +89,6 @@ from repro.errors import (
 from repro.index.bitmap_index import IndexSpec
 from repro.parallel import ProcessWorker, WorkerFault
 from repro.queries.model import IntervalQuery, MembershipQuery, ThresholdQuery
-from repro.serve.service import Ticket
 from repro.serve.shard_worker import (
     DEFAULT_SEGMENT_SIZE,
     ShardEngine,
@@ -84,14 +97,71 @@ from repro.serve.shard_worker import (
 
 Query = IntervalQuery | MembershipQuery | ThresholdQuery
 
+#: Evaluation engines a service can run on.
+ENGINES = ("decoded", "compressed")
+
 TRANSPORTS = ("inline", "process")
 
 _CLOSE = "__close__"
 _REBUILD = "__rebuild__"
 
+#: Shard status counters summed into a metrics snapshot, by status key.
+_SHARD_TOTALS = {
+    "pages_read": "pages_read",
+    "read_requests": "read_requests",
+    "simulated_ms": "simulated_ms",
+    "cache_hits": "shard_cache_hits",
+    "cache_misses": "shard_cache_misses",
+    "cache_invalidated": "cache_invalidated",
+    "pool_hits": "pool_hits",
+    "pool_misses": "pool_misses",
+    "pool_evictions": "pool_evictions",
+}
+
 
 @dataclass(frozen=True)
-class ShardedConfig:
+class ServiceConfig:
+    """Tuning knobs for one :class:`~repro.serve.QueryService`, and the
+    ones every :class:`ShardedConfig` shares."""
+
+    #: Bound of the request queue; submissions beyond it are shed.
+    max_queue: int = 64
+    #: Router threads draining the queue.
+    workers: int = 2
+    #: Maximum requests taken off the queue and fanned out at once
+    #: (each shard further plans shared-scan batches within them).
+    max_batch: int = 16
+    #: Default per-request timeout (None = no deadline).
+    default_timeout_s: float | None = None
+    #: Result-cache capacity in entries, per shard (0 disables).
+    cache_entries: int = 256
+    #: Buffer-pool capacity in pages, per segment; None uses the
+    #: engine's default sizing.  Under the compressed engine it covers
+    #: encoded payloads plus the leaves' decoded copies.
+    buffer_pages: int | None = None
+    #: ``"decoded"`` (BufferPool + BitVector ops) or ``"compressed"``
+    #: (payload pool + compressed-domain ops).
+    engine: str = "decoded"
+    #: Physical evaluation mode for the decoded engine: ``"auto"``
+    #: (planner decides per constituent), ``True`` (always fused) or
+    #: ``False`` (always materializing).  See ``docs/zero_copy.md``.
+    fused: bool | str = "auto"
+
+    def __post_init__(self) -> None:
+        if self.max_queue < 1:
+            raise ServeError(f"max_queue must be >= 1, got {self.max_queue}")
+        if self.workers < 1:
+            raise ServeError(f"workers must be >= 1, got {self.workers}")
+        if self.max_batch < 1:
+            raise ServeError(f"max_batch must be >= 1, got {self.max_batch}")
+        if self.engine not in ENGINES:
+            raise ServeError(
+                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
+            )
+
+
+@dataclass(frozen=True)
+class ShardedConfig(ServiceConfig):
     """Tuning knobs for one :class:`ShardedQueryService`."""
 
     #: Number of initial row-range shards.
@@ -99,27 +169,8 @@ class ShardedConfig:
     #: ``"inline"`` (deterministic, single-process) or ``"process"``
     #: (one worker process per shard, GIL-free evaluation).
     transport: str = "inline"
-    #: Bound of the router's request queue; submissions beyond it shed.
-    max_queue: int = 64
-    #: Router threads draining the submit queue into scatters.
-    workers: int = 2
-    #: Maximum requests fanned out in one scatter (each shard further
-    #: plans shared-scan batches within it).
-    max_batch: int = 16
-    #: Per-shard result-cache capacity in entries (0 disables).
-    cache_entries: int = 256
-    #: Per-segment buffer-pool capacity in pages; None = engine default
-    #: sizing.  Under the compressed engine it covers encoded payloads
-    #: plus the leaves' decoded copies.
-    buffer_pages: int | None = None
-    #: ``"decoded"`` or ``"compressed"`` per-shard evaluation engine.
-    engine: str = "decoded"
-    #: Physical evaluation mode for decoded engines (see ServiceConfig).
-    fused: bool | str = "auto"
     #: Rows per segment inside each shard.
     segment_size: int = DEFAULT_SEGMENT_SIZE
-    #: Default per-request timeout (None = no deadline).
-    default_timeout_s: float | None = None
     #: Per-call answer deadline for process-transport workers; a worker
     #: silent past this is declared unresponsive.
     call_timeout_s: float = 30.0
@@ -128,6 +179,7 @@ class ShardedConfig:
     auto_recover: bool = True
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.shards < 1:
             raise ServeError(f"shards must be >= 1, got {self.shards}")
         if self.transport not in TRANSPORTS:
@@ -135,23 +187,29 @@ class ShardedConfig:
                 f"unknown transport {self.transport!r}; "
                 f"expected one of {TRANSPORTS}"
             )
-        if self.max_queue < 1:
-            raise ServeError(f"max_queue must be >= 1, got {self.max_queue}")
-        if self.workers < 1:
-            raise ServeError(f"workers must be >= 1, got {self.workers}")
-        if self.max_batch < 1:
-            raise ServeError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.call_timeout_s <= 0:
             raise ServeError(
                 f"call_timeout_s must be > 0, got {self.call_timeout_s}"
             )
 
 
+def _engine_options(config: ServiceConfig) -> dict:
+    """The :class:`ShardEngine` keyword arguments ``config`` sets."""
+    return {
+        "engine": config.engine,
+        "fused": config.fused,
+        "cache_entries": config.cache_entries,
+        "buffer_pages": config.buffer_pages,
+        "max_batch": config.max_batch,
+    }
+
+
 @dataclass
-class ShardedResult:
+class ServeResult:
     """Merged answer plus serving metadata for one request."""
 
     #: Global-row-id answer (shard partials concatenated in shard order).
+    #: The caller owns it: it is never an object a shard still holds.
     bitmap: BitVector
     #: Per-shard linearization points: ``((shard_id, epoch), ...)`` in
     #: shard order — the composite snapshot this answer reflects.
@@ -162,10 +220,22 @@ class ShardedResult:
     batch_size: int
     #: Shards that contributed a partial answer.
     shard_count: int
-    #: Sum of the shards' simulated evaluation costs.
+    #: Sum of the shards' simulated costs: each query's own evaluation
+    #: CPU plus an even share of its shared scan's fetch cost.
     simulated_ms: float
     #: Wall-clock submit-to-completion latency.
     wall_ms: float = 0.0
+
+    @property
+    def epoch(self) -> int:
+        """The epoch of a one-shard answer — for a
+        :class:`~repro.serve.QueryService`, the served index's epoch."""
+        if len(self.epochs) != 1:
+            raise ServeError(
+                f"an answer from {len(self.epochs)} shards has one epoch "
+                f"per shard; read epochs"
+            )
+        return self.epochs[0][1]
 
     @property
     def row_count(self) -> int:
@@ -179,7 +249,7 @@ class ShardedResult:
 
 @dataclass(frozen=True)
 class ShardAppend:
-    """Outcome of one routed append (lands wholly on one shard)."""
+    """Outcome of one append (lands wholly on the tail shard)."""
 
     shard: int
     epoch: int
@@ -198,8 +268,8 @@ class ShardSplit:
 
 
 @dataclass
-class ShardedStats:
-    """Always-on router counters (obs mirrors these when installed)."""
+class ServiceStats:
+    """Always-on front-end counters (obs mirrors these when installed)."""
 
     submitted: int = 0
     completed: int = 0
@@ -219,7 +289,7 @@ class ShardedStats:
 
 
 class _Call:
-    """One dispatched shard operation and its completion plumbing."""
+    """One operation queued to a process shard's dispatcher."""
 
     __slots__ = ("method", "args", "event", "value", "error")
 
@@ -246,7 +316,12 @@ class _Call:
 
 
 class _Request:
-    """One queued query plus its completion plumbing (Ticket-compatible)."""
+    """One query plus its completion plumbing.
+
+    Only a submitted request has an ``event`` for its ticket to wait
+    on; :meth:`_FrontEnd.execute_many` completes its requests before
+    it returns.
+    """
 
     __slots__ = ("query", "deadline", "submitted_at", "event", "result", "error")
 
@@ -254,9 +329,38 @@ class _Request:
         self.query = query
         self.deadline = deadline
         self.submitted_at = time.monotonic()
-        self.event = threading.Event()
-        self.result: ShardedResult | None = None
+        self.event: threading.Event | None = None
+        self.result: ServeResult | None = None
         self.error: Exception | None = None
+
+
+class Ticket:
+    """Handle to an in-flight request."""
+
+    def __init__(self, request: _Request):
+        self._request = request
+
+    def done(self) -> bool:
+        """True once the request completed (successfully or not)."""
+        return self._request.event.is_set()
+
+    def result(self, timeout: float | None = None) -> ServeResult:
+        """Wait for and return the result.
+
+        Raises the request's typed error
+        (:class:`~repro.errors.DeadlineExceeded`,
+        :class:`~repro.errors.ServiceClosed`, ...) if it failed, or
+        :class:`TimeoutError` if *this wait* (not the request's own
+        deadline) timed out.
+        """
+        if not self._request.event.wait(timeout):
+            raise TimeoutError(
+                f"request not completed within {timeout}s wait"
+            )
+        if self._request.error is not None:
+            raise self._request.error
+        assert self._request.result is not None
+        return self._request.result
 
 
 class _Layout:
@@ -274,54 +378,56 @@ class _Layout:
 
 
 class _Shard:
-    """One shard: authoritative rows, an engine handle, a dispatcher.
+    """One shard: an engine handle, its epoch and its acked rows.
 
-    Every operation is enqueued and executed by the shard's single
-    dispatcher thread, which serializes the shard's history (the
-    per-shard linearizability guarantee) and — for the process
-    transport — keeps exactly one outstanding pipe request per worker.
+    Every operation on a shard is serialized, which is the per-shard
+    linearizability guarantee.  An inline shard (a :class:`ShardEngine`
+    in this process) runs each call on the caller's thread under the
+    service's scan lock.  A process shard (a :class:`ProcessWorker`)
+    queues each call to its dispatcher thread, which keeps exactly one
+    outstanding pipe request per worker.
     """
 
     def __init__(
         self,
-        service: "ShardedQueryService",
+        service: "_FrontEnd",
         shard_id: int,
-        rows: np.ndarray,
-        index=None,
-        fault: WorkerFault | None = None,
+        handle,
+        epoch: int,
+        rows: np.ndarray | None = None,
     ):
         self.service = service
         self.id = shard_id
-        #: Acked rows — the router's authoritative copy, extended only
-        #: after the engine acknowledges an append, so a rebuild from
-        #: them reconstructs exactly the acknowledged state.  Kept as
-        #: appended chunks (an append copies only its own rows) and
+        self.handle = handle
+        self.epoch = epoch
+        self.inline = not isinstance(handle, ProcessWorker)
+        #: Acked rows — the authoritative copy a rebuild starts from,
+        #: extended only after the engine acknowledges an append.  Kept
+        #: as appended chunks (an append copies only its own rows) and
         #: joined by :meth:`acked_rows` where a whole array is needed.
-        self._row_chunks = [np.asarray(rows)]
+        #: None for a shard serving a prebuilt index, which keeps no
+        #: copy of its rows and cannot be rebuilt.
+        self._row_chunks = None if rows is None else [np.asarray(rows)]
         self._rows_lock = threading.Lock()
         #: Number of acked rows.
-        self.num_rows = len(self._row_chunks[0])
+        self.num_rows = handle.num_records if rows is None else len(rows)
         self.failed = False
-        self._queue: deque[_Call] = deque()
-        self._cond = threading.Condition()
-        self._closed = False
-        self._shutdown_sent = False
-        self.handle = self._build_handle(index=index, fault=fault)
-        if index is not None:
-            self.epoch = index.epoch
-        else:
-            self.epoch = 1 if self.num_rows else 0
-        self._thread = threading.Thread(
-            target=self._loop, name=f"shard-{shard_id}-dispatch", daemon=True
-        )
-        self._thread.start()
+        self.closed = False
+        if not self.inline:
+            self._queue: deque[_Call] = deque()
+            self._cond = threading.Condition()
+            self._shutdown_sent = False
+            self._thread = threading.Thread(
+                target=self._loop,
+                name=f"shard-{shard_id}-dispatch",
+                daemon=True,
+            )
+            self._thread.start()
 
     @property
     def pid(self) -> int | None:
         """Worker pid (process transport), for chaos tests."""
-        if isinstance(self.handle, ProcessWorker):
-            return self.handle.pid
-        return None
+        return None if self.inline else self.handle.pid
 
     def acked_rows(self) -> np.ndarray:
         """Every acked row as one array (chunks joined once, on demand)."""
@@ -333,16 +439,31 @@ class _Shard:
     def _ack_append(self, rows: np.ndarray) -> None:
         """Record an acknowledged append (a copy of ``rows``)."""
         with self._rows_lock:
-            self._row_chunks.append(np.array(rows))
+            if self._row_chunks is not None:
+                self._row_chunks.append(np.array(rows))
             self.num_rows += len(rows)
 
     # ------------------------------------------------------------------
 
+    def call(self, method: str, args: tuple = ()):
+        """Run one operation on this shard and return its result."""
+        if self.inline:
+            with self.service._scan_lock:
+                return self.run(method, args)
+        return self.dispatch(method, args).wait()
+
+    def run(self, method: str, args: tuple = ()):
+        """Run one operation on an inline shard; the caller holds the
+        scan lock."""
+        if self.closed:
+            raise ShardFailed(f"shard {self.id} has been shut down")
+        return self._execute(method, args)
+
     def dispatch(self, method: str, args: tuple = ()) -> _Call:
-        """Enqueue an operation; returns its :class:`_Call` future."""
+        """Queue an operation to a process shard; returns its future."""
         call = _Call(method, args)
         with self._cond:
-            if self._closed:
+            if self.closed:
                 call.reject(
                     ShardFailed(f"shard {self.id} has been shut down")
                 )
@@ -351,8 +472,34 @@ class _Shard:
             self._cond.notify()
         return call
 
+    def rebuild(self) -> bool:
+        """Rebuild the engine from the acked rows, serialized with every
+        other operation on this shard."""
+        if not self.inline:
+            return bool(self.dispatch(_REBUILD).wait())
+        with self.service._scan_lock:
+            if self.closed:
+                raise ShardFailed(f"shard {self.id} has been shut down")
+            self._rebuild()
+        return True
+
     def shutdown(self, join: bool = True, timeout: float = 10.0) -> None:
-        """Enqueue a close barrier: pending operations finish first."""
+        """Close the shard after the operations already started on it.
+
+        An inline shard closes once it can take the scan lock; if the
+        lock stays held past ``timeout`` the engine stays open and goes
+        with the service.  A process shard gets a close barrier queued
+        behind its pending operations.
+        """
+        if self.inline:
+            if self.service._scan_lock.acquire(timeout=timeout):
+                try:
+                    if not self.closed:
+                        self.closed = True
+                        self._close_handle()
+                finally:
+                    self.service._scan_lock.release()
+            return
         with self._cond:
             if not self._shutdown_sent:
                 self._shutdown_sent = True
@@ -363,29 +510,21 @@ class _Shard:
 
     # ------------------------------------------------------------------
 
-    def _build_handle(self, index=None, fault: WorkerFault | None = None):
-        options = self.service._engine_options()
-        if self.service.config.transport == "process":
-            return ProcessWorker(
-                build_shard_engine,
-                args=(self.acked_rows(), self.service.spec, options),
-                name=f"shard-{self.id}",
-                fault=fault,
-            )
-        if index is not None:
-            options = dict(options, index=index)
-        return ShardEngine(self.acked_rows(), self.service.spec, **options)
-
-    def _invoke(self, method: str, args: tuple):
-        if isinstance(self.handle, ProcessWorker):
-            return self.handle.call(
+    def _execute(self, method: str, args: tuple):
+        if self.inline:
+            # Inline engines emit into the lock-free obs instruments —
+            # serialize with every other emitter via the obs lock.
+            with self.service._obs_lock:
+                result = getattr(self.handle, method)(*args)
+        else:
+            result = self.handle.call(
                 method, *args, timeout=self.service.config.call_timeout_s
             )
-        # Inline engines run in the router process, where the storage
-        # layer emits into the lock-free obs instruments — serialize
-        # with every other emitter via the service's obs lock.
-        with self.service._obs_lock:
-            return getattr(self.handle, method)(*args)
+        if method == "append":
+            # Acked in the shard's own serialized history, so a rebuild
+            # serialized after this append sees its rows.
+            self._ack_append(args[0])
+        return result
 
     def _loop(self) -> None:
         while True:
@@ -396,7 +535,7 @@ class _Shard:
             if call.method == _CLOSE:
                 self._close_handle()
                 with self._cond:
-                    self._closed = True
+                    self.closed = True
                     stragglers = list(self._queue)
                     self._queue.clear()
                 call.resolve(None)
@@ -421,15 +560,10 @@ class _Shard:
                 )
                 continue
             try:
-                result = self._invoke(call.method, call.args)
-                if call.method == "append":
-                    # Acked in the shard's own serialized history, so a
-                    # rebuild queued behind this append sees its rows.
-                    self._ack_append(call.args[0])
-                call.resolve(result)
+                call.resolve(self._execute(call.method, call.args))
             except (WorkerCrashed, WorkerUnresponsive) as exc:
                 self.failed = True
-                self.service._note_shard_failure(self, exc)
+                self.service._note_shard_failure(self)
                 call.reject(
                     ShardFailed(
                         f"shard {self.id} could not answer "
@@ -446,15 +580,12 @@ class _Shard:
 
     def _close_handle(self) -> None:
         try:
-            if isinstance(self.handle, ProcessWorker):
-                self.handle.close()
-            else:
-                self.handle.close()
+            self.handle.close()
         except Exception:
             pass
 
     def _rebuild(self) -> None:
-        """Rebuild the engine from the acked rows (dispatcher thread).
+        """Rebuild the engine from the acked rows.
 
         The old worker is killed first (it may be merely hung), then a
         fresh engine is built from :meth:`acked_rows` and its epoch is
@@ -464,75 +595,62 @@ class _Shard:
         """
         old = self.handle
         try:
-            if isinstance(old, ProcessWorker):
+            if not self.inline:
                 old.kill()
-                old.close()
-            else:
-                old.close()
+            old.close()
         except Exception:
             pass
-        self.handle = self._build_handle()
+        self.handle = self.service._build_handle(self.acked_rows(), self.id)
         target = self.epoch
         fresh = 1 if self.num_rows else 0
         if target > fresh:
-            self._invoke("set_epoch", (target,))
+            self._execute("set_epoch", (target,))
         else:
             self.epoch = fresh
         self.failed = False
         self.service._note_shard_recovery(self)
 
 
-class ShardedQueryService:
-    """Scatter-gather router over row-range shards.
+class _FrontEnd:
+    """Admission, router workers, deadlines and the merge over a layout.
 
-    Built from the raw column (each shard builds its own
-    :class:`~repro.index.segmented.SegmentedBitmapIndex` over its row
-    range)::
-
-        with ShardedQueryService(values, spec, config) as service:
-            result = service.execute(IntervalQuery(3, 17, 200))
-
-    The query surface mirrors :class:`~repro.serve.QueryService`
-    (``submit``/``execute``/``execute_many``/``append``/
-    ``metrics_snapshot``), so the closed- and open-loop drivers run
-    against it unchanged; on top of that it adds :meth:`split` (online
-    rebalancing) and :meth:`recover` (explicit shard recovery).
+    Subclasses build the first layout's shards (:meth:`_add_shard`) and
+    hand them to :meth:`_start`.  They also set ``spec``, the
+    :class:`~repro.index.IndexSpec` queries are checked against.
     """
 
-    def __init__(
-        self,
-        values,
-        spec: IndexSpec,
-        config: ShardedConfig | None = None,
-        faults: dict[int, WorkerFault] | None = None,
-    ):
-        self.spec = spec
-        self.config = config if config is not None else ShardedConfig()
-        self.stats = ShardedStats()
+    def __init__(self, config: ServiceConfig, inline: bool):
+        self.config = config
+        self.stats = ServiceStats()
+        self._inline = inline
         self._lock = threading.Lock()
         self._obs_lock = threading.Lock()
+        #: Serializes every operation on the inline shards; evaluation
+        #: checks deadlines once it holds it.
+        self._scan_lock = threading.Lock()
         self._layout_lock = threading.Lock()
         self._mutation_lock = threading.Lock()
         self._queue: deque[_Request] = deque()
         self._not_empty = threading.Condition()
         self._closed = False
-        self._next_shard_id = 0
         self._all_shards: list[_Shard] = []
+        self._workers: list[threading.Thread] = []
 
-        rows = np.asarray(values)
-        chunk = max(1, -(-len(rows) // self.config.shards))
-        shards = []
-        for i in range(self.config.shards):
-            shard_rows = rows[i * chunk : (i + 1) * chunk]
-            fault = faults.get(i) if faults else None
-            shards.append(self._new_shard(shard_rows, fault=fault))
+    def _add_shard(
+        self, shard_id: int, handle, epoch: int, rows=None
+    ) -> _Shard:
+        shard = _Shard(self, shard_id, handle, epoch, rows=rows)
+        self._all_shards.append(shard)
+        return shard
+
+    def _start(self, shards: list[_Shard]) -> None:
+        """Install the first layout and start the router workers."""
         self._layout = _Layout(shards)
         self._emit_gauge("serve.shard.count", float(len(shards)))
-
         self._workers = [
             threading.Thread(
                 target=self._worker_loop,
-                name=f"shard-router-{i}",
+                name=f"serve-router-{i}",
                 daemon=True,
             )
             for i in range(self.config.workers)
@@ -540,30 +658,9 @@ class ShardedQueryService:
         for worker in self._workers:
             worker.start()
 
-    # -- construction helpers ----------------------------------------------
-
-    def _engine_options(self) -> dict:
-        config = self.config
-        return {
-            "engine": config.engine,
-            "fused": config.fused,
-            "cache_entries": config.cache_entries,
-            "buffer_pages": config.buffer_pages,
-            "segment_size": config.segment_size,
-            "max_batch": config.max_batch,
-        }
-
-    def _new_shard(self, rows, index=None, fault=None) -> _Shard:
-        shard = _Shard(
-            self, self._next_shard_id, rows, index=index, fault=fault
-        )
-        self._next_shard_id += 1
-        self._all_shards.append(shard)
-        return shard
-
     # -- context management -------------------------------------------------
 
-    def __enter__(self) -> "ShardedQueryService":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -572,10 +669,11 @@ class ShardedQueryService:
     def close(self, drain: bool = True, timeout: float = 10.0) -> None:
         """Stop accepting requests, drain, and shut every shard down.
 
-        Idempotent, and safe under in-flight scatter-gather: requests
-        already queued (or mid-scatter) complete before the shard
-        dispatchers see their close barriers, because a barrier queues
-        *behind* the operations those requests dispatched.
+        With ``drain=True`` (default) queued requests are still
+        evaluated; with ``drain=False`` they complete immediately with
+        :class:`~repro.errors.ServiceClosed`.  Idempotent, and safe
+        under in-flight scatter-gather: a shard closes only after the
+        operations already started on it.
         """
         cancelled: list[_Request] = []
         with self._not_empty:
@@ -586,6 +684,7 @@ class ShardedQueryService:
                 while self._queue:
                     cancelled.append(self._queue.popleft())
             self._not_empty.notify_all()
+        # Fail outside the queue lock: _fail takes the stats lock.
         for request in cancelled:
             self._fail(
                 request,
@@ -605,14 +704,15 @@ class ShardedQueryService:
     # -- submission ---------------------------------------------------------
 
     def submit(self, query: Query, timeout_s: float | None = None) -> Ticket:
-        """Enqueue ``query``; returns a ticket immediately.
+        """Enqueue ``query``; returns a :class:`Ticket` immediately.
 
-        Raises :class:`~repro.errors.Overloaded` when the router queue
-        is full and :class:`~repro.errors.ServiceClosed` after close.
+        Raises :class:`~repro.errors.Overloaded` when the queue is full
+        and :class:`~repro.errors.ServiceClosed` after :meth:`close`.
         """
         if self._closed:
             raise ServiceClosed("cannot submit to a closed service")
         request = self._make_request(query, timeout_s)
+        request.event = threading.Event()
         with self._lock:
             self.stats.submitted += 1
         self._emit_count("serve.submitted")
@@ -635,16 +735,19 @@ class ShardedQueryService:
 
     def execute(
         self, query: Query, timeout_s: float | None = None
-    ) -> ShardedResult:
+    ) -> ServeResult:
         """Submit and wait: blocking convenience wrapper."""
         return self.submit(query, timeout_s).result()
 
-    def execute_many(self, queries: list[Query]) -> list[ShardedResult]:
+    def execute_many(self, queries: list[Query]) -> list[ServeResult]:
         """Evaluate ``queries`` synchronously in the caller's thread.
 
-        One scatter carries the whole list; each shard plans its own
-        shared-scan batches within it.  Deterministic (no queue, no
-        worker timing), like :meth:`QueryService.execute_many`.
+        The deterministic serving path: one scatter carries the whole
+        list, bypassing the queue and the router workers (no admission
+        control, no thread timing), and each shard plans it into
+        shared-scan batches capped at ``max_batch``.  The benchmark gate
+        uses this to compare batched vs. serial page counts without
+        scheduling noise.
         """
         if self._closed:
             raise ServiceClosed("cannot submit to a closed service")
@@ -664,10 +767,8 @@ class ShardedQueryService:
 
         Only the tail shard's epoch bumps and only its cache
         invalidates; answers from other shards stay cached and valid.
-        The shard's authoritative row copy is extended only after its
-        engine acknowledges, so a crash mid-append leaves the batch
-        cleanly un-applied (the caller sees
-        :class:`~repro.errors.ShardFailed` and may retry).
+        The append is serialized with every evaluation on that shard,
+        and the epoch bump makes every older cached answer unreachable.
         """
         rows = np.asarray(values)
         with self._mutation_lock:
@@ -675,110 +776,22 @@ class ShardedQueryService:
                 raise ServiceClosed("cannot append to a closed service")
             with self._layout_lock:
                 tail = self._layout.shards[-1]
-            report = tail.dispatch("append", (rows,)).wait()
+            report = tail.call("append", (rows,))
             tail.epoch = report["epoch"]
             with self._lock:
                 self.stats.appends += 1
         self._emit_count("serve.appends")
         self._emit_count("serve.shard.appends", 1.0, shard=str(tail.id))
+        if report["invalidated"]:
+            self._emit_count(
+                "serve.cache.invalidated", float(report["invalidated"])
+            )
         return ShardAppend(
             shard=tail.id,
             epoch=report["epoch"],
             records_appended=report["records_appended"],
             num_records=report["num_records"],
         )
-
-    # -- rebalancing --------------------------------------------------------
-
-    def split(
-        self, shard_id: int | None = None, at_row: int | None = None
-    ) -> ShardSplit:
-        """Split one shard into two, preserving global row order.
-
-        Defaults to the largest shard, cut at its midpoint.  The new
-        layout is swapped in atomically; scatters pinned to the old
-        layout keep reading the retired parent (they linearize before
-        the split), which is shut down when the last pin drains.  On
-        the inline transport a segment-boundary cut hands the left
-        child the parent's sealed segments by reference
-        (:meth:`SegmentedBitmapIndex.split_at`); all other children
-        rebuild from the router's authoritative rows.
-        """
-        with self._mutation_lock:
-            if self._closed:
-                raise ServiceClosed("cannot split on a closed service")
-            with self._layout_lock:
-                shards = list(self._layout.shards)
-            if shard_id is None:
-                position = max(
-                    range(len(shards)), key=lambda i: shards[i].num_rows
-                )
-            else:
-                ids = [shard.id for shard in shards]
-                if shard_id not in ids:
-                    raise ServeError(f"no shard with id {shard_id}")
-                position = ids.index(shard_id)
-            parent = shards[position]
-            total = parent.num_rows
-            if total < 2:
-                raise ServeError(
-                    f"cannot split shard {parent.id} with {total} row(s)"
-                )
-            row = at_row if at_row is not None else total // 2
-            if not 0 < row < total:
-                raise ServeError(
-                    f"split row {row} outside (0, {total}) for shard "
-                    f"{parent.id}"
-                )
-            left_index = None
-            if (
-                self.config.transport == "inline"
-                and row % self.config.segment_size == 0
-            ):
-                # Sealed segments shared by reference — no re-encode.
-                left_index = parent.dispatch("split_left", (row,)).wait()
-            rows = parent.acked_rows()
-            left = self._new_shard(rows[:row], index=left_index)
-            right = self._new_shard(rows[row:])
-            replacement = shards[:position] + [left, right] + shards[position + 1 :]
-            with self._layout_lock:
-                old = self._layout
-                self._layout = _Layout(replacement)
-                old.superseded = True
-                old.to_retire.append(parent)
-            self._retire_if_drained(old)
-            with self._lock:
-                self.stats.splits += 1
-            shard_count = len(replacement)
-        self._emit_count("serve.shard.splits")
-        self._emit_gauge("serve.shard.count", float(shard_count))
-        return ShardSplit(
-            parent=parent.id, left=left.id, right=right.id, row=row
-        )
-
-    def recover(self, shard_id: int) -> bool:
-        """Rebuild a failed shard from its acked rows, on demand."""
-        with self._layout_lock:
-            shards = self._layout.shards
-        for shard in shards:
-            if shard.id == shard_id:
-                return bool(shard.dispatch(_REBUILD).wait())
-        raise ServeError(f"no shard with id {shard_id}")
-
-    def shard_info(self) -> list[dict]:
-        """Router-side view of the current layout (for tests/inspection)."""
-        with self._layout_lock:
-            shards = self._layout.shards
-        return [
-            {
-                "id": shard.id,
-                "num_records": shard.num_rows,
-                "epoch": shard.epoch,
-                "failed": shard.failed,
-                "pid": shard.pid,
-            }
-            for shard in shards
-        ]
 
     # -- internals ----------------------------------------------------------
 
@@ -816,66 +829,66 @@ class ShardedQueryService:
                 ]
                 depth = len(self._queue)
             self._emit_gauge("serve.queue_depth", depth)
-            alive = []
-            now = time.monotonic()
-            for request in taken:
-                if request.deadline is not None and now > request.deadline:
-                    self._fail(
-                        request,
-                        DeadlineExceeded(
-                            f"deadline passed before evaluation of "
-                            f"{request.query}"
-                        ),
-                        "timeouts",
-                    )
-                else:
-                    alive.append(request)
-            if alive:
-                self._evaluate_requests(alive)
+            self._evaluate_requests(taken)
 
     def _evaluate_requests(self, requests: list[_Request]) -> None:
-        """Scatter one batch of requests; finish or fail each of them."""
-        queries = [request.query for request in requests]
+        """Scatter one batch of requests; finish or fail each of them.
+
+        Deadlines are checked when evaluation starts — on the inline
+        transport, once the scan lock is held.
+        """
+        layout = self._pin_layout()
         try:
-            shards, per_shard = self._scatter(queries)
-        except Exception as exc:
-            for request in requests:
-                self._fail(request, exc, "cancelled")
-            return
+            with self._scan_lock if self._inline else nullcontext():
+                requests = self._drop_expired(requests)
+                if not requests:
+                    return
+                queries = [request.query for request in requests]
+                try:
+                    per_shard = self._scatter(layout.shards, queries)
+                except Exception as exc:
+                    for request in requests:
+                        self._fail(request, exc, "cancelled")
+                    return
+        finally:
+            self._unpin_layout(layout)
         with self._lock:
             self.stats.batches += 1
             self.stats.batched_queries += len(requests)
         self._emit_observe("serve.batch_size", float(len(requests)))
+        shards = layout.shards
+        # A shard answers a whole batch at one epoch.
+        epochs = tuple(
+            (shard.id, answers[0].epoch)
+            for shard, answers in zip(shards, per_shard)
+        )
         for j, request in enumerate(requests):
             parts = [answers[j] for answers in per_shard]
-            pieces = [part.bitmap for part in parts]
-            bitmap = concatenate(pieces) if pieces else BitVector.zeros(0)
-            cached = bool(parts) and all(part.cached for part in parts)
-            result = ShardedResult(
+            if len(parts) == 1:
+                (part,) = parts
+                bitmap = part.bitmap
+                if part.shared and self._inline:
+                    # The shard still holds this very object (cache or
+                    # pool); a caller must never be able to change it.
+                    bitmap = bitmap.copy()
+                cached, simulated_ms = part.cached, part.simulated_ms
+            else:
+                bitmap = concatenate([part.bitmap for part in parts])
+                cached = all(part.cached for part in parts)
+                simulated_ms = sum(part.simulated_ms for part in parts)
+            result = ServeResult(
                 bitmap=bitmap,
-                epochs=tuple(
-                    (shard.id, part.epoch)
-                    for shard, part in zip(shards, parts)
-                ),
+                epochs=epochs,
                 cached=cached,
                 batch_size=len(requests),
                 shard_count=len(parts),
-                simulated_ms=sum(part.simulated_ms for part in parts),
-            )
-            with self._lock:
-                if cached:
-                    self.stats.cache_hits += 1
-                else:
-                    self.stats.cache_misses += 1
-            # Global accounting: one hit or one miss per *request* —
-            # per-shard cache behavior lands in the tagged
-            # serve.shard.cache.* series below, never here.
-            self._emit_count(
-                "serve.cache.hits" if cached else "serve.cache.misses"
+                simulated_ms=simulated_ms,
             )
             self._finish(request, result)
+        if _obs.active() is None:
+            return  # nothing observes the per-shard series
         for shard, answers in zip(shards, per_shard):
-            hits = sum(1 for answer in answers if answer.cached)
+            hits = sum(answer.cached for answer in answers)
             self._emit_count(
                 "serve.shard.queries", float(len(answers)), shard=str(shard.id)
             )
@@ -890,27 +903,43 @@ class ShardedQueryService:
                     shard=str(shard.id),
                 )
 
-    def _scatter(self, queries: list[Query]):
-        """Fan ``queries`` to every shard of the pinned layout."""
-        layout = self._pin_layout()
-        try:
-            calls = [
-                shard.dispatch("evaluate_batch", (list(queries),))
-                for shard in layout.shards
-            ]
-            per_shard = []
-            error: Exception | None = None
-            for call in calls:
-                try:
-                    per_shard.append(call.wait())
-                except Exception as exc:
-                    if error is None:
-                        error = exc
-            if error is not None:
-                raise error
-            return layout.shards, per_shard
-        finally:
-            self._unpin_layout(layout)
+    def _drop_expired(self, requests: list[_Request]) -> list[_Request]:
+        """Fail every request whose deadline has passed; keep the rest."""
+        alive = []
+        now = time.monotonic()
+        for request in requests:
+            if request.deadline is not None and now > request.deadline:
+                self._fail(
+                    request,
+                    DeadlineExceeded(
+                        f"deadline passed before evaluation of "
+                        f"{request.query}"
+                    ),
+                    "timeouts",
+                )
+            else:
+                alive.append(request)
+        return alive
+
+    def _scatter(self, shards, queries: list[Query]) -> list[list]:
+        """Every shard's answers to ``queries``, in shard order."""
+        if self._inline:
+            return [shard.run("evaluate_batch", (queries,)) for shard in shards]
+        calls = [
+            shard.dispatch("evaluate_batch", (list(queries),))
+            for shard in shards
+        ]
+        per_shard = []
+        error: Exception | None = None
+        for call in calls:
+            try:
+                per_shard.append(call.wait())
+            except Exception as exc:
+                if error is None:
+                    error = exc
+        if error is not None:
+            raise error
+        return per_shard
 
     def _pin_layout(self) -> _Layout:
         with self._layout_lock:
@@ -918,106 +947,77 @@ class ShardedQueryService:
             layout.pins += 1
             return layout
 
-    def _unpin_layout(self, layout: _Layout) -> None:
+    def _unpin_layout(self, layout: _Layout, pins: int = 1) -> None:
+        """Drop ``pins`` pins; once a superseded layout has none left,
+        shut down the shards it retired."""
         with self._layout_lock:
-            layout.pins -= 1
-        self._retire_if_drained(layout)
-
-    def _retire_if_drained(self, layout: _Layout) -> None:
-        with self._layout_lock:
+            layout.pins -= pins
+            retire = []
             if layout.superseded and layout.pins == 0:
                 retire, layout.to_retire = layout.to_retire, []
-            else:
-                retire = []
         for shard in retire:
             shard.shutdown(join=False)
 
-    def _finish(self, request: _Request, result: ShardedResult) -> None:
+    def _finish(self, request: _Request, result: ServeResult) -> None:
         result.wall_ms = (time.monotonic() - request.submitted_at) * 1e3
         request.result = result
-        request.event.set()
+        if request.event is not None:
+            request.event.set()
         with self._lock:
             self.stats.completed += 1
+            if result.cached:
+                self.stats.cache_hits += 1
+            else:
+                self.stats.cache_misses += 1
+        # Global accounting: one hit or one miss per *request* —
+        # per-shard cache behavior lands in the tagged serve.shard.cache.*
+        # series, never here.
+        self._emit_count(
+            "serve.cache.hits" if result.cached else "serve.cache.misses"
+        )
         self._emit_count("serve.completed")
         self._emit_observe("serve.latency_ms", result.wall_ms)
         self._emit_observe("serve.simulated_ms", result.simulated_ms)
 
     def _fail(self, request: _Request, error: Exception, counter: str) -> None:
         request.error = error
-        request.event.set()
+        if request.event is not None:
+            request.event.set()
         with self._lock:
             setattr(self.stats, counter, getattr(self.stats, counter) + 1)
         self._emit_count(f"serve.{counter}")
 
-    def _note_shard_failure(self, shard: _Shard, error: Exception) -> None:
-        with self._lock:
-            self.stats.shard_failures += 1
-        self._emit_count("serve.shard.failures", 1.0, shard=str(shard.id))
-
-    def _note_shard_recovery(self, shard: _Shard) -> None:
-        with self._lock:
-            self.stats.shard_recoveries += 1
-        self._emit_count("serve.shard.recoveries", 1.0, shard=str(shard.id))
-
     # -- reporting ----------------------------------------------------------
 
     def metrics_snapshot(self) -> dict:
-        """Router and aggregated shard counters as one flat dict.
+        """Front-end counters and summed shard counters as one flat dict.
 
-        Mirrors :meth:`QueryService.metrics_snapshot` keys (the drivers
-        diff them), with shard-level sums under ``shard_*`` names —
-        deliberately separate from the request-level ``cache_hits`` so
-        per-shard hits are never double-counted globally.
+        The keys are the same on every call (the drivers diff
+        snapshots).  Request-level ``cache_hits``/``cache_misses`` count
+        each request once; the shards' own probes are summed under
+        ``shard_cache_*`` names, so per-shard hits are never
+        double-counted globally.
         """
         with self._lock:
-            snapshot = {
-                "submitted": self.stats.submitted,
-                "completed": self.stats.completed,
-                "shed": self.stats.shed,
-                "timeouts": self.stats.timeouts,
-                "cancelled": self.stats.cancelled,
-                "batches": self.stats.batches,
-                "batched_queries": self.stats.batched_queries,
-                "appends": self.stats.appends,
-                "cache_hits": self.stats.cache_hits,
-                "cache_misses": self.stats.cache_misses,
-                "splits": self.stats.splits,
-                "shard_failures": self.stats.shard_failures,
-                "shard_recoveries": self.stats.shard_recoveries,
-            }
+            snapshot = asdict(self.stats)
         with self._layout_lock:
             shards = self._layout.shards
-        pages = requests = 0
-        simulated = 0.0
-        shard_hits = shard_misses = invalidated = 0
+        totals = dict.fromkeys(_SHARD_TOTALS.values(), 0)
         for shard in shards:
             try:
-                status = shard.dispatch("status").wait()
+                status = shard.call("status")
             except Exception:
                 continue  # failed shard: omit its contribution
-            pages += status["pages_read"]
-            requests += status["read_requests"]
-            simulated += status["simulated_ms"]
-            shard_hits += status["cache_hits"]
-            shard_misses += status["cache_misses"]
-            invalidated += status["cache_invalidated"]
-        snapshot.update(
-            shards=len(shards),
-            pages_read=pages,
-            read_requests=requests,
-            simulated_ms=simulated,
-            shard_cache_hits=shard_hits,
-            shard_cache_misses=shard_misses,
-            cache_invalidated=invalidated,
-        )
+            for key, name in _SHARD_TOTALS.items():
+                totals[name] += status[key]
+        snapshot.update(totals, shards=len(shards))
         return snapshot
 
     # -- obs plumbing -------------------------------------------------------
-    # Same funnel as QueryService: the obs instruments are lock-free by
-    # design, and this service is a multi-threaded producer (router
-    # workers, shard dispatchers running inline engines), so every
-    # emission — including inline evaluation itself — goes through one
-    # lock.
+    # The obs instruments are deliberately lock-free (single-threaded
+    # simulator); a service is a multi-threaded producer (callers,
+    # router workers, shard dispatchers), so every emission — including
+    # inline evaluation itself — goes through one lock.
 
     def _emit_count(self, name: str, amount: float = 1.0, **tags) -> None:
         o = _obs.active()
@@ -1036,3 +1036,179 @@ class ShardedQueryService:
         if o is not None:
             with self._obs_lock:
                 o.gauge_set(name, value, **tags)
+
+
+class ShardedQueryService(_FrontEnd):
+    """Scatter-gather service over row-range shards of a raw column.
+
+    Each shard builds its own
+    :class:`~repro.index.segmented.SegmentedBitmapIndex` over its row
+    range::
+
+        with ShardedQueryService(values, spec, config) as service:
+            result = service.execute(IntervalQuery(3, 17, 200))
+
+    The query surface is the front-end's, shared with
+    :class:`~repro.serve.QueryService`
+    (``submit``/``execute``/``execute_many``/``append``/
+    ``metrics_snapshot``), so the closed- and open-loop drivers run
+    against either; on top of it this service adds :meth:`split`
+    (online rebalancing) and :meth:`recover` (explicit shard recovery).
+    """
+
+    def __init__(
+        self,
+        values,
+        spec: IndexSpec,
+        config: ShardedConfig | None = None,
+        faults: dict[int, WorkerFault] | None = None,
+    ):
+        config = config if config is not None else ShardedConfig()
+        super().__init__(config, inline=config.transport == "inline")
+        self.spec = spec
+        self._next_shard_id = 0
+        rows = np.asarray(values)
+        chunk = max(1, -(-len(rows) // config.shards))
+        self._start(
+            [
+                self._new_shard(
+                    rows[i * chunk : (i + 1) * chunk],
+                    fault=faults.get(i) if faults else None,
+                )
+                for i in range(config.shards)
+            ]
+        )
+
+    # Bound here, not only inherited: the benchmark traces each class's
+    # own entry points.
+    execute_many = _FrontEnd.execute_many
+    append = _FrontEnd.append
+
+    # -- construction helpers ----------------------------------------------
+
+    def _build_handle(self, rows, shard_id: int, index=None, fault=None):
+        options = dict(
+            _engine_options(self.config),
+            segment_size=self.config.segment_size,
+        )
+        if self.config.transport == "process":
+            return ProcessWorker(
+                build_shard_engine,
+                args=(rows, self.spec, options),
+                name=f"shard-{shard_id}",
+                fault=fault,
+            )
+        return ShardEngine(rows, self.spec, index=index, **options)
+
+    def _new_shard(self, rows, index=None, fault=None) -> _Shard:
+        shard_id = self._next_shard_id
+        self._next_shard_id += 1
+        handle = self._build_handle(rows, shard_id, index=index, fault=fault)
+        if index is not None:
+            epoch = index.epoch
+        else:
+            epoch = 1 if len(rows) else 0
+        return self._add_shard(shard_id, handle, epoch, rows=rows)
+
+    # -- rebalancing --------------------------------------------------------
+
+    def split(
+        self, shard_id: int | None = None, at_row: int | None = None
+    ) -> ShardSplit:
+        """Split one shard into two, preserving global row order.
+
+        Defaults to the largest shard, cut at its midpoint.  The new
+        layout is swapped in atomically; scatters pinned to the old
+        layout keep reading the retired parent (they linearize before
+        the split), which is shut down when the last pin drains.  On
+        the inline transport a segment-boundary cut hands the left
+        child the parent's sealed segments by reference
+        (:meth:`SegmentedBitmapIndex.split_at`); all other children
+        rebuild from the acked rows.
+        """
+        with self._mutation_lock:
+            if self._closed:
+                raise ServiceClosed("cannot split on a closed service")
+            with self._layout_lock:
+                shards = list(self._layout.shards)
+            if shard_id is None:
+                position = max(
+                    range(len(shards)), key=lambda i: shards[i].num_rows
+                )
+            else:
+                ids = [shard.id for shard in shards]
+                if shard_id not in ids:
+                    raise ServeError(f"no shard with id {shard_id}")
+                position = ids.index(shard_id)
+            parent = shards[position]
+            total = parent.num_rows
+            if total < 2:
+                raise ServeError(
+                    f"cannot split shard {parent.id} with {total} row(s)"
+                )
+            row = at_row if at_row is not None else total // 2
+            if not 0 < row < total:
+                raise ServeError(
+                    f"split row {row} outside (0, {total}) for shard "
+                    f"{parent.id}"
+                )
+            left_index = None
+            if (
+                self.config.transport == "inline"
+                and row % self.config.segment_size == 0
+            ):
+                # Sealed segments shared by reference — no re-encode.
+                left_index = parent.call("split_left", (row,))
+            rows = parent.acked_rows()
+            left = self._new_shard(rows[:row], index=left_index)
+            right = self._new_shard(rows[row:])
+            replacement = shards[:position] + [left, right] + shards[position + 1 :]
+            with self._layout_lock:
+                old = self._layout
+                self._layout = _Layout(replacement)
+                old.superseded = True
+                old.to_retire.append(parent)
+            self._unpin_layout(old, pins=0)
+            with self._lock:
+                self.stats.splits += 1
+            shard_count = len(replacement)
+        self._emit_count("serve.shard.splits")
+        self._emit_gauge("serve.shard.count", float(shard_count))
+        return ShardSplit(
+            parent=parent.id, left=left.id, right=right.id, row=row
+        )
+
+    def recover(self, shard_id: int) -> bool:
+        """Rebuild a shard from its acked rows, on demand."""
+        with self._layout_lock:
+            shards = self._layout.shards
+        for shard in shards:
+            if shard.id == shard_id:
+                return shard.rebuild()
+        raise ServeError(f"no shard with id {shard_id}")
+
+    def shard_info(self) -> list[dict]:
+        """The current layout as seen from the front-end (for
+        tests/inspection)."""
+        with self._layout_lock:
+            shards = self._layout.shards
+        return [
+            {
+                "id": shard.id,
+                "num_records": shard.num_rows,
+                "epoch": shard.epoch,
+                "failed": shard.failed,
+                "pid": shard.pid,
+            }
+            for shard in shards
+        ]
+
+    def _note_shard_failure(self, shard: _Shard) -> None:
+        with self._lock:
+            self.stats.shard_failures += 1
+        self._emit_count("serve.shard.failures", 1.0, shard=str(shard.id))
+
+    def _note_shard_recovery(self, shard: _Shard) -> None:
+        with self._lock:
+            self.stats.shard_recoveries += 1
+        self._emit_count("serve.shard.recoveries", 1.0, shard=str(shard.id))

@@ -1,11 +1,13 @@
 """Tests for :class:`repro.serve.QueryService`.
 
-Correctness against the naive scan under both engines, the cache fast
-path, admission control (typed :class:`Overloaded`), deadlines (typed
-:class:`DeadlineExceeded`), close semantics and the obs mirror.  Tests
-that need a request to stay in flight hold the service's scan lock from
-the test thread — the worker then blocks at the top of its shared scan,
-which is exactly the window the behavior under test lives in.
+Correctness against the naive scan under both engines and every index
+layout the service serves (plain, reordered, mapped), the result cache,
+answer ownership, admission control (typed :class:`Overloaded`),
+deadlines (typed :class:`DeadlineExceeded`), close semantics and the
+obs mirror.  Tests that need a request to stay in flight hold the
+service's scan lock from the test thread — the worker then blocks
+before its shard evaluates, which is exactly the window the behavior
+under test lives in.
 """
 
 import threading
@@ -22,9 +24,14 @@ from repro.errors import (
     ServeError,
     ServiceClosed,
 )
-from repro.index import BitmapIndex, IndexSpec
-from repro.queries import IntervalQuery, MembershipQuery
-from repro.serve import QueryService, ServiceConfig
+from repro.index import BitmapIndex, IndexSpec, load_index, save_index
+from repro.queries import IntervalQuery, MembershipQuery, ThresholdQuery
+from repro.serve import (
+    QueryService,
+    ServiceConfig,
+    ShardedConfig,
+    ShardedQueryService,
+)
 
 CARDINALITY = 20
 
@@ -47,6 +54,19 @@ def sample_queries():
         MembershipQuery.of({2, 3, 4, 5, 6, 7}, CARDINALITY),
         MembershipQuery.of({1}, CARDINALITY),
     ]
+
+
+def layout_index(values, layout, codec, directory):
+    """A ``layout`` ("plain", "reordered" or "mapped") index."""
+    reorder = "lexicographic" if layout == "reordered" else "none"
+    spec = IndexSpec(
+        cardinality=CARDINALITY, scheme="E", codec=codec, reorder=reorder
+    )
+    index = BitmapIndex.build(values, spec)
+    if layout == "mapped":
+        save_index(index, directory)
+        index = load_index(directory, mapped=True)
+    return index
 
 
 class TestCorrectness:
@@ -73,6 +93,42 @@ class TestCorrectness:
         assert len(results) == len(queries)
         for query, result in zip(queries, results):
             assert result.bitmap == BitVector.from_bools(query.matches(values))
+
+    @pytest.mark.parametrize(
+        "engine,codec",
+        [("decoded", "raw"), ("compressed", "wah"), ("compressed", "auto")],
+    )
+    @pytest.mark.parametrize("layout", ["plain", "reordered", "mapped"])
+    def test_index_layouts_match_naive_scan(
+        self, values, tmp_path, layout, engine, codec
+    ):
+        index = layout_index(values, layout, codec, tmp_path / "index")
+        queries = sample_queries() + [
+            ThresholdQuery.of(
+                2,
+                [
+                    IntervalQuery(2, 9, CARDINALITY),
+                    MembershipQuery.of({3, 4, 15}, CARDINALITY),
+                    IntervalQuery(8, 16, CARDINALITY),
+                ],
+            )
+        ]
+        extra = np.arange(CARDINALITY)[::-1]
+        merged = np.concatenate([values, extra])
+        config = ServiceConfig(engine=engine, buffer_pages=8, max_batch=4)
+        with QueryService(index, config) as service:
+            answers = service.execute_many(queries)
+            answers += [service.execute(query) for query in queries]
+            service.append(extra)
+            after = service.execute_many(queries)
+        for query, result in zip(queries * 2, answers):
+            assert result.bitmap == BitVector.from_bools(
+                query.matches(values)
+            ), query
+        for query, result in zip(queries, after):
+            assert result.bitmap == BitVector.from_bools(
+                query.matches(merged)
+            ), query
 
     def test_concurrent_submissions(self, values):
         queries = sample_queries() * 8
@@ -169,6 +225,54 @@ class TestResultCache:
             service.execute(query)
             result = service.execute(query)
             assert not result.cached
+
+
+class TestAnswerOwnership:
+    """A caller never receives an object the service still holds.
+
+    Regression: the single-index service handed out the very bitmap its
+    result cache stored (and, uncached, a bare-leaf answer was the
+    buffer pool's resident bitmap), so a caller that changed its answer
+    changed every later answer to the same query.
+    """
+
+    @pytest.mark.parametrize("cache_entries", [256, 0])
+    @pytest.mark.parametrize("kind", ["single", "one-shard"])
+    def test_changing_an_answer_changes_no_later_answer(
+        self, values, kind, cache_entries
+    ):
+        query = IntervalQuery(3, 3, CARDINALITY)  # one bare leaf under E
+        if kind == "single":
+            service = QueryService(
+                make_index(values, "wah"),
+                ServiceConfig(cache_entries=cache_entries),
+            )
+        else:
+            service = ShardedQueryService(
+                values,
+                IndexSpec(cardinality=CARDINALITY, scheme="E", codec="wah"),
+                ShardedConfig(shards=1, cache_entries=cache_entries),
+            )
+        with service:
+            first = service.execute(query)
+            first.bitmap.words[:] = 0
+            second = service.execute(query)
+        assert second.cached == bool(cache_entries)
+        assert second.bitmap == BitVector.from_bools(query.matches(values))
+
+
+class TestResultEpoch:
+    def test_epoch_is_the_one_shards_epoch(self, values):
+        query = IntervalQuery(2, 9, CARDINALITY)
+        index = make_index(values)
+        with QueryService(index) as service:
+            assert service.execute(query).epoch == index.epoch
+        spec = IndexSpec(cardinality=CARDINALITY, scheme="E", codec="raw")
+        with ShardedQueryService(values, spec, ShardedConfig()) as sharded:
+            result = sharded.execute(query)
+        assert len(result.epochs) == 2
+        with pytest.raises(ServeError):
+            result.epoch
 
 
 class TestAdmissionControl:

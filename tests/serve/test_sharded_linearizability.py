@@ -1,6 +1,6 @@
 """Cross-shard linearizability of the sharded serving tier.
 
-Every :class:`ShardedResult` names its composite snapshot: per shard,
+Every :class:`ServeResult` names its composite snapshot: per shard,
 the ``(shard_id, epoch)`` it reflects.  The router mirrors each shard's
 acknowledged rows, so a test can maintain its own per-``(shard,
 epoch)`` row history — seeded from the initial partition, extended on
@@ -13,7 +13,9 @@ answer's snapshot through a naive scan.  The contract checked here:
 * the answer's bitmap equals the naive scan over the history rows of
   its snapshot, concatenated in shard order;
 * this holds while appends and splits race in-flight queries (real
-  router workers, real dispatcher threads), on both transports.
+  router workers; inline shards evaluate on the calling thread under
+  the scan lock, process shards behind real dispatcher threads), on
+  both transports.
 
 The deterministic sequential version is hypothesis-driven over random
 op sequences; the racing versions interleave mutations with live
