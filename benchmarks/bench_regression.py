@@ -695,11 +695,7 @@ def main(argv: list[str] | None = None) -> int:
 
     sharded = results["serving_sharded_scaling"]
     qps = sharded["throughput_qps"]
-    enforced = (
-        "enforced"
-        if sharded["gate_enforced"]
-        else f"report-only: {sharded['params']['cpus']} cpu(s)"
-    )
+    enforced = sharded["gate_skip_reason"] or "enforced"
     print(
         f"sharded scaling: {qps['1']:.0f} q/s at 1 shard -> "
         f"{qps[str(sharded['params']['shards'])]:.0f} q/s at "

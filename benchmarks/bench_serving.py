@@ -208,7 +208,8 @@ def run_sharded_bench(
 
     The scaling gate itself is enforced only when the runner has at
     least :data:`SCALING_MIN_CPUS` cores (``gate_enforced`` records the
-    decision); the differential is enforced everywhere.
+    decision, and ``gate_skip_reason`` why a skipped gate did not run;
+    it is None when enforced); the differential is enforced everywhere.
     """
     values = zipf_column(num_records, CARDINALITY, SKEW, seed=seed)
     spec = IndexSpec(cardinality=CARDINALITY, scheme=scheme, codec=codec)
@@ -247,6 +248,7 @@ def run_sharded_bench(
         throughput[str(shards)] / throughput["1"] if throughput["1"] else 0.0
     )
     cpus = os.cpu_count() or 1
+    enforced = cpus >= SCALING_MIN_CPUS
     return {
         "params": {
             "num_records": num_records,
@@ -261,7 +263,11 @@ def run_sharded_bench(
         "throughput_qps": throughput,
         "speedup": speedup,
         "scaling_factor_required": SCALING_FACTOR,
-        "gate_enforced": cpus >= SCALING_MIN_CPUS,
+        "gate_enforced": enforced,
+        "gate_skip_reason": None if enforced else (
+            f"report-only: {cpus} cpu(s), the gate needs "
+            f">= {SCALING_MIN_CPUS}"
+        ),
         "mismatches": mismatches,
     }
 
@@ -380,9 +386,7 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed,
         )
         qps = sharded["throughput_qps"]
-        enforced = "enforced" if sharded["gate_enforced"] else (
-            f"report-only: {sharded['params']['cpus']} cpu(s)"
-        )
+        enforced = sharded["gate_skip_reason"] or "enforced"
         print(
             f"sharded:  {qps['1']:.0f} q/s at 1 shard -> "
             f"{qps[str(args.shards)]:.0f} q/s at {args.shards} shards "

@@ -39,6 +39,14 @@ class UpdateReport:
     #: Bitmaps that gained at least one set bit — the paper's
     #: update-cost measure, amortized over the batch.
     bitmaps_touched: int
+    #: Size-tiered compaction the append triggered (segmented indexes
+    #: only): merges run, sealed segments and rows they merged, the
+    #: merged segments' encoded bytes, and the merges' wall time.
+    merges: int = 0
+    segments_merged: int = 0
+    rows_merged: int = 0
+    bytes_merged: int = 0
+    compaction_ms: float = 0.0
 
 
 @dataclass(frozen=True)

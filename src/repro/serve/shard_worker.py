@@ -28,7 +28,7 @@ in the front-end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,17 +40,13 @@ from repro.index.bitmap_index import BitmapIndex, IndexSpec
 from repro.index.compressed_engine import CompressedQueryEngine
 from repro.index.evaluation import QueryEngine
 from repro.index.rewrite import QueryRewriter
-from repro.index.segmented import SegmentedBitmapIndex
+from repro.index.segmented import DEFAULT_SEGMENT_SIZE, SegmentedBitmapIndex
 from repro.queries.model import IntervalQuery, MembershipQuery, ThresholdQuery
 from repro.serve.batcher import plan_batches
 from repro.serve.cache import ResultCache
 from repro.storage import CostClock
 
 Query = IntervalQuery | MembershipQuery | ThresholdQuery
-
-#: Default rows per segment inside one shard (small relative to shard
-#: size so appends seal segments regularly and splits find boundaries).
-DEFAULT_SEGMENT_SIZE = 4096
 
 
 @dataclass
@@ -80,11 +76,13 @@ class ShardEngine:
 
     ``values`` are the shard's rows; ``index`` (inline transport only)
     injects a prebuilt index instead: a :class:`SegmentedBitmapIndex`
-    (the shard-split path hands the left child its sealed segments by
+    (the shard-split path hands the left child its segments by
     reference via :meth:`SegmentedBitmapIndex.split_at`, skipping the
     rebuild) or a :class:`~repro.index.BitmapIndex`, which is served
     whole as the only segment with its own rewriter, and grows in place
-    on :meth:`append`.
+    on :meth:`append`.  Rows given as ``values`` are laid out in
+    compacted tiers directly (:meth:`SegmentedBitmapIndex.build`), and
+    every :meth:`append` compacts the tiers it completes.
     """
 
     def __init__(
@@ -107,10 +105,9 @@ class ShardEngine:
         if index is not None:
             self.index = index
         else:
-            self.index = SegmentedBitmapIndex(spec, segment_size)
-            rows = np.asarray(values)
-            if rows.size:
-                self.index.append(rows)
+            self.index = SegmentedBitmapIndex.build(
+                np.asarray(values), spec, segment_size
+            )
         self.cache = ResultCache(cache_entries)
         self.clock = CostClock()
         if isinstance(self.index, BitmapIndex):
@@ -121,7 +118,12 @@ class ShardEngine:
                 spec.resolved_bases(),
                 get_scheme(spec.scheme),
             )
-        self._engines: list = []
+        #: Per-segment engines keyed by the segment object itself, so a
+        #: merge (which replaces segments) drops the merged ones' engines.
+        self._engines: dict = {}
+        #: Pool hits/misses/evictions of dropped engines, so the summed
+        #: counters in :meth:`status` never run backwards.
+        self._retired_pool = [0, 0, 0]
 
     # ------------------------------------------------------------------
 
@@ -156,7 +158,8 @@ class ShardEngine:
 
     def status(self) -> dict:
         """Picklable counters for the front-end's metrics snapshot."""
-        pools = [engine.pool.stats for engine in self._engines]
+        pools = [engine.pool.stats for engine in self._engines.values()]
+        hits, misses, evictions = self._retired_pool
         return {
             "num_records": self.index.num_records,
             "num_segments": len(self.segments()),
@@ -167,25 +170,43 @@ class ShardEngine:
             "pages_read": self.clock.pages_read,
             "read_requests": self.clock.read_requests,
             "simulated_ms": self.clock.total_ms,
-            "pool_hits": sum(stats.hits for stats in pools),
-            "pool_misses": sum(stats.misses for stats in pools),
-            "pool_evictions": sum(stats.evictions for stats in pools),
+            "pool_hits": hits + sum(stats.hits for stats in pools),
+            "pool_misses": misses + sum(stats.misses for stats in pools),
+            "pool_evictions": evictions
+            + sum(stats.evictions for stats in pools),
         }
 
     # ------------------------------------------------------------------
 
     def append(self, values) -> dict:
-        """Append rows to this shard, bumping only this shard's epoch."""
+        """Append rows to this shard, bumping only this shard's epoch.
+
+        The segmented index compacts the tiers the append completes; the
+        report carries what it merged, and the next evaluation drops the
+        merged segments' engines and pools.
+        """
         rows = np.asarray(values)
         report = self.index.append(rows)
         return {
             "epoch": self.index.epoch,
             "num_records": self.index.num_records,
+            "num_segments": len(self.segments()),
             "records_appended": report.records_appended,
             "bitmaps_extended": report.bitmaps_extended,
             "bitmaps_touched": report.bitmaps_touched,
+            "merges": report.merges,
+            "segments_merged": report.segments_merged,
+            "rows_merged": report.rows_merged,
+            "bytes_merged": report.bytes_merged,
+            "compaction_ms": report.compaction_ms,
             "invalidated": self.cache.invalidate_below(self.index.epoch),
         }
+
+    def is_boundary(self, row: int) -> bool:
+        """True when :meth:`split_left` can cut at ``row``."""
+        return isinstance(
+            self.index, SegmentedBitmapIndex
+        ) and self.index.is_boundary(row)
 
     def split_left(self, row: int) -> SegmentedBitmapIndex:
         """The left half of a segment-boundary split, segments shared.
@@ -193,15 +214,17 @@ class ShardEngine:
         Only meaningful on the inline transport (the returned index is a
         live object, not a picklable snapshot).  ``self`` keeps serving
         its full row range unchanged — :meth:`SegmentedBitmapIndex.split_at`
-        does not mutate — and the shared segments are all sealed (full),
-        so nothing the left child ever does can rewrite them.
+        does not mutate.  The front-end cuts only below the parent's row
+        count, so the parent's partial tail — the one segment an append
+        rewrites in place — is never shared, and a merge replaces
+        segments without mutating them.
         """
         left, _ = self.index.split_at(row)
         return left
 
     def close(self) -> None:
         """Drop per-segment engines (buffer pools)."""
-        self._engines = []
+        self._engines = {}
 
     # ------------------------------------------------------------------
 
@@ -212,7 +235,9 @@ class ShardEngine:
         (:func:`~repro.serve.batcher.plan_batches` over leaf-key
         sharing, capped at ``max_batch``), each planned batch fetches
         the union of its bitmaps once per segment, and answers land in
-        the shard's ``(epoch, expression)`` cache.
+        the shard's ``(epoch, expression)`` cache.  A query repeated in
+        the batch is evaluated once; each repeat gets its own copy of
+        the answer, counted with no scans or operations.
         """
         epoch = self.index.epoch
         answers: list[ShardAnswer | None] = [None] * len(queries)
@@ -227,7 +252,16 @@ class ShardEngine:
                 )
             )
         pending: list[int] = []
+        # A lone query has no repeat to find (hashing an expression tree
+        # costs microseconds, so it is skipped).
+        first: dict[tuple, int] | None = {} if len(queries) > 1 else None
+        repeats: list[tuple[int, int]] = []
         for i, expression in enumerate(expressions):
+            if first is not None:
+                j = first.setdefault(expression, i)
+                if j != i:
+                    repeats.append((i, j))
+                    continue
             cached = self.cache.get(epoch, expression)
             if cached is not None:
                 answers[i] = ShardAnswer(
@@ -251,6 +285,15 @@ class ShardEngine:
                 epoch,
                 answers,
             )
+        for i, j in repeats:
+            answers[i] = replace(
+                answers[j],
+                bitmap=answers[j].bitmap.copy(),
+                simulated_ms=0.0,
+                scans=0,
+                operations=0,
+                shared=False,
+            )
         return answers  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
@@ -268,30 +311,38 @@ class ShardEngine:
         raise QueryError(f"unsupported query type {type(query).__name__}")
 
     def segment_engines(self) -> list:
-        """Persistent per-segment engines, extended as segments appear.
+        """Persistent per-segment engines, in segment order.
 
-        Segments are only ever appended (the tail fills in place and its
-        store versions make existing buffer pools re-read), so engine
-        ``i`` always serves segment ``i``.
+        An engine lives as long as its segment: the tail fills in place
+        (its store versions make the engine's buffer pool re-read), and
+        a merge replaces segments, so the merged ones' engines and pools
+        are dropped here and the new segment gets a fresh engine.
         """
-        segments = self.segments()
-        while len(self._engines) < len(segments):
-            segment = segments[len(self._engines)]
-            if self.engine_kind == "compressed":
-                engine = CompressedQueryEngine(
-                    segment,
-                    buffer_pages=self.buffer_pages,
-                    clock=self.clock,
-                )
-            else:
-                engine = QueryEngine(
-                    segment,
-                    buffer_pages=self.buffer_pages,
-                    clock=self.clock,
-                    fused=self.fused,
-                )
-            self._engines.append(engine)
-        return self._engines
+        current = {}
+        for segment in self.segments():
+            engine = self._engines.pop(segment, None)
+            if engine is None:
+                engine = self._new_engine(segment)
+            current[segment] = engine
+        for engine in self._engines.values():
+            stats = engine.pool.stats
+            self._retired_pool[0] += stats.hits
+            self._retired_pool[1] += stats.misses
+            self._retired_pool[2] += stats.evictions
+        self._engines = current
+        return list(current.values())
+
+    def _new_engine(self, segment):
+        if self.engine_kind == "compressed":
+            return CompressedQueryEngine(
+                segment, buffer_pages=self.buffer_pages, clock=self.clock
+            )
+        return QueryEngine(
+            segment,
+            buffer_pages=self.buffer_pages,
+            clock=self.clock,
+            fused=self.fused,
+        )
 
     def _shared_scan(
         self,

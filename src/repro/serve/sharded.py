@@ -87,13 +87,10 @@ from repro.errors import (
     WorkerUnresponsive,
 )
 from repro.index.bitmap_index import IndexSpec
+from repro.index.segmented import DEFAULT_SEGMENT_SIZE
 from repro.parallel import ProcessWorker, WorkerFault
 from repro.queries.model import IntervalQuery, MembershipQuery, ThresholdQuery
-from repro.serve.shard_worker import (
-    DEFAULT_SEGMENT_SIZE,
-    ShardEngine,
-    build_shard_engine,
-)
+from repro.serve.shard_worker import ShardEngine, build_shard_engine
 
 Query = IntervalQuery | MembershipQuery | ThresholdQuery
 
@@ -169,7 +166,8 @@ class ShardedConfig(ServiceConfig):
     #: ``"inline"`` (deterministic, single-process) or ``"process"``
     #: (one worker process per shard, GIL-free evaluation).
     transport: str = "inline"
-    #: Rows per segment inside each shard.
+    #: Rows per tail segment inside each shard; sealed segments merge
+    #: into tiers of up to ``segment_size * FANOUT ** 3`` rows.
     segment_size: int = DEFAULT_SEGMENT_SIZE
     #: Per-call answer deadline for process-transport workers; a worker
     #: silent past this is declared unresponsive.
@@ -411,6 +409,9 @@ class _Shard:
         self._rows_lock = threading.Lock()
         #: Number of acked rows.
         self.num_rows = handle.num_records if rows is None else len(rows)
+        #: Segments in the engine's index as of its last append or
+        #: status report (None before the first); compaction lowers it.
+        self.num_segments: int | None = None
         self.failed = False
         self.closed = False
         if not self.inline:
@@ -524,6 +525,8 @@ class _Shard:
             # Acked in the shard's own serialized history, so a rebuild
             # serialized after this append sees its rows.
             self._ack_append(args[0])
+        if method in ("append", "status"):
+            self.num_segments = result["num_segments"]
         return result
 
     def _loop(self) -> None:
@@ -601,6 +604,7 @@ class _Shard:
         except Exception:
             pass
         self.handle = self.service._build_handle(self.acked_rows(), self.id)
+        self.num_segments = None
         target = self.epoch
         fresh = 1 if self.num_rows else 0
         if target > fresh:
@@ -782,6 +786,19 @@ class _FrontEnd:
                 self.stats.appends += 1
         self._emit_count("serve.appends")
         self._emit_count("serve.shard.appends", 1.0, shard=str(tail.id))
+        if report["merges"]:
+            shard = str(tail.id)
+            self._emit_count(
+                "serve.shard.compactions", float(report["merges"]), shard=shard
+            )
+            self._emit_observe(
+                "serve.shard.compaction_ms", report["compaction_ms"], shard=shard
+            )
+            self._emit_count(
+                "serve.shard.compacted_bytes",
+                float(report["bytes_merged"]),
+                shard=shard,
+            )
         if report["invalidated"]:
             self._emit_count(
                 "serve.cache.invalidated", float(report["invalidated"])
@@ -1121,8 +1138,9 @@ class ShardedQueryService(_FrontEnd):
         layout is swapped in atomically; scatters pinned to the old
         layout keep reading the retired parent (they linearize before
         the split), which is shut down when the last pin drains.  On
-        the inline transport a segment-boundary cut hands the left
-        child the parent's sealed segments by reference
+        the inline transport a cut at one of the parent's segment
+        boundaries (tier sizes vary, so the parent is asked) hands the
+        left child the parent's segments by reference
         (:meth:`SegmentedBitmapIndex.split_at`); all other children
         rebuild from the acked rows.
         """
@@ -1153,11 +1171,10 @@ class ShardedQueryService(_FrontEnd):
                     f"{parent.id}"
                 )
             left_index = None
-            if (
-                self.config.transport == "inline"
-                and row % self.config.segment_size == 0
+            if self.config.transport == "inline" and parent.call(
+                "is_boundary", (row,)
             ):
-                # Sealed segments shared by reference — no re-encode.
+                # Segments shared by reference — no re-encode.
                 left_index = parent.call("split_left", (row,))
             rows = parent.acked_rows()
             left = self._new_shard(rows[:row], index=left_index)
@@ -1196,6 +1213,7 @@ class ShardedQueryService(_FrontEnd):
             {
                 "id": shard.id,
                 "num_records": shard.num_rows,
+                "num_segments": shard.num_segments,
                 "epoch": shard.epoch,
                 "failed": shard.failed,
                 "pid": shard.pid,

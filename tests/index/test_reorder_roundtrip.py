@@ -29,6 +29,7 @@ from repro.index.persist import (
 )
 from repro.index.segmented import SegmentedBitmapIndex
 from repro.queries import IntervalQuery, MembershipQuery
+from repro.serve.shard_worker import ShardEngine
 
 CARDINALITY = 12
 ALL_CODECS = available_codecs()
@@ -54,6 +55,12 @@ def ids(result_bitmap):
 
 def naive_ids(values, query):
     return np.flatnonzero(query.matches(values)).tolist()
+
+
+def segmented_ids(index, query):
+    """Answer ids over a segmented index, through the serving engine."""
+    engine = ShardEngine(None, index.spec, index=index, cache_entries=0)
+    return ids(engine.evaluate_batch([query])[0].bitmap)
 
 
 class TestEveryCodecAndScheme:
@@ -228,7 +235,7 @@ class TestSegmented:
         )
         index = SegmentedBitmapIndex.build(values, spec, segment_size=128)
         for query in queries():
-            assert ids(index.query(query).bitmap) == naive_ids(values, query)
+            assert segmented_ids(index, query) == naive_ids(values, query)
 
     def test_tail_append_into_reordered_segments(self, rng):
         values = column(rng, size=200)
@@ -242,7 +249,7 @@ class TestSegmented:
         merged = np.concatenate([values, batch])
         assert index.num_records == 290
         for query in queries():
-            assert ids(index.query(query).bitmap) == naive_ids(merged, query)
+            assert segmented_ids(index, query) == naive_ids(merged, query)
 
     def test_split_at_shares_reordered_segments(self, rng):
         values = column(rng, size=256)
@@ -253,9 +260,5 @@ class TestSegmented:
         index = SegmentedBitmapIndex.build(values, spec, segment_size=128)
         left, right = index.split_at(128)
         query = queries()[0]
-        assert ids(left.query(query).bitmap) == naive_ids(
-            values[:128], query
-        )
-        assert ids(right.query(query).bitmap) == naive_ids(
-            values[128:], query
-        )
+        assert segmented_ids(left, query) == naive_ids(values[:128], query)
+        assert segmented_ids(right, query) == naive_ids(values[128:], query)

@@ -1,4 +1,8 @@
-"""Tests for the segmented bitmap index."""
+"""Tests for the segmented bitmap index.
+
+Queries run through :class:`~repro.serve.shard_worker.ShardEngine`, the
+one per-index evaluator, over an injected segmented index.
+"""
 
 import numpy as np
 import pytest
@@ -7,9 +11,17 @@ from hypothesis import given, settings, strategies as st
 from repro.bitmap import BitVector
 from repro.errors import EncodingSchemeError, QueryError, ReproError
 from repro.index import BitmapIndex, IndexSpec, SegmentedBitmapIndex
-from repro.queries import IntervalQuery, MembershipQuery
+from repro.index.segmented import FANOUT
+from repro.queries import IntervalQuery, MembershipQuery, ThresholdQuery
+from repro.serve.shard_worker import ShardEngine
 
 SPEC = IndexSpec(cardinality=20, scheme="I", codec="bbc")
+
+
+def evaluate(index, query):
+    """The serving engine's answer to ``query`` over ``index``."""
+    engine = ShardEngine(None, index.spec, index=index, cache_entries=0)
+    return engine.evaluate_batch([query])[0]
 
 
 class TestBuild:
@@ -29,7 +41,7 @@ class TestBuild:
             np.array([], dtype=np.int64), SPEC, segment_size=100
         )
         assert index.num_segments == 0
-        assert index.query(IntervalQuery(0, 5, 20)).row_count == 0
+        assert evaluate(index, IntervalQuery(0, 5, 20)).bitmap.count() == 0
 
     def test_out_of_domain_rejected(self):
         with pytest.raises(EncodingSchemeError):
@@ -54,27 +66,48 @@ class TestQuery:
             MembershipQuery.of({1, 7, 19}, 20),
         ):
             assert (
-                segmented.query(query).bitmap == monolithic.query(query).bitmap
+                evaluate(segmented, query).bitmap
+                == monolithic.query(query).bitmap
             ), str(query)
+
+    def test_threshold_matches_scan(self, built):
+        segmented, values = built
+        query = ThresholdQuery.of(
+            2,
+            [
+                IntervalQuery(2, 9, 20),
+                IntervalQuery(5, 14, 20),
+                MembershipQuery.of({3, 7, 12, 18}, 20),
+            ],
+        )
+        assert evaluate(segmented, query).bitmap == BitVector.from_bools(
+            query.matches(values)
+        )
 
     def test_row_ids_are_global(self, built):
         segmented, values = built
-        result = segmented.query(IntervalQuery(5, 5, 20))
-        assert result.row_ids().tolist() == np.flatnonzero(values == 5).tolist()
+        result = evaluate(segmented, IntervalQuery(5, 5, 20))
+        assert (
+            result.bitmap.to_indices().tolist()
+            == np.flatnonzero(values == 5).tolist()
+        )
 
     def test_stats_aggregate_over_segments(self, built):
         segmented, _ = built
-        result = segmented.query(IntervalQuery(3, 11, 20))
-        per_segment = BitmapIndex.build(
-            np.zeros(1, dtype=np.int64), SPEC
-        ).query(IntervalQuery(3, 11, 20)).stats.scans
-        assert result.stats.scans == per_segment * segmented.num_segments
-        assert result.strategy == "segmented"
+        query = IntervalQuery(3, 11, 20)
+        result = evaluate(segmented, query)
+        per_segment = evaluate(
+            BitmapIndex.build(np.zeros(1, dtype=np.int64), SPEC), query
+        )
+        assert result.operations == (
+            per_segment.operations * segmented.num_segments
+        )
+        assert result.scans == per_segment.scans
 
     def test_domain_mismatch_rejected(self, built):
         segmented, _ = built
         with pytest.raises(QueryError):
-            segmented.query(IntervalQuery(0, 5, 10))
+            evaluate(segmented, IntervalQuery(0, 5, 10))
 
 
 class TestAppend:
@@ -104,7 +137,10 @@ class TestAppend:
             np.concatenate([base, batch]), SPEC, segment_size=1000
         )
         query = IntervalQuery(4, 16, 20)
-        assert incremental.query(query).bitmap == rebuilt.query(query).bitmap
+        assert (
+            evaluate(incremental, query).bitmap
+            == evaluate(rebuilt, query).bitmap
+        )
         assert incremental.num_segments == rebuilt.num_segments
 
     def test_empty_append(self, rng):
@@ -128,10 +164,10 @@ class TestSplitAt:
         query = IntervalQuery(4, 16, 20)
         assert left.num_records == 100
         assert right.num_records == 200
-        assert left.query(query).bitmap == BitVector.from_bools(
+        assert evaluate(left, query).bitmap == BitVector.from_bools(
             query.matches(values[:100])
         )
-        assert right.query(query).bitmap == BitVector.from_bools(
+        assert evaluate(right, query).bitmap == BitVector.from_bools(
             query.matches(values[100:])
         )
 
@@ -140,7 +176,7 @@ class TestSplitAt:
         index.split_at(200)
         assert index.num_records == 300
         query = IntervalQuery(2, 9, 20)
-        assert index.query(query).bitmap == BitVector.from_bools(
+        assert evaluate(index, query).bitmap == BitVector.from_bools(
             query.matches(values)
         )
 
@@ -161,7 +197,7 @@ class TestSplitAt:
 
     def test_non_boundary_row_rejected(self, rng):
         _, index = self.build(rng)
-        with pytest.raises(ReproError, match="not a multiple"):
+        with pytest.raises(ReproError, match="not a segment boundary"):
             index.split_at(150)
 
     def test_out_of_range_rejected(self, rng):
@@ -182,9 +218,121 @@ class TestSplitAt:
         assert left.num_records == 100  # untouched by the sibling
         query = IntervalQuery(0, 19, 20)
         combined = np.concatenate([values[100:], extra])
-        assert right.query(query).bitmap == BitVector.from_bools(
+        assert evaluate(right, query).bitmap == BitVector.from_bools(
             query.matches(combined)
         )
+
+
+class TestCompaction:
+    """Size-tiered compaction: FANOUT sealed segments of one size merge."""
+
+    SIZE = 4  # tiers 4, 16, 64, 256 (the cap)
+
+    def sizes(self, index):
+        return [s.num_records for s in index.segments()]
+
+    def test_build_lays_out_tiers(self, rng):
+        index = SegmentedBitmapIndex.build(
+            rng.integers(0, 20, size=100), SPEC, segment_size=self.SIZE
+        )
+        assert self.sizes(index) == [64, 16, 16, 4]
+        assert index.boundaries() == [0, 64, 80, 96, 100]
+
+    def test_tiers_stop_at_the_cap(self, rng):
+        index = SegmentedBitmapIndex.build(
+            rng.integers(0, 20, size=2 * 256 + 3), SPEC, self.SIZE
+        )
+        assert index.max_tier_rows == self.SIZE * FANOUT**3 == 256
+        assert self.sizes(index) == [256, 256, 3]
+        index.append(rng.integers(0, 20, size=256))
+        assert self.sizes(index) == [256, 256, 256, 3]
+
+    @pytest.mark.parametrize("batch", [1, 3, 4, 5, 15, 16, 17, 63, 64, 65])
+    def test_appends_compact_to_the_built_layout(self, rng, batch):
+        values = rng.integers(0, 20, size=300)
+        index = SegmentedBitmapIndex(SPEC, self.SIZE)
+        for offset in range(0, values.size, batch):
+            index.append(values[offset : offset + batch])
+            # The sizes build() lays out for this many rows.
+            assert self.sizes(index) == index._tier_sizes(index.num_records)
+        built = SegmentedBitmapIndex.build(values, SPEC, self.SIZE)
+        assert self.sizes(index) == self.sizes(built) == [256, 16, 16, 4, 4, 4]
+        assert evaluate(index, IntervalQuery(3, 12, 20)).bitmap == (
+            BitVector.from_bools((values >= 3) & (values <= 12))
+        )
+
+    def test_append_reports_what_it_merged(self, rng):
+        index = SegmentedBitmapIndex.build(
+            rng.integers(0, 20, size=60), SPEC, self.SIZE
+        )
+        assert self.sizes(index) == [16, 16, 16, 4, 4, 4]
+        sealed = index.segments()
+        report = index.append(rng.integers(0, 20, size=4))
+        # The fourth 4-row segment merges into a 16, which completes a
+        # run of four 16s: one append, two cascading merges.
+        assert self.sizes(index) == [64]
+        assert report.merges == 2
+        assert report.segments_merged == 2 * FANOUT
+        assert report.rows_merged == 16 + 64
+        assert report.bytes_merged > sum(s.size_bytes() for s in sealed[3:])
+        assert report.compaction_ms > 0
+        quiet = index.append(rng.integers(0, 20, size=3))
+        assert (quiet.merges, quiet.rows_merged, quiet.bytes_merged) == (0, 0, 0)
+
+    def test_merge_adds_no_epoch_bump(self, rng):
+        index = SegmentedBitmapIndex.build(
+            rng.integers(0, 20, size=12), SPEC, self.SIZE
+        )
+        epoch = index.epoch
+        report = index.append(rng.integers(0, 20, size=4))
+        assert report.merges == 1
+        assert index.epoch == epoch + 1
+
+    def test_merged_segment_is_resorted(self, rng):
+        spec = IndexSpec(cardinality=20, scheme="E", codec="wah", reorder="lexicographic")
+        values = rng.integers(0, 20, size=64)
+        index = SegmentedBitmapIndex(spec, self.SIZE)
+        for offset in range(0, 64, 3):
+            index.append(values[offset : offset + 3])
+        (merged,) = index.segments()
+        # One sort over all 64 rows, not four sorted 16-row blocks.
+        assert merged.reordering.num_sorted == 64
+        assert np.array_equal(
+            merged.reordering.apply(values), np.sort(values, kind="stable")
+        )
+
+    def test_codes_kept_in_narrowest_dtype(self, rng):
+        small = SegmentedBitmapIndex.build(
+            rng.integers(0, 20, size=40), SPEC, self.SIZE
+        )
+        wide_spec = IndexSpec(cardinality=300, scheme="E")
+        wide = SegmentedBitmapIndex.build(
+            rng.integers(0, 300, size=40), wide_spec, self.SIZE
+        )
+        small.append(rng.integers(0, 20, size=9))
+        assert {codes.dtype for codes in small._codes} == {np.dtype(np.uint8)}
+        assert {codes.dtype for codes in wide._codes} == {np.dtype(np.uint16)}
+
+    def test_split_at_merged_tier_boundary_shares_segments(self, rng):
+        values = rng.integers(0, 20, size=100)
+        index = SegmentedBitmapIndex(SPEC, self.SIZE)
+        for offset in range(0, 100, 7):
+            index.append(values[offset : offset + 7])
+        assert self.sizes(index) == [64, 16, 16, 4]
+        assert index.is_boundary(80) and not index.is_boundary(72)
+        left, right = index.split_at(80)
+        segments = index.segments()
+        assert all(a is b for a, b in zip(left.segments(), segments[:2]))
+        assert all(a is b for a, b in zip(right.segments(), segments[2:]))
+        query = IntervalQuery(2, 15, 20)
+        assert evaluate(left, query).bitmap == BitVector.from_bools(
+            query.matches(values[:80])
+        )
+        assert evaluate(right, query).bitmap == BitVector.from_bools(
+            query.matches(values[80:])
+        )
+        with pytest.raises(ReproError, match="not a segment boundary"):
+            index.split_at(72)
 
 
 @given(
@@ -207,6 +355,6 @@ def test_segmented_property(seed, segment_size, sizes, scheme):
     )
     low = int(rng.integers(0, 12))
     high = int(rng.integers(low, 12))
-    result = index.query(IntervalQuery(low, high, 12))
+    result = evaluate(index, IntervalQuery(low, high, 12))
     expected = BitVector.from_bools((merged >= low) & (merged <= high))
     assert result.bitmap == expected

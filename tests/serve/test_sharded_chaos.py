@@ -174,14 +174,19 @@ class TestAppendFailures:
             assert s.execute(query).bitmap == naive(query, combined)
 
     def test_acked_appends_survive_crash_recovery(self, values):
-        # Ack two appends, then kill the tail worker: the rebuild must
-        # reproduce both (and the epoch must not regress).
+        # Ack three appends, the last of which compacts the tail's
+        # segments, then kill the tail worker: the rebuild must
+        # reproduce all of them (and the epoch must not regress).
         query = MembershipQuery.of({5}, CARDINALITY)
         with ShardedQueryService(values, make_spec(), process_config()) as s:
             s.append(np.array([5, 5]))
             s.append(np.array([5]))
+            s.append(np.array([5] * 6))
             tail = s.shard_info()[-1]
-            combined = np.concatenate([values, [5, 5, 5]])
+            # 24 + 9 rows at segment_size 8: a 32-row merged segment and
+            # a 1-row tail, not five 8-row segments.
+            assert tail["num_segments"] == 2
+            combined = np.concatenate([values, [5] * 9])
             assert s.execute(query).bitmap == naive(query, combined)
             os.kill(tail["pid"], signal.SIGKILL)
             deadline = time.monotonic() + 5.0
@@ -232,3 +237,9 @@ class TestNeverWrong:
                     failures += 1
             assert failures >= 1  # the fault actually fired
             assert answered >= len(queries)  # and service kept serving
+            # The tail shard's 20 + 12 acked rows compacted into one
+            # 32-row segment while the fault and recovery played out.
+            s.metrics_snapshot()
+            tail = s.shard_info()[-1]
+            assert tail["num_records"] == 32
+            assert tail["num_segments"] == 1

@@ -15,7 +15,8 @@ answer's snapshot through a naive scan.  The contract checked here:
 * this holds while appends and splits race in-flight queries (real
   router workers; inline shards evaluate on the calling thread under
   the scan lock, process shards behind real dispatcher threads), on
-  both transports.
+  both transports, and while appends compact segments (every test that
+  appends enough rows asserts a merge actually ran).
 
 The deterministic sequential version is hypothesis-driven over random
 op sequences; the racing versions interleave mutations with live
@@ -35,6 +36,7 @@ from repro.queries import IntervalQuery, MembershipQuery
 from repro.serve import ShardedConfig, ShardedQueryService
 
 CARDINALITY = 12
+SEGMENT_SIZE = 8
 
 
 def make_spec():
@@ -89,6 +91,16 @@ class ShardOracle:
         assert result.bitmap == expected, (query, result.epochs)
 
 
+def assert_compacted(service: ShardedQueryService) -> None:
+    """Some shard merged segments: it holds fewer than the
+    ``ceil(rows / segment_size)`` segments it would without compaction."""
+    service.metrics_snapshot()  # refreshes each shard's segment count
+    assert any(
+        info["num_segments"] < -(-info["num_records"] // SEGMENT_SIZE)
+        for info in service.shard_info()
+    ), service.shard_info()
+
+
 def op_strategy():
     membership = st.frozensets(
         st.integers(min_value=0, max_value=CARDINALITY - 1),
@@ -118,7 +130,7 @@ def test_sequential_ops_linearize(seed, ops):
     rng = np.random.default_rng(seed)
     values = rng.integers(0, CARDINALITY, size=40)
     config = ShardedConfig(
-        shards=2, transport="inline", segment_size=8, buffer_pages=8
+        shards=2, transport="inline", segment_size=SEGMENT_SIZE, buffer_pages=8
     )
     with ShardedQueryService(values, make_spec(), config) as service:
         oracle = ShardOracle(service, values)
@@ -135,6 +147,10 @@ def test_sequential_ops_linearize(seed, ops):
                 except ServeError:
                     continue  # every shard too small to split
                 oracle.record_split(report, service)
+        # Four more tail segments' worth of rows always completes a merge.
+        appended = rng.integers(0, CARDINALITY, size=4 * SEGMENT_SIZE + 3)
+        oracle.record_append(service.append(appended), appended)
+        assert_compacted(service)
         # Final sweep: the full column must be visible as one snapshot.
         probe = IntervalQuery(0, CARDINALITY - 1, CARDINALITY)
         oracle.check(probe, service.execute(probe))
@@ -163,7 +179,7 @@ def run_race(service, oracle, rng, mutate, rounds=6):
 def test_appends_race_inflight_queries(rng):
     values = rng.integers(0, CARDINALITY, size=60)
     config = ShardedConfig(
-        shards=3, transport="inline", segment_size=8, buffer_pages=8,
+        shards=3, transport="inline", segment_size=SEGMENT_SIZE, buffer_pages=8,
         workers=3,
     )
     with ShardedQueryService(values, make_spec(), config) as service:
@@ -174,12 +190,13 @@ def test_appends_race_inflight_queries(rng):
             oracle.record_append(service.append(appended), appended)
 
         run_race(service, oracle, rng, mutate)
+        assert_compacted(service)
 
 
 def test_splits_race_inflight_queries(rng):
     values = rng.integers(0, CARDINALITY, size=80)
     config = ShardedConfig(
-        shards=2, transport="inline", segment_size=8, buffer_pages=8,
+        shards=2, transport="inline", segment_size=SEGMENT_SIZE, buffer_pages=8,
         workers=3,
     )
     with ShardedQueryService(values, make_spec(), config) as service:
@@ -197,7 +214,7 @@ def test_splits_race_inflight_queries(rng):
 def test_appends_and_splits_race_inflight_queries(rng):
     values = rng.integers(0, CARDINALITY, size=60)
     config = ShardedConfig(
-        shards=2, transport="inline", segment_size=8, buffer_pages=8,
+        shards=2, transport="inline", segment_size=SEGMENT_SIZE, buffer_pages=8,
         workers=3,
     )
     with ShardedQueryService(values, make_spec(), config) as service:
@@ -207,7 +224,11 @@ def test_appends_and_splits_race_inflight_queries(rng):
         def mutate():
             step["n"] += 1
             if step["n"] % 2:
-                appended = rng.integers(0, CARDINALITY, size=4)
+                # Enough rows that every append completes a merge, in
+                # whichever shard the splits have left at the tail.
+                appended = rng.integers(
+                    0, CARDINALITY, size=4 * SEGMENT_SIZE + 3
+                )
                 oracle.record_append(service.append(appended), appended)
             else:
                 try:
@@ -216,13 +237,14 @@ def test_appends_and_splits_race_inflight_queries(rng):
                     pass
 
         run_race(service, oracle, rng, mutate)
+        assert_compacted(service)
 
 
 def test_concurrent_submitters_observe_consistent_snapshots(rng):
     """Many client threads, main-thread appends, every answer checked."""
     values = rng.integers(0, CARDINALITY, size=60)
     config = ShardedConfig(
-        shards=2, transport="inline", segment_size=8, buffer_pages=8,
+        shards=2, transport="inline", segment_size=SEGMENT_SIZE, buffer_pages=8,
         workers=2, max_queue=256,
     )
     with ShardedQueryService(values, make_spec(), config) as service:
@@ -246,13 +268,14 @@ def test_concurrent_submitters_observe_consistent_snapshots(rng):
             thread.join()
         for query, result in collected:
             oracle.check(query, result)
+        assert_compacted(service)
 
 
 def test_process_transport_appends_race_inflight_queries(rng):
     """The same contract holds across real worker processes."""
     values = rng.integers(0, CARDINALITY, size=40)
     config = ShardedConfig(
-        shards=2, transport="process", segment_size=8, buffer_pages=8,
+        shards=2, transport="process", segment_size=SEGMENT_SIZE, buffer_pages=8,
         workers=2,
     )
     with ShardedQueryService(values, make_spec(), config) as service:
@@ -263,12 +286,13 @@ def test_process_transport_appends_race_inflight_queries(rng):
             oracle.record_append(service.append(appended), appended)
 
         run_race(service, oracle, rng, mutate, rounds=3)
+        assert_compacted(service)
 
 
 def test_process_transport_split_preserves_snapshots(rng):
     values = rng.integers(0, CARDINALITY, size=40)
     config = ShardedConfig(
-        shards=2, transport="process", segment_size=8, buffer_pages=8
+        shards=2, transport="process", segment_size=SEGMENT_SIZE, buffer_pages=8
     )
     with ShardedQueryService(values, make_spec(), config) as service:
         oracle = ShardOracle(service, values)

@@ -37,6 +37,7 @@ from repro.serve import (
     ShardedConfig,
     ShardedQueryService,
 )
+from repro.serve.shard_worker import ShardEngine
 
 CARDINALITY = 20
 
@@ -629,3 +630,70 @@ class TestMetricsAndObs:
         assert metrics.total("serve.shard.cache.hits") == 3
         assert metrics.total("serve.shard.cache.misses") == 3
         assert metrics.find("serve.shard.count") is not None
+
+    def test_compaction_metrics_emitted(self, rng):
+        # 60 rows at segment_size 4 lay out as 16,16,16,4,4,4; four more
+        # rows seal a fourth 4 and cascade into one 64-row segment.
+        values = rng.integers(0, CARDINALITY, size=60)
+        config = inline_config(shards=1, segment_size=4)
+        o = obs.install()
+        try:
+            with ShardedQueryService(values, make_spec(), config) as s:
+                s.append(np.array([1, 2, 3]))
+                assert o.metrics.total("serve.shard.compactions") == 0
+                s.append(np.array([4]))
+                (info,) = s.shard_info()
+        finally:
+            obs.uninstall()
+        shard = str(info["id"])
+        metrics = o.metrics
+        assert info["num_segments"] == 1
+        assert metrics.find("serve.shard.compactions", shard=shard).value == 2
+        timing = metrics.find("serve.shard.compaction_ms", shard=shard)
+        assert timing.count == 1 and timing.sum > 0
+        assert metrics.find(
+            "serve.shard.compacted_bytes", shard=shard
+        ).value > 0
+
+    def test_pool_counters_survive_merges(self, rng):
+        # A merge drops the merged segments' engines and pools; the
+        # summed pool counters must not run backwards with them.
+        values = rng.integers(0, CARDINALITY, size=60)
+        config = inline_config(shards=1, segment_size=4, cache_entries=0)
+        query = IntervalQuery(2, 9, CARDINALITY)
+        with ShardedQueryService(values, make_spec(), config) as s:
+            s.execute(query)
+            before = s.metrics_snapshot()
+            assert s.append(np.array([1, 2, 3, 4])).num_records == 64
+            s.execute(query)
+            after = s.metrics_snapshot()
+            assert s.shard_info()[0]["num_segments"] == 1
+        for key in ("pool_hits", "pool_misses", "pool_evictions"):
+            assert after[key] >= before[key], key
+        assert after["pool_misses"] > before["pool_misses"]
+
+
+class TestRepeatedQueries:
+    def test_repeat_in_one_batch_is_evaluated_once(self, values):
+        query = MembershipQuery.of({0, 5, 19}, CARDINALITY)
+        engine = ShardEngine(
+            values, make_spec(), cache_entries=0, segment_size=32
+        )
+        (single,) = engine.evaluate_batch([query])
+        words = engine.clock.words_operated
+        first, repeat = engine.evaluate_batch([query, query])
+        assert first.operations == single.operations > 0
+        assert first.scans == single.scans > 0
+        assert (repeat.operations, repeat.scans) == (0, 0)
+        assert engine.clock.words_operated == 2 * words
+        assert repeat.bitmap == first.bitmap == naive(query, values)
+        assert repeat.bitmap is not first.bitmap
+
+    def test_repeats_through_the_service_are_independent(self, values):
+        query = IntervalQuery(3, 11, CARDINALITY)
+        with ShardedQueryService(
+            values, make_spec(), inline_config(shards=1, cache_entries=0)
+        ) as s:
+            first, repeat = s.execute_many([query, query])
+        assert first.bitmap == repeat.bitmap == naive(query, values)
+        assert first.bitmap is not repeat.bitmap
