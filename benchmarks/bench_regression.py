@@ -2,7 +2,7 @@
 """Benchmark-regression driver: codec kernels, compressed ops, one e2e run.
 
 Times encode/decode for every codec, compressed-domain AND/OR, the
-fused-vs-materializing expression evaluators, and one end-to-end
+decoded expression evaluator against inline numpy, and one end-to-end
 figure regeneration, then writes ``BENCH_PR10.json`` at the repo root.
 Prior recorded numbers are merged in under prefixed names — ``seed:``
 for the pre-vectorization baseline (``benchmarks/results/
@@ -10,8 +10,11 @@ seed_baseline.json``) and ``pr<n>:`` for every recorded
 ``BENCH_PR<n>.json`` except the one being written — so a single file
 shows current medians next to every baseline.
 
-Schema: ``{bench_name: {"median_s": float, "iterations": int,
-"params": {...}}}``, plus two special entries: ``obs_export`` holds the
+Schema: ``{bench_name: {"median_s": float, "iqr_s": float, "n": int,
+"iterations": int, "machine": {...}, "params": {...}}}`` — every
+wall-clock entry carries its sample count ``n``, the interquartile
+range of its samples and the machine fingerprint ``perfbench`` prints —
+plus two special entries: ``obs_export`` holds the
 full :mod:`repro.obs` export of an instrumented end-to-end figure run
 (the per-figure span tree and ``clock.*``/``buffer.*`` counters), and
 ``serving_shared_scan`` holds the counted-pages serving comparison from
@@ -50,12 +53,12 @@ Gates that can fail the run (exit 1):
   configuration — the speed of per-container dispatch over matching
   chunks is the point of the roaring extension, so losing to a
   word-aligned run-length codec is a regression;
-* fused block-at-a-time evaluation slower than the materializing
-  evaluator on the large-tree workload, or the fused run allocating
-  any full-length intermediate (``expr.intermediate_allocs`` with
-  ``mode=fused`` must read 0 — counted via :mod:`repro.obs`, so the
-  allocation half of the gate is deterministic and runs in ``--quick``
-  mode too; the timing half is full-mode only);
+* the decoded evaluator (:func:`repro.expr.evaluate`) slower on the
+  six-leaf, five-NOT tree than the same expression written inline as
+  whole-vector numpy ops, or allocating any full-length intermediate
+  (``expr.intermediate_allocs`` must read 0 — counted via
+  :mod:`repro.obs`, so the allocation half of the gate is deterministic
+  and runs in ``--quick`` mode too; the timing half is full-mode only);
 * installing a :class:`repro.obs.Observability` instance slows the
   codec kernel workload by more than 5% — the instrumentation must
   stay effectively free.  (The overhead is measured in ``--quick``
@@ -79,7 +82,9 @@ Usage::
 ``--quick`` shrinks the bit-vector size and the e2e record count so CI
 can smoke the driver in seconds; quick numbers are not comparable to
 the recorded baselines and are therefore not written unless an
-``--output`` is named explicitly.
+``--output`` is named explicitly.  A gate that only reports (in
+``--quick`` mode, or on too few CPUs) says so in its entry:
+``gate_enforced`` is false and ``gate_skip_reason`` names why.
 """
 
 from __future__ import annotations
@@ -102,16 +107,18 @@ import numpy as np
 from repro import obs
 from repro.bitmap import BitVector
 from repro.compress import get_codec
-from repro.expr import evaluate, evaluate_fused, leaf
+from repro.expr import evaluate, leaf
 from repro.compress.bbc_ops import bbc_logical
 from repro.compress.compressed_ops import ewah_logical
 from repro.compress.roaring_ops import roaring_logical
 from repro.compress.wah_ops import wah_logical
 from repro.experiments import ExperimentConfig, run_experiment
 
+from benchmarks.bench_hardware import six_leaf_tree
 from benchmarks.bench_serving import check_gates as serving_gates
 from benchmarks.bench_serving import check_sharded_gates, run_serving_bench
 from benchmarks.bench_serving import run_sharded_bench
+from perfbench.run import fingerprint
 
 SEED_BASELINE = Path(__file__).parent / "results" / "seed_baseline.json"
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_PR10.json"
@@ -119,15 +126,36 @@ DEFAULT_OUTPUT = REPO_ROOT / "BENCH_PR10.json"
 #: Maximum tolerated slowdown of the kernel workload with obs installed.
 OBS_OVERHEAD_LIMIT_PCT = 5.0
 
+#: Machine fingerprint recorded in every wall-clock entry.
+MACHINE = {
+    key: value
+    for key, value in fingerprint(None).items()
+    if key not in ("seed", "git_sha_missing_reason")
+}
 
-def timeit(fn, iterations: int) -> float:
-    """Median wall-clock seconds over ``iterations`` calls."""
+
+def sample_stats(samples: list[float]) -> dict:
+    """Median, interquartile range and count of wall-clock samples."""
+    if len(samples) > 1:
+        q1, _, q3 = statistics.quantiles(samples, n=4)
+    else:
+        q1 = q3 = samples[0]
+    return {
+        "median_s": statistics.median(samples),
+        "iqr_s": q3 - q1,
+        "n": len(samples),
+        "machine": MACHINE,
+    }
+
+
+def timeit(fn, iterations: int) -> dict:
+    """:func:`sample_stats` of ``iterations`` timed calls."""
     samples = []
     for _ in range(iterations):
         t0 = time.perf_counter()
         fn()
         samples.append(time.perf_counter() - t0)
-    return statistics.median(samples)
+    return sample_stats(samples)
 
 
 def make_vector(n: int, density: float, seed: int) -> BitVector:
@@ -148,13 +176,13 @@ def run_benchmarks(
         codec = get_codec(name)
         payloads[name] = (codec.encode(vec), codec.encode(vec2))
         results[f"{name}_encode"] = {
-            "median_s": timeit(lambda c=codec: c.encode(vec), iters),
+            **timeit(lambda c=codec: c.encode(vec), iters),
             "iterations": iters,
             "params": codec_params,
         }
         payload = payloads[name][0]
         results[f"{name}_decode"] = {
-            "median_s": timeit(
+            **timeit(
                 lambda c=codec, p=payload: c.decode(p, n_bits), iters
             ),
             "iterations": iters,
@@ -175,14 +203,14 @@ def run_benchmarks(
     }
     for bench_name, fn in op_benches.items():
         results[bench_name] = {
-            "median_s": timeit(fn, iters),
+            **timeit(fn, iters),
             "iterations": iters,
             "params": codec_params,
         }
 
     config = ExperimentConfig(num_records=num_records, workers=workers)
     results["figure6_e2e"] = {
-        "median_s": timeit(lambda: run_experiment("figure6", config), 1),
+        **timeit(lambda: run_experiment("figure6", config), 1),
         "iterations": 1,
         "params": {"num_records": num_records, "workers": workers},
     }
@@ -195,10 +223,10 @@ def run_benchmarks(
 
     results["obs_overhead"] = measure_obs_overhead(n_bits, density)
 
-    # Fused evaluation wants vectors much larger than one block, so it
-    # gets its own size: 16x the codec size keeps the materializing
-    # intermediates out of cache at the full configuration.
-    results.update(run_fused_eval_bench(n_bits * 16, density, iters))
+    # Expression evaluation wants vectors spanning several word ranges,
+    # so it gets its own size: 16x the codec size keeps whole-vector
+    # temporaries out of L2 at the full configuration.
+    results.update(run_expr_eval_bench(n_bits * 16, density, iters))
 
     # Serving layer: counted pages, deterministic at any size.
     results["serving_shared_scan"] = run_serving_bench(
@@ -225,7 +253,7 @@ def run_benchmarks(
     results["reorder_skew_benefit"] = run_reorder_bench(num_records, iters)
 
     # Adaptive selection: auto vs every fixed codec over the Markov
-    # (density x clustering) grid.  Sized like the fused bench so the
+    # (density x clustering) grid.  Sized like the evaluator bench so the
     # sparse cells still hold thousands of set bits.
     results["adaptive_codec_selection"] = run_adaptive_bench(n_bits * 16)
     return results
@@ -295,8 +323,8 @@ def run_reorder_bench(
                     *index.store.get_payload((0, int(b))), codec
                 )
                 return {
-                    "and_s": timeit(lambda: left & right, max(iters, 3)),
-                    "or_s": timeit(lambda: left | right, max(iters, 3)),
+                    "and_s": timeit(lambda: left & right, max(iters, 3))["median_s"],
+                    "or_s": timeit(lambda: left | right, max(iters, 3))["median_s"],
                 }
 
             curve.append(
@@ -508,55 +536,52 @@ def run_threshold_bench(num_records: int, fanin: int = 16) -> dict:
     }
 
 
-def run_fused_eval_bench(n_bits: int, density: float, iters: int) -> dict[str, dict]:
-    """Fused vs. materializing evaluation of a deep tree over large vectors.
+def run_expr_eval_bench(n_bits: int, density: float, iters: int) -> dict[str, dict]:
+    """The decoded evaluator vs inline whole-vector numpy on one tree.
 
-    The vectors are sized well past the block size so the fused walk's
-    cache residency can pay off; the tree mixes AND/OR/XOR and interior
-    NOTs so the materializing evaluator allocates several full-length
-    intermediates that the fused path must avoid entirely.  Allocation
-    counts come from the ``expr.intermediate_allocs`` obs counter and
-    ride along in each entry for the zero-allocation gate.
+    The tree is the calibration grid's six-leaf, five-NOT tree
+    (:func:`benchmarks.bench_hardware.six_leaf_tree`), over vectors well
+    past one 256 KiB word range.  The inline version is the same
+    expression as whole-vector numpy ops: one full-length temporary per
+    node, the traffic :func:`~repro.expr.evaluate` avoids by walking
+    range by range.  The ``expr.intermediate_allocs`` obs count rides
+    along in the ``expr_eval`` entry for the zero-allocation gate.
     """
-    block_words = 8192  # MAX_BLOCK_WORDS: 64 KiB blocks, the tuned size
     rng = np.random.default_rng(4)
     bitmaps = {
         key: BitVector.from_bools(rng.random(n_bits) < density)
         for key in "abcdef"
     }
-    expr = ((~leaf("a") | leaf("b")) & ~(leaf("c") ^ leaf("d"))) ^ (
-        leaf("e") & ~leaf("f")
-    )
-    fetch = bitmaps.get
-    params = {"n_bits": n_bits, "density": density, "leaves": 6}
+    expr = six_leaf_tree(*(leaf(key) for key in "abcdef"))
+    a, b, c, d, e, f = (bitmaps[key].words for key in "abcdef")
+    tail = np.uint64((1 << n_bits % 64) - 1) if n_bits % 64 else None
+    params = {"n_bits": n_bits, "density": density, "leaves": 6, "nots": 5}
 
-    def fused():
-        return evaluate_fused(expr, fetch, n_bits, block_words=block_words)
+    def evaluated():
+        return evaluate(expr, bitmaps.get, n_bits)
 
-    def materialized():
-        return evaluate(expr, fetch, n_bits)
+    def inline():
+        words = six_leaf_tree(a, b, c, d, e, f)
+        if tail is not None:
+            words[-1] &= tail
+        return words
 
-    if not np.array_equal(fused().words, materialized().words):
-        raise AssertionError("fused/materializing evaluators disagree")
-
-    def allocs(mode: str, fn) -> int:
-        with obs.observed() as o:
-            fn()
-        metric = o.metrics.find("expr.intermediate_allocs", mode=mode)
-        return -1 if metric is None else int(metric.value)
-
+    if not np.array_equal(evaluated().words, inline()):
+        raise AssertionError("evaluate and inline numpy disagree")
+    with obs.observed() as o:
+        evaluated()
+    allocs = o.metrics.find("expr.intermediate_allocs")
     return {
-        "materialized_eval": {
-            "median_s": timeit(materialized, iters),
+        "expr_eval": {
+            **timeit(evaluated, iters),
             "iterations": iters,
             "params": params,
-            "intermediate_allocs": allocs("materialize", materialized),
+            "intermediate_allocs": -1 if allocs is None else int(allocs.value),
         },
-        "fused_eval": {
-            "median_s": timeit(fused, iters),
+        "numpy_inline_eval": {
+            **timeit(inline, iters),
             "iterations": iters,
-            "params": dict(params, block_words=block_words),
-            "intermediate_allocs": allocs("fused", fused),
+            "params": params,
         },
     }
 
@@ -586,15 +611,34 @@ def measure_obs_overhead(n_bits: int, density: float, pairs: int = 15) -> dict:
             t0 = time.perf_counter()
             workload()
             installed_samples.append(time.perf_counter() - t0)
-    baseline_s = statistics.median(baseline_samples)
-    installed_s = statistics.median(installed_samples)
+    installed = sample_stats(installed_samples)
+    baseline = sample_stats(baseline_samples)
     return {
-        "median_s": installed_s,
-        "baseline_s": baseline_s,
-        "overhead_pct": (installed_s / baseline_s - 1.0) * 100.0,
+        **installed,
+        "baseline_s": baseline["median_s"],
+        "baseline_iqr_s": baseline["iqr_s"],
+        "overhead_pct": (installed["median_s"] / baseline["median_s"] - 1.0) * 100.0,
         "iterations": pairs,
         "params": {"n_bits": n_bits, "density": density, "codec": "wah"},
     }
+
+
+#: Entries whose gate only reports under ``--quick``, and why.
+QUICK_REPORT_ONLY = {
+    "expr_eval": "report-only under --quick: one-iteration timings are "
+    "too noisy to gate on (the allocation half still enforces)",
+    "obs_overhead": "report-only under --quick: the shrunken kernel "
+    "workload is too short to gate a 5% bound on",
+    "adaptive_codec_selection": "report-only under --quick: the shrunken "
+    "grid is too small to gate on",
+}
+
+
+def mark_quick_gates(results: dict, quick: bool) -> None:
+    """Record in each quick-only gate's entry whether it enforces."""
+    for name, reason in QUICK_REPORT_ONLY.items():
+        results[name]["gate_enforced"] = not quick
+        results[name]["gate_skip_reason"] = reason if quick else None
 
 
 def merge_baselines(results: dict[str, dict], skip: set) -> None:
@@ -605,6 +649,10 @@ def merge_baselines(results: dict[str, dict], skip: set) -> None:
     (this driver's own output file and the one this run writes).
     Already-prefixed entries and non-bench entries (``obs_export``) of a
     recorded file are skipped, so each baseline merges from its own file.
+    Entries whose bench is gone (``fused_eval`` and ``materialized_eval``,
+    replaced by ``expr_eval`` and ``numpy_inline_eval``) and entries
+    recorded before the ``n``/``iqr_s``/``machine`` fields merge
+    unchanged; no gate reads a prefixed entry.
     """
     skip = {path.resolve() for path in skip if path is not None}
     recorded = [(SEED_BASELINE, "seed")] + sorted(
@@ -658,6 +706,7 @@ def main(argv: list[str] | None = None) -> int:
         workers=args.workers,
         iters=iters,
     )
+    mark_quick_gates(results, args.quick)
     output = args.output
     if output is None and not args.quick:
         output = DEFAULT_OUTPUT
@@ -755,26 +804,25 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 1
 
-    fused = results["fused_eval"]
-    materialized = results["materialized_eval"]
+    evaluated = results["expr_eval"]
+    inline = results["numpy_inline_eval"]
     print(
-        f"fused vs materialized eval: "
-        f"{materialized['median_s'] / fused['median_s']:.2f}x faster, "
-        f"{fused['intermediate_allocs']} intermediate allocs "
-        f"(vs {materialized['intermediate_allocs']} materializing)"
+        f"evaluate vs inline numpy on the 6-leaf tree: "
+        f"{inline['median_s'] / evaluated['median_s']:.2f}x faster, "
+        f"{evaluated['intermediate_allocs']} full-length intermediate allocs"
     )
-    if not args.quick and fused["median_s"] > materialized["median_s"]:
+    if evaluated["gate_enforced"] and evaluated["median_s"] > inline["median_s"]:
         print(
-            f"FAIL: fused eval ({fused['median_s']:.6f}s) is slower than "
-            f"materializing eval ({materialized['median_s']:.6f}s)",
+            f"FAIL: evaluate ({evaluated['median_s']:.6f}s) is slower than "
+            f"inline numpy ({inline['median_s']:.6f}s)",
             file=sys.stderr,
         )
         return 1
-    if fused["intermediate_allocs"] != 0:
+    if evaluated["intermediate_allocs"] != 0:
         print(
-            f"FAIL: fused eval reported "
-            f"{fused['intermediate_allocs']} full-length intermediate "
-            f"allocations (expr.intermediate_allocs mode=fused must be 0)",
+            f"FAIL: evaluate reported "
+            f"{evaluated['intermediate_allocs']} full-length intermediate "
+            f"allocations (expr.intermediate_allocs must be 0)",
             file=sys.stderr,
         )
         return 1
@@ -788,9 +836,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     adaptive_failures = check_adaptive_gates(adaptive)
     for failure in adaptive_failures:
-        level = "FAIL" if not args.quick else "WARN (quick, not gated)"
+        level = "FAIL" if adaptive["gate_enforced"] else "WARN (quick, not gated)"
         print(f"{level}: {failure}", file=sys.stderr)
-    if adaptive_failures and not args.quick:
+    if adaptive_failures and adaptive["gate_enforced"]:
         return 1
 
     overhead = results["obs_overhead"]
@@ -799,7 +847,7 @@ def main(argv: list[str] | None = None) -> int:
         f"{overhead['overhead_pct']:+.2f}% "
         f"({overhead['baseline_s']:.6f}s -> {overhead['median_s']:.6f}s)"
     )
-    if not args.quick and overhead["overhead_pct"] > OBS_OVERHEAD_LIMIT_PCT:
+    if overhead["gate_enforced"] and overhead["overhead_pct"] > OBS_OVERHEAD_LIMIT_PCT:
         print(
             f"FAIL: obs instrumentation overhead "
             f"{overhead['overhead_pct']:.2f}% exceeds the "

@@ -149,8 +149,7 @@ def _parse_query(args: argparse.Namespace, cardinality: int):
 def _cmd_query(args: argparse.Namespace) -> int:
     index = load_index(args.index, mapped=args.mapped)
     query = _parse_query(args, index.cardinality)
-    fused = {"auto": "auto", "on": True, "off": False}[args.fused]
-    result = index.query(query, fused=fused)
+    result = index.query(query)
     print(f"query:         {query}")
     print(f"matching rows: {result.row_count}")
     print(f"bitmap scans:  {result.stats.scans}")
@@ -491,13 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="serve payloads from read-only mmap views instead of heap "
         "copies (v2 index directories; see docs/zero_copy.md)",
-    )
-    p.add_argument(
-        "--fused",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="physical evaluation: fused block-at-a-time kernels, "
-        "materializing, or per-constituent planning (default)",
     )
     p.set_defaults(func=_cmd_query)
 

@@ -41,8 +41,8 @@ from repro.bitmap import BitVector
 from repro.compress.streams import BlockStream, VectorStream, open_stream
 from repro.errors import BitmapError
 
-#: Words per lockstep window (16 KiB — matches the fused evaluator's
-#: default so threshold plans and multiway merges share cache behaviour).
+#: Words per lockstep window (16 KiB): a window of every input of a
+#: wide merge plus the counter slices stays in L1/L2.
 DEFAULT_BLOCK_WORDS = 2048
 
 _ONE = np.uint64(1)
@@ -185,8 +185,8 @@ def threshold_vectors(k: int, vectors: Sequence[BitVector]) -> BitVector:
     """"At least ``k`` of ``vectors``" over decoded bit vectors.
 
     The vectors are wrapped in zero-copy streams and counted blockwise,
-    so the only full-length allocation is the answer — the materializing
-    evaluator's Threshold node goes through here.
+    so the only full-length allocation is the answer — the compressed
+    engine's Threshold node over decoded words goes through here.
     """
     if not vectors:
         raise BitmapError("threshold needs at least one input vector")

@@ -1,11 +1,11 @@
 """Block-at-a-time decode streams over encoded bitmap payloads.
 
-The fused expression evaluator (:mod:`repro.expr.fused`) walks a query
-tree in word blocks small enough to stay in L1/L2, so no expression
-intermediate is ever a full-vector allocation.  For that it needs leaf
-decode to be *incremental*: given an encoded payload, produce any word
-window ``[start, stop)`` of the decoded vector without materializing
-the rest.
+The multiway kernels (:mod:`repro.compress.multiway`) and the
+compressed engine's streamed nodes walk their inputs in word blocks
+small enough to stay in L1/L2, so an encoded leaf is never decoded
+whole.  For that they need leaf decode to be *incremental*: given an
+encoded payload, produce any word window ``[start, stop)`` of the
+decoded vector without materializing the rest.
 
 Each codec gets a :class:`BlockStream`:
 
@@ -289,8 +289,8 @@ def register_stream(codec_name: str, factory) -> None:
 
     ``factory`` is called as ``factory(payload, length)`` and must
     return a :class:`BlockStream`; a class or a plain function both
-    work.  Everything block-oriented (fused evaluation, multiway
-    thresholds, blockwise decode) dispatches through
+    work.  Everything block-oriented (the compressed engine's streamed
+    nodes, multiway thresholds, blockwise decode) dispatches through
     :func:`open_stream`, so registration is all a new codec needs.
     """
     if not codec_name:

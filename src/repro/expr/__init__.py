@@ -7,8 +7,9 @@ subpackage provides the shared machinery:
 * :mod:`repro.expr.nodes` — the expression AST (``Leaf``, ``Not``,
   ``And``, ``Or``, ``Xor``, ``Const``);
 * :mod:`repro.expr.simplify` — algebraic simplification;
-* :mod:`repro.expr.evaluator` — evaluation against a bitmap fetcher with
-  common-subexpression elimination and scan/operation accounting;
+* :mod:`repro.expr.evaluator` — evaluation against a bitmap fetcher,
+  one destination-passing walk per word range, with scan/operation
+  accounting;
 * :mod:`repro.expr.planner` — a brute-force planner that finds the
   minimal number of bitmap scans needed to answer a query under an
   arbitrary bitmap catalog (used to validate the hand-derived evaluation
@@ -16,15 +17,11 @@ subpackage provides the shared machinery:
 """
 
 from repro.expr.evaluator import (
+    BLOCK_WORDS,
     EvalStats,
     evaluate,
     expression_operation_count,
     expression_scan_count,
-)
-from repro.expr.fused import (
-    DEFAULT_BLOCK_WORDS,
-    evaluate_fused,
-    evaluate_fused_streams,
 )
 from repro.expr.nodes import (
     And,
@@ -42,7 +39,7 @@ from repro.expr.nodes import (
     xor_of,
     zero,
 )
-from repro.expr.planner import minimal_scan_cost, plan_expression, plan_physical
+from repro.expr.planner import minimal_scan_cost, plan_expression
 from repro.expr.render import to_dot, to_tree
 from repro.expr.simplify import simplify
 from repro.expr.threshold import (
@@ -81,15 +78,12 @@ __all__ = [
     "zero",
     "simplify",
     "evaluate",
-    "evaluate_fused",
-    "evaluate_fused_streams",
-    "DEFAULT_BLOCK_WORDS",
+    "BLOCK_WORDS",
     "EvalStats",
     "expression_scan_count",
     "expression_operation_count",
     "minimal_scan_cost",
     "plan_expression",
-    "plan_physical",
     "to_tree",
     "to_dot",
 ]

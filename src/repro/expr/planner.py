@@ -16,11 +16,6 @@ cardinalities where we verify the paper's theorems.
 :func:`plan_expression` additionally constructs a witness expression
 (an OR of signature atoms), which the test-suite evaluates to confirm
 the hand-derived per-scheme equations are both correct and scan-minimal.
-
-:func:`plan_physical` is the *physical* counterpart: given a constituent
-expression that is already scan-minimal, it decides whether the engine
-should evaluate it fused (block-at-a-time, see :mod:`repro.expr.fused`)
-or materializing, per subtree.
 """
 
 from __future__ import annotations
@@ -119,33 +114,3 @@ def plan_expression(
         return or_of(terms)
     raise PlanningError("internal error: cost found but no witness subset")
 
-
-# ---------------------------------------------------------------------------
-# Physical planning: fused vs materializing
-# ---------------------------------------------------------------------------
-
-
-def plan_physical(expr: Expr, length: int, block_words: int | None = None) -> str:
-    """``"fused"`` or ``"materialize"`` for one constituent subtree.
-
-    Fusion pays off when intermediates would otherwise stream through
-    main memory, so it needs (a) a vector long enough to span several
-    blocks — short vectors already fit whole in L2, and the per-block
-    numpy dispatch would cost more than it saves — and (b) at least two
-    logical operations, since with zero or one there is no intermediate
-    to eliminate.  Both accounting paths charge identically, so this
-    decision is pure physics: it can never change a query's cost-model
-    numbers, only its wall-clock.
-    """
-    from repro.expr.evaluator import expression_operation_count
-    from repro.expr.fused import DEFAULT_BLOCK_WORDS, clamp_block_words
-
-    if block_words is None:
-        block_words = DEFAULT_BLOCK_WORDS
-    block_words = clamp_block_words(block_words)
-    words = (length + 63) // 64
-    if words < 2 * block_words:
-        return "materialize"
-    if expression_operation_count(expr) < 2:
-        return "materialize"
-    return "fused"

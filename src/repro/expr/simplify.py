@@ -22,11 +22,9 @@ Two deliberate non-rewrites under :class:`~repro.expr.threshold.Threshold`:
 * children are **never deduplicated** — threshold operands are a
   multiset, and a duplicated child legitimately counts twice;
 * a child containing a ``Not`` anywhere is left **untouched** (not even
-  recursively simplified).  Rewriting under a threshold changes which
-  NOT nodes the fused evaluator folds into counter inputs, and the
-  equivalence of folded complements under counting (rather than
-  boolean) combination is guaranteed only for the tree the differential
-  suite verified — the conservative rule keeps simplification inside
+  recursively simplified).  Complements under counting (rather than
+  boolean) combination are verified only for the trees the differential
+  suite generates — the conservative rule keeps simplification inside
   that envelope.  See ``tests/expr/test_threshold.py``.
 """
 

@@ -24,12 +24,12 @@ Helpers:
   equal-cost children into ``Threshold(1, ...)`` so wide membership
   unions evaluate as a single multi-way counting pass.
 
-Evaluation lives with the other node types: the materializing
-evaluator counts via :func:`repro.compress.multiway.threshold_vectors`,
-the fused evaluator keeps a per-plan
-:class:`~repro.compress.multiway.ThresholdCounter` and counts block by
-block, and the compressed engine streams payloads through
-:func:`repro.compress.multiway.multiway_threshold`.  A threshold over
+Evaluation lives with the other node types: the decoded evaluator
+counts each word range through a
+:class:`~repro.compress.multiway.ThresholdCounter` from its per-thread
+arena, and the compressed engine streams payloads through
+:func:`repro.compress.multiway.multiway_threshold` (or counts decoded
+words with :func:`repro.compress.multiway.threshold_vectors`).  A threshold over
 ``n`` children charges ``n`` bulk operations to the cost model
 (``n`` counter additions; the compare is folded into the last), keeping
 :func:`repro.expr.evaluator.expression_operation_count` exact across

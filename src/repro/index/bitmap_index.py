@@ -270,7 +270,7 @@ class BitmapIndex:
 
         The single place the build-time permutation re-enters query
         evaluation: both engines call it on their *final* answer, so
-        everything upstream — compressed-domain ops, fused evaluation,
+        everything upstream — compressed-domain ops, range-wise evaluation,
         thresholds, shared-scan batching — runs untouched in sorted
         space.  A no-op (the same object) for unreordered indexes.
         """
@@ -296,21 +296,14 @@ class BitmapIndex:
         buffer_pages: int | None = None,
         clock: CostClock | None = None,
         strategy: str = "component-wise",
-        **kwargs,
     ) -> QueryEngine:
         """A query engine over this index.
 
         ``buffer_pages`` defaults to a pool comfortably larger than the
         index (the paper notes 11 MB was adequate for its runs).
-        Additional keyword arguments (``fused``, ``block_words``) pass
-        through to :class:`~repro.index.evaluation.QueryEngine`.
         """
         return QueryEngine(
-            self,
-            buffer_pages=buffer_pages,
-            clock=clock,
-            strategy=strategy,
-            **kwargs,
+            self, buffer_pages=buffer_pages, clock=clock, strategy=strategy
         )
 
     def query(
@@ -318,8 +311,8 @@ class BitmapIndex:
     ) -> EvaluationResult:
         """One-shot convenience evaluation with a fresh default engine.
 
-        Keyword arguments (``strategy``, ``fused``, ``block_words``,
-        ...) configure the throwaway engine.
+        Keyword arguments (``buffer_pages``, ``clock``, ``strategy``)
+        configure the throwaway engine.
         """
         return self.engine(**engine_kwargs).execute(query)
 

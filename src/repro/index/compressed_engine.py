@@ -28,9 +28,8 @@ observe:
 
 The ``CostClock`` charge is the same on both paths — the bytes a node
 reads (encoded bytes of a leaf, word bytes of a decoded value), no
-decompression charge — so, as with fused vs materialized evaluation,
-the choice never changes a simulated number; the
-``compress.physical{path=}`` counter makes it visible.  The
+decompression charge — so the choice never changes a simulated number;
+the ``compress.physical{path=}`` counter makes it visible.  The
 ``bench_compressed_ops`` benchmark quantifies the saving against the
 standard decompress-then-operate engine.
 """

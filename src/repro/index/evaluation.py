@@ -35,19 +35,22 @@ from dataclasses import dataclass, field
 from repro import obs as _obs
 from repro.bitmap import BitVector, or_all
 from repro.errors import QueryError
-from repro.expr import (
-    DEFAULT_BLOCK_WORDS,
-    EvalStats,
-    Expr,
-    evaluate,
-    evaluate_fused,
-    plan_physical,
-)
+from repro.expr import EvalStats, Expr, evaluate
 from repro.queries.model import IntervalQuery, MembershipQuery, ThresholdQuery
 from repro.storage import BufferPool, BufferStats, CostClock
 
 STRATEGIES = ("component-wise", "query-wise", "scheduled")
-FUSED_MODES = (True, False, "auto")
+
+# The engine looks ``evaluate`` up as this module's global at each call,
+# so a wrapper patched onto the name sees every constituent evaluation.
+# Deprecated: the engine never calls the next two names, but perfbench's
+# per-layer tracer still wraps them.  Delete them with its wrappers.
+evaluate_fused = evaluate
+
+
+def plan_physical(expr: Expr, length: int, block_words: int | None = None) -> str:
+    """Deprecated: every constituent takes the one path, :func:`evaluate`."""
+    return "evaluate"
 
 
 def query_class_of(
@@ -127,21 +130,13 @@ class QueryEngine:
         buffer_pages: int | None = None,
         clock: CostClock | None = None,
         strategy: str = "component-wise",
-        fused: bool | str = "auto",
-        block_words: int = DEFAULT_BLOCK_WORDS,
     ):
         if strategy not in STRATEGIES:
             raise QueryError(
                 f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
             )
-        if fused not in FUSED_MODES:
-            raise QueryError(
-                f"unknown fused mode {fused!r}; expected one of {FUSED_MODES}"
-            )
         self.index = index
         self.strategy = strategy
-        self.fused = fused
-        self.block_words = int(block_words)
         self.clock = clock if clock is not None else CostClock()
         if buffer_pages is None:
             # Default: the whole decoded index fits (the paper's 11 MB
@@ -251,7 +246,7 @@ class QueryEngine:
         words = max(1, -(-length // 64))
         before = stats.operations
         results = [
-            self._evaluate_expr(expr, length, stats, cache)
+            evaluate(expr, self.pool.fetch, length, stats, cache)
             for expr in constituents
         ]
         if len(results) > 1:
@@ -266,37 +261,6 @@ class QueryEngine:
         return self.index.restore_row_order(answer)
 
     # ------------------------------------------------------------------
-
-    def _evaluate_expr(
-        self,
-        expr: Expr,
-        length: int,
-        stats: EvalStats,
-        cache: dict[Hashable, BitVector],
-    ) -> BitVector:
-        """Evaluate one constituent, fused or materializing.
-
-        Both physical plans fetch leaves through :attr:`pool` in the
-        same depth-first first-touch order against the same ``cache``
-        and charge identical scans/operations, so the choice is
-        invisible to the cost model — only wall-clock and allocation
-        traffic differ.
-        """
-        if self.fused is True:
-            return evaluate_fused(
-                expr, self.pool.fetch, length, stats, cache,
-                block_words=self.block_words,
-            )
-        if self.fused == "auto":
-            if plan_physical(expr, length, self.block_words) == "fused":
-                return evaluate_fused(
-                    expr, self.pool.fetch, length, stats, cache,
-                    block_words=self.block_words,
-                )
-            o = _obs.active()
-            if o is not None:
-                o.count("expr.fused.materialize_fallbacks", 1)
-        return evaluate(expr, self.pool.fetch, length, stats, cache)
 
     def _component_wise(
         self, constituents: list[Expr], length: int, stats: EvalStats
@@ -316,7 +280,7 @@ class QueryEngine:
                 stats.scans += 1
                 stats.fetched_keys.append(key)
         results = [
-            self._evaluate_expr(expr, length, stats, cache)
+            evaluate(expr, self.pool.fetch, length, stats, cache)
             for expr in constituents
         ]
         if len(results) == 1:
@@ -331,7 +295,7 @@ class QueryEngine:
         answer: BitVector | None = None
         for expr in constituents:
             cache: dict[Hashable, BitVector] = {}
-            result = self._evaluate_expr(expr, length, stats, cache)
+            result = evaluate(expr, self.pool.fetch, length, stats, cache)
             if answer is None:
                 # A bare-leaf constituent evaluates to the pool-resident
                 # vector itself (read-only under a mapped store), so the

@@ -289,7 +289,7 @@ class QueryRewriter:
         ``Threshold(1, constituents)`` — a single multi-way counting
         pass over the union of the constituents' bitmaps, with no
         pairwise OR intermediates.  This is the hybrid-encoding path
-        the compressed engine and the fused evaluator collapse into one
+        the compressed engine and the decoded evaluator collapse into one
         scan of each input.
         """
         constituents = self.rewrite_membership(query)

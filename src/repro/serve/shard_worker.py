@@ -90,7 +90,6 @@ class ShardEngine:
         values,
         spec: IndexSpec,
         engine: str = "decoded",
-        fused: bool | str = "auto",
         cache_entries: int = 256,
         buffer_pages: int | None = None,
         segment_size: int = DEFAULT_SEGMENT_SIZE,
@@ -99,7 +98,6 @@ class ShardEngine:
     ):
         self.spec = spec
         self.engine_kind = engine
-        self.fused = fused
         self.buffer_pages = buffer_pages
         self.max_batch = max_batch
         if index is not None:
@@ -338,10 +336,7 @@ class ShardEngine:
                 segment, buffer_pages=self.buffer_pages, clock=self.clock
             )
         return QueryEngine(
-            segment,
-            buffer_pages=self.buffer_pages,
-            clock=self.clock,
-            fused=self.fused,
+            segment, buffer_pages=self.buffer_pages, clock=self.clock
         )
 
     def _shared_scan(

@@ -98,6 +98,8 @@ Query = IntervalQuery | MembershipQuery | ThresholdQuery
 ENGINES = ("decoded", "compressed")
 
 TRANSPORTS = ("inline", "process")
+#: Values the deprecated :attr:`ServiceConfig.fused` field accepts.
+_FUSED_MODES = (True, False, "auto")
 
 _CLOSE = "__close__"
 _REBUILD = "__rebuild__"
@@ -139,9 +141,9 @@ class ServiceConfig:
     #: ``"decoded"`` (BufferPool + BitVector ops) or ``"compressed"``
     #: (payload pool + compressed-domain ops).
     engine: str = "decoded"
-    #: Physical evaluation mode for the decoded engine: ``"auto"``
-    #: (planner decides per constituent), ``True`` (always fused) or
-    #: ``False`` (always materializing).  See ``docs/zero_copy.md``.
+    #: Deprecated no-op, still validated: the decoded engine has one
+    #: physical path (``docs/zero_copy.md``).  Accepts ``"auto"``,
+    #: ``True`` or ``False``.
     fused: bool | str = "auto"
 
     def __post_init__(self) -> None:
@@ -154,6 +156,11 @@ class ServiceConfig:
         if self.engine not in ENGINES:
             raise ServeError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
+            )
+        if self.fused not in _FUSED_MODES:
+            raise ServeError(
+                f"unknown fused mode {self.fused!r}; "
+                f"expected one of {_FUSED_MODES}"
             )
 
 
@@ -195,7 +202,6 @@ def _engine_options(config: ServiceConfig) -> dict:
     """The :class:`ShardEngine` keyword arguments ``config`` sets."""
     return {
         "engine": config.engine,
-        "fused": config.fused,
         "cache_entries": config.cache_entries,
         "buffer_pages": config.buffer_pages,
         "max_batch": config.max_batch,

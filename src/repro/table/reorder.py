@@ -26,7 +26,7 @@ This module provides that pass:
   tail-append paths (segments, shards) keep working unchanged.
 
 Everything between build and result mapping — compressed-domain ops,
-fused evaluation, thresholds, serving — operates purely in sorted
+expression evaluation, thresholds, serving — operates purely in sorted
 space and needs no knowledge of the permutation.
 """
 

@@ -4,8 +4,8 @@ Mirrors ``test_differential.py`` for the PR-10 codecs: every operation
 must agree bit-for-bit with the decompress-operate oracle.  Lengths hit
 the new alignment boundaries on top of the old ones — 2^16 ± 1 (the
 roaring container edge the auto selector measures per chunk) and
-131072 ± 1 bits (the fused evaluator's 2048-word default block, which
-the mixed-codec combine and the two new streams must straddle).  Auto
+131072 ± 1 bits (the streams' 2048-word default block, which the
+mixed-codec combine and the two new streams must straddle).  Auto
 gets the extra mixed-codec cases: operand pairs whose payloads carry
 *different* inner codecs, which no fixed codec ever faces.
 """
@@ -29,7 +29,7 @@ from repro.workload.markov import markov_bitmap
 
 NEW_CODECS = ("position_list", "range_list", "auto")
 
-# Old boundaries plus the roaring-chunk and fused-block edges.
+# Old boundaries plus the roaring-chunk and stream-block edges.
 BOUNDARY_LENGTHS = sorted(
     {0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129}
     | {2**16 - 1, 2**16, 2**16 + 1}

@@ -1,24 +1,23 @@
-"""Fused block-at-a-time evaluation: correctness, accounting, planning."""
+"""Fixed-example tests of :func:`repro.expr.evaluate` over several ranges.
+
+The hypothesis suite beside it (``test_fused_differential``) owns the
+naive-scan differential; these pin named cases on a vector of three
+word ranges with a ragged tail: answers, range independence, the
+shared-cache accounting, the obs counters and codec-decoded leaves.
+(The module keeps its historical name and test names, from when it
+tested a separate fused evaluator.)
+"""
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.bitmap import BitVector
-from repro.compress import get_codec, open_stream
+from repro.compress import get_codec
 from repro.errors import BitmapError
-from repro.expr import (
-    DEFAULT_BLOCK_WORDS,
-    EvalStats,
-    evaluate,
-    evaluate_fused,
-    evaluate_fused_streams,
-    leaf,
-    one,
-    plan_physical,
-    zero,
-)
-from repro.expr.fused import MAX_BLOCK_WORDS, MIN_BLOCK_WORDS, clamp_block_words
+from repro.expr import EvalStats, evaluate, leaf, one, zero
+from repro.expr.evaluator import BLOCK_WORDS
+from tests.expr.test_fused_differential import check_evaluate, naive
 
 
 def make_bitmaps(length, seed=0, keys="abcd"):
@@ -29,8 +28,9 @@ def make_bitmaps(length, seed=0, keys="abcd"):
     }
 
 
-# Spans several blocks at the smallest block size, with a ragged tail.
-LENGTH = MIN_BLOCK_WORDS * 64 * 3 + 17
+RANGE_BITS = BLOCK_WORDS * 64
+# Three ranges, the last one ragged.
+LENGTH = 2 * RANGE_BITS + 17
 BITMAPS = make_bitmaps(LENGTH)
 
 EXPRS = [
@@ -43,141 +43,99 @@ EXPRS = [
     (leaf("a") | one()) ^ (leaf("b") & zero()),
     ~~leaf("a") & ~(~leaf("b")),
 ]
+IDS = [str(i) for i in range(len(EXPRS))]
 
 
 class TestCorrectness:
-    @pytest.mark.parametrize("expr", EXPRS, ids=[str(i) for i in range(len(EXPRS))])
+    @pytest.mark.parametrize("expr", EXPRS, ids=IDS)
     def test_matches_materializing(self, expr):
-        reference = evaluate(expr, BITMAPS.get, LENGTH)
-        fused = evaluate_fused(
-            expr, BITMAPS.get, LENGTH, block_words=MIN_BLOCK_WORDS
-        )
-        assert fused == reference
+        check_evaluate(expr, BITMAPS, LENGTH)
 
     def test_padding_bits_clean_after_folded_not(self):
-        # A folded complement sets padding bits inside blocks; the final
-        # mask must clear them so count()/to_indices() stay correct.
+        # A complement sets padding bits; the final mask must clear
+        # them so count()/to_indices() stay correct.
         length = 100
         vec = BitVector.from_indices(length, [0, 99])
-        result = evaluate_fused(~leaf("a"), {"a": vec}.get, length)
+        result = evaluate(~leaf("a"), {"a": vec}.get, length)
         assert result.count() == length - 2
         assert int(result.words[-1]) >> (length % 64) == 0
 
     def test_result_does_not_alias_fetched_bitmap(self):
         original = bool(BITMAPS["a"][10])
-        result = evaluate_fused(leaf("a"), BITMAPS.get, LENGTH)
+        result = evaluate(leaf("a") | zero(), BITMAPS.get, LENGTH)
         result[10] = not original
         assert bool(BITMAPS["a"][10]) == original
 
     def test_block_size_invariance(self):
+        # The first range of a long vector equals the same expression
+        # over just that range's bits: range edges move no answer bit.
         expr = (~leaf("a") | leaf("b")) & ~(leaf("c") ^ leaf("d"))
-        reference = evaluate_fused(expr, BITMAPS.get, LENGTH)
-        for block_words in (MIN_BLOCK_WORDS, 1024, MAX_BLOCK_WORDS):
-            assert (
-                evaluate_fused(
-                    expr, BITMAPS.get, LENGTH, block_words=block_words
-                )
-                == reference
-            )
+        whole = evaluate(expr, BITMAPS.get, LENGTH).to_bools()
+        head = {
+            key: BitVector.from_bools(vec.to_bools()[:RANGE_BITS])
+            for key, vec in BITMAPS.items()
+        }
+        part = evaluate(expr, head.get, RANGE_BITS).to_bools()
+        assert part.tolist() == whole[:RANGE_BITS].tolist()
 
     def test_length_mismatch_detected(self):
         with pytest.raises(BitmapError):
-            evaluate_fused(leaf("a"), BITMAPS.get, LENGTH + 1)
+            evaluate(leaf("a"), BITMAPS.get, LENGTH + 1)
 
 
 class TestAccounting:
-    @pytest.mark.parametrize("expr", EXPRS, ids=[str(i) for i in range(len(EXPRS))])
+    @pytest.mark.parametrize("expr", EXPRS, ids=IDS)
     def test_stats_match_materializing(self, expr):
-        mat, fus = EvalStats(), EvalStats()
-        evaluate(expr, BITMAPS.get, LENGTH, mat)
-        evaluate_fused(expr, BITMAPS.get, LENGTH, fus)
-        assert fus.scans == mat.scans
-        assert fus.operations == mat.operations
-        assert fus.fetched_keys == mat.fetched_keys
+        # A second evaluation against the same cache fetches nothing
+        # but charges the same operations and gives the same answer.
+        cache, first, second = {}, EvalStats(), EvalStats()
+        a = evaluate(expr, BITMAPS.get, LENGTH, first, cache)
+        b = evaluate(expr, BITMAPS.get, LENGTH, second, cache)
+        assert a == b
+        assert first.scans == len(first.fetched_keys) == len(expr.leaf_keys())
+        assert (second.scans, second.fetched_keys) == (0, [])
+        assert second.operations == first.operations
 
     def test_shared_cache_suppresses_refetch(self):
         cache, stats = {}, EvalStats()
-        evaluate_fused(leaf("a") & leaf("b"), BITMAPS.get, LENGTH, stats, cache)
-        evaluate_fused(leaf("a") | leaf("c"), BITMAPS.get, LENGTH, stats, cache)
+        evaluate(leaf("a") & leaf("b"), BITMAPS.get, LENGTH, stats, cache)
+        evaluate(leaf("a") | leaf("c"), BITMAPS.get, LENGTH, stats, cache)
         assert stats.scans == 3
 
     def test_cse_charge_is_memoized(self):
         shared = leaf("a") & leaf("b")
         stats = EvalStats()
-        evaluate_fused(shared | shared, BITMAPS.get, LENGTH, stats)
-        # Logical charge matches the materializing memo: AND once + OR.
+        evaluate(shared | shared, BITMAPS.get, LENGTH, stats)
+        # The logical charge counts the repeated AND once, plus the OR.
         assert stats.operations == 2
 
     def test_obs_counters(self):
-        expr = ~(leaf("a") & ~leaf("b"))
         with obs.observed() as o:
-            evaluate_fused(
-                expr, BITMAPS.get, LENGTH, block_words=MIN_BLOCK_WORDS
-            )
-        words = -(-LENGTH // 64)
-        expected_blocks = -(-words // MIN_BLOCK_WORDS)
-        assert o.counter_total("expr.fused.blocks") == expected_blocks
-        assert o.counter_total("expr.fused.not_folds") == 2
-        assert o.metrics.find("expr.intermediate_allocs", mode="fused").value == 0
+            evaluate(~(leaf("a") & ~leaf("b")), BITMAPS.get, LENGTH)
+        assert o.counter_total("expr.fused.blocks") == 3  # word ranges
 
     def test_materializing_counts_intermediates(self):
-        expr = ~(leaf("a") & leaf("b"))
         with obs.observed() as o:
-            evaluate(expr, BITMAPS.get, LENGTH)
-        found = o.metrics.find("expr.intermediate_allocs", mode="materialize")
-        assert found.value == 2  # the AND copy + the NOT
+            evaluate(~(leaf("a") & leaf("b")) | leaf("c"), BITMAPS.get, LENGTH)
+        assert o.metrics.find("expr.intermediate_allocs").value == 0
 
 
 class TestStreams:
     @pytest.mark.parametrize("codec", ["raw", "bbc", "wah", "ewah", "roaring"])
     def test_encoded_leaves_stream(self, codec):
-        payloads = {
-            key: get_codec(codec).encode(vec) for key, vec in BITMAPS.items()
+        impl = get_codec(codec)
+        decoded = {
+            key: impl.decode_view(impl.encode(vec), LENGTH)
+            for key, vec in BITMAPS.items()
         }
-
-        def open_leaf(key):
-            return open_stream(codec, payloads[key], LENGTH)
-
         expr = (~leaf("a") | leaf("b")) & ~(leaf("c") ^ leaf("d"))
-        reference = evaluate(expr, BITMAPS.get, LENGTH)
         stats = EvalStats()
-        result = evaluate_fused_streams(
-            expr, open_leaf, LENGTH, stats, block_words=MIN_BLOCK_WORDS
-        )
-        assert result == reference
+        result = evaluate(expr, decoded.get, LENGTH, stats)
+        assert result.to_bools().tolist() == naive(expr, BITMAPS, LENGTH).tolist()
         assert stats.scans == 4
 
     def test_stream_length_mismatch_detected(self):
-        payload = get_codec("ewah").encode(BITMAPS["a"])
-
-        def open_leaf(key):
-            return open_stream("ewah", payload, LENGTH)
-
+        impl = get_codec("ewah")
+        short = impl.decode(impl.encode(BITMAPS["a"]), LENGTH)
         with pytest.raises(BitmapError):
-            evaluate_fused_streams(leaf("a"), open_leaf, LENGTH - 1)
-
-
-class TestPlanner:
-    def test_small_vectors_materialize(self):
-        expr = leaf("a") & leaf("b") & leaf("c")
-        assert plan_physical(expr, 1000) == "materialize"
-
-    def test_trivial_expressions_materialize(self):
-        long_enough = DEFAULT_BLOCK_WORDS * 64 * 4
-        assert plan_physical(leaf("a"), long_enough) == "materialize"
-        assert plan_physical(~leaf("a"), long_enough) == "materialize"
-
-    def test_large_compound_fuses(self):
-        expr = leaf("a") & leaf("b") & leaf("c")
-        assert plan_physical(expr, DEFAULT_BLOCK_WORDS * 64 * 4) == "fused"
-
-    def test_threshold_scales_with_block_size(self):
-        expr = leaf("a") & leaf("b") & leaf("c")
-        length = MIN_BLOCK_WORDS * 64 * 2
-        assert plan_physical(expr, length, MIN_BLOCK_WORDS) == "fused"
-        assert plan_physical(expr, length - 64, MIN_BLOCK_WORDS) == "materialize"
-
-    def test_clamp(self):
-        assert clamp_block_words(1) == MIN_BLOCK_WORDS
-        assert clamp_block_words(10**9) == MAX_BLOCK_WORDS
-        assert clamp_block_words(1024) == 1024
+            evaluate(leaf("a") & leaf("b"), {"a": short, "b": short}.get, LENGTH - 1)

@@ -2,8 +2,9 @@
 
 Three independent answers must agree bit-for-bit:
 
-* ``Threshold(k, ...)`` through the real evaluators — materializing,
-  compressed-domain multiway kernel per codec, and the index engines;
+* ``Threshold(k, ...)`` through the real evaluators — the decoded
+  evaluator, compressed-domain multiway kernel per codec, and the
+  index engines;
 * the **naive count scan** — numpy integer counts per row, no bitmaps;
 * the **OR/AND-chain expansion** — ``k = 1`` as a pairwise OR fold,
   ``k = N`` as a pairwise AND fold, and general ``k`` (small N) as the
@@ -34,14 +35,12 @@ from repro.expr import (
     Threshold,
     at_least,
     evaluate,
-    evaluate_fused,
     exactly,
     expression_operation_count,
     lower_wide_ors,
     majority,
     simplify,
 )
-from repro.expr.fused import MIN_BLOCK_WORDS
 from repro.expr.nodes import And, Const, Leaf, Not, Or, leaf, one, zero
 from repro.index import BitmapIndex, CompressedQueryEngine, IndexSpec
 from repro.queries import IntervalQuery, MembershipQuery, ThresholdQuery
@@ -174,9 +173,6 @@ class TestChainExpansionOracle:
             expanded = chain_expansion(k, children)
             got = evaluate(node, bitmaps.get, length)
             assert got == evaluate(expanded, bitmaps.get, length), k
-            assert got == evaluate_fused(
-                node, bitmaps.get, length, block_words=MIN_BLOCK_WORDS
-            ), k
 
 
 # Small per-(scheme, codec) indexes for the engine-level sweep.
@@ -234,11 +230,9 @@ def test_threshold_queries_all_schemes_and_codecs(
     oracle = query.matches(values)
     expected = BitVector.from_bools(oracle)
 
-    materialized = index.query(query, fused=False)
-    fused = index.query(query, fused=True, block_words=MIN_BLOCK_WORDS)
-    assert materialized.bitmap == expected, (scheme, codec, str(query))
-    assert fused.bitmap == expected, (scheme, codec, str(query))
-    assert materialized.row_count == int(oracle.sum())
+    decoded = index.query(query)
+    assert decoded.bitmap == expected, (scheme, codec, str(query))
+    assert decoded.row_count == int(oracle.sum())
 
     if codec in COMPRESSED_DOMAIN_CODECS:
         compressed = CompressedQueryEngine(index).execute(query)

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import QueryError
 from repro.index import BitmapIndex, IndexSpec
 from repro.queries import IntervalQuery, MembershipQuery
+from repro.serve import QueryService, ServiceConfig
 from repro.storage import CostClock
 
 
@@ -102,21 +103,27 @@ class TestAnswerOwnership:
     """Query answers belong to the caller: never a read-only view of
     pool/store memory, even when a constituent is a bare leaf."""
 
-    def _single_leaf_query(self, engine_kwargs):
+    def _single_leaf_query(self):
         values = np.arange(120) % 4
         idx = BitmapIndex.build(values, IndexSpec(cardinality=4, scheme="E"))
         # Equality on an E-encoded index is a bare-leaf expression.
-        result = idx.query(IntervalQuery(2, 2, 4), **engine_kwargs)
+        result = idx.query(IntervalQuery(2, 2, 4))
         return idx, result
 
+    # ``fused`` is a deprecated no-op the serving config still accepts:
+    # every value must leave the served answer the caller's to write.
     @pytest.mark.parametrize("fused", [False, True, "auto"])
     def test_answer_is_writable(self, fused):
-        idx, result = self._single_leaf_query({"fused": fused})
+        idx, result = self._single_leaf_query()
         assert result.bitmap.words.flags.writeable
         result.bitmap.words[0] = 0  # must not raise
+        with QueryService(idx, ServiceConfig(fused=fused)) as service:
+            served = service.execute(IntervalQuery(2, 2, 4))
+        assert served.bitmap.words.flags.writeable
+        served.bitmap.words[0] = 0  # must not raise
 
     def test_mutating_answer_leaves_index_intact(self):
-        idx, result = self._single_leaf_query({})
+        idx, result = self._single_leaf_query()
         before = result.row_count
         result.bitmap.words[:] = 0
         assert idx.query(IntervalQuery(2, 2, 4)).row_count == before

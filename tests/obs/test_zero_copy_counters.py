@@ -1,4 +1,4 @@
-"""Zero-copy / fused-path counters: emission and trace export."""
+"""Zero-copy / evaluator counters: emission and trace export."""
 
 import json
 
@@ -6,15 +6,15 @@ import numpy as np
 
 from repro import obs
 from repro.bitmap import BitVector
-from repro.expr import evaluate, evaluate_fused, leaf
-from repro.expr.fused import MIN_BLOCK_WORDS
+from repro.expr import evaluate, leaf
+from repro.expr.evaluator import BLOCK_WORDS
 from repro.index import BitmapIndex, IndexSpec
 from repro.index.persist import load_index, save_index
 from repro.queries import IntervalQuery
 from repro.storage import MappedDirectoryStore
 
 
-def make_bitmaps(length=MIN_BLOCK_WORDS * 64 * 2 + 5, seed=0):
+def make_bitmaps(length=BLOCK_WORDS * 64 * 2 + 5, seed=0):
     rng = np.random.default_rng(seed)
     return {
         key: BitVector.from_bools(rng.random(length) < 0.4)
@@ -46,50 +46,34 @@ class TestStorageCounters:
 class TestFusedCounters:
     def test_fused_counters_emitted(self):
         bitmaps, length = make_bitmaps()
-        expr = ~(leaf("a") & leaf("b"))
         with obs.observed() as o:
-            evaluate_fused(
-                expr, bitmaps.get, length, block_words=MIN_BLOCK_WORDS
-            )
-        assert o.counter_total("expr.fused.blocks") == 3
-        assert o.counter_total("expr.fused.not_folds") == 1
-        assert o.metrics.find("expr.intermediate_allocs", mode="fused").value == 0
+            evaluate(~(leaf("a") & leaf("b")), bitmaps.get, length)
+        assert o.counter_total("expr.fused.blocks") == 3  # word ranges
 
     def test_materialize_mode_counter_is_tagged(self):
+        # One evaluator, one untagged series: no full-length intermediate.
         bitmaps, length = make_bitmaps()
         with obs.observed() as o:
             evaluate(leaf("a") & leaf("b"), bitmaps.get, length)
-        assert o.metrics.find("expr.intermediate_allocs", mode="materialize").value == 1
-        assert o.metrics.find("expr.intermediate_allocs", mode="fused") is None
-
-    def test_materialize_fallback_counted_by_auto_engine(self):
-        # Tiny index: the planner declines fusion for every constituent.
-        values = np.arange(200) % 5
-        index = BitmapIndex.build(values, IndexSpec(cardinality=5, scheme="E"))
-        with obs.observed() as o:
-            index.query(IntervalQuery(1, 3, 5))
-        assert o.counter_total("expr.fused.materialize_fallbacks") >= 1
-        assert o.counter_total("expr.fused.blocks") == 0
+        assert o.metrics.find("expr.intermediate_allocs").value == 0
+        assert o.metrics.find("expr.intermediate_allocs", mode="materialize") is None
 
 
 class TestExport:
     def test_counters_reach_trace_export(self, tmp_path):
         """The --trace-out JSON document carries the new counter families."""
         rng = np.random.default_rng(3)
-        values = rng.integers(0, 8, MIN_BLOCK_WORDS * 64 * 2 + 9)
+        values = rng.integers(0, 8, 70_009)
         index = BitmapIndex.build(
             values, IndexSpec(cardinality=8, scheme="E", codec="raw")
         )
         save_index(index, tmp_path / "idx")
         with obs.observed() as o:
             loaded = load_index(tmp_path / "idx", mapped=True)
-            loaded.query(
-                IntervalQuery(2, 6, 8), block_words=MIN_BLOCK_WORDS
-            )
+            loaded.query(IntervalQuery(2, 6, 8))
         export = json.loads(o.export_json())
         metrics = export["metrics"]
         assert metrics["storage.mmap.maps"]["_"]["value"] > 0
         assert metrics["storage.mmap.view_bytes"]["_"]["value"] > 0
-        fused_allocs = metrics["expr.intermediate_allocs"]["mode=fused"]
-        assert fused_allocs["value"] == 0
+        assert metrics["expr.intermediate_allocs"]["_"]["value"] == 0
         assert metrics["expr.fused.blocks"]["_"]["value"] > 0

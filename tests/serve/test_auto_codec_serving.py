@@ -5,7 +5,7 @@ The adaptive codec's whole point is that one index holds bitmaps under
 transparently.  A skewed clustered column forces the selector to mix
 inner codecs (dense head values vs an ultra-sparse tail), and single
 plus sharded services are checked against the naive scan — decoded
-(fused) and compressed (threshold-capable) engines both.
+and compressed (threshold-capable) engines both.
 """
 
 import numpy as np
@@ -69,7 +69,7 @@ def test_index_actually_mixes_inner_codecs(auto_index):
 
 @pytest.mark.parametrize("engine", ["decoded", "compressed"])
 def test_single_service_auto(auto_index, column, engine):
-    config = ServiceConfig(engine=engine, buffer_pages=16, fused=True)
+    config = ServiceConfig(engine=engine, buffer_pages=16)
     with QueryService(auto_index, config) as service:
         results = service.execute_many(QUERIES)
     for query, result in zip(QUERIES, results):

@@ -92,6 +92,7 @@ class TestConfig:
             {"workers": 0},
             {"max_batch": 0},
             {"call_timeout_s": 0.0},
+            {"fused": "sometimes"},  # deprecated no-op, still validated
         ],
     )
     def test_invalid_rejected(self, kwargs):
