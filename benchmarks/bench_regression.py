@@ -21,7 +21,9 @@ full :mod:`repro.obs` export of an instrumented end-to-end figure run
 :mod:`benchmarks.bench_serving`, so the uploaded artifact doubles as an
 observability sample.  ``serving_sharded_scaling`` records the sharded
 tier's 1-shard vs 4-shard closed-loop throughput and a naive-scan
-differential.
+differential.  ``rewrite_cost`` (report-only, in every mode) records the
+microseconds per ``rewrite_membership`` call on one-component E/C=200
+and I/C=50 rewriters over a seeded ``paper_mix``.
 
 Gates that can fail the run (exit 1):
 
@@ -222,6 +224,9 @@ def run_benchmarks(
     results["obs_export"] = o.export()
 
     results["obs_overhead"] = measure_obs_overhead(n_bits, density)
+
+    # Per-query fixed cost: the rewrite of a membership query.
+    results["rewrite_cost"] = run_rewrite_bench(num_queries=512, repeats=5)
 
     # Expression evaluation wants vectors spanning several word ranges,
     # so it gets its own size: 16x the codec size keeps whole-vector
@@ -586,6 +591,59 @@ def run_expr_eval_bench(n_bits: int, density: float, iters: int) -> dict[str, di
     }
 
 
+#: Layouts the rewrite-cost entry times: (scheme, cardinality), one component.
+REWRITE_LAYOUTS = (("E", 200), ("I", 50))
+
+
+def run_rewrite_bench(num_queries: int, repeats: int) -> dict:
+    """Microseconds per ``rewrite_membership`` call over a seeded paper mix.
+
+    Each layout's rewriter rewrites the same ``paper_mix`` queries
+    ``repeats`` times; a sample is one pass over both layouts' mixes,
+    divided by the number of calls.  The per-layout medians ride along
+    in ``us_per_query``.  Report-only: it tracks the per-query fixed cost
+    beside the kernel timings, and no bound has been set for it.
+    """
+    from repro.encoding import get_scheme
+    from repro.index.rewrite import QueryRewriter
+    from repro.serve.driver import paper_mix
+
+    mixes = {
+        f"{scheme}/C={cardinality}": (
+            QueryRewriter(cardinality, (cardinality,), get_scheme(scheme)),
+            paper_mix(cardinality, num_queries, seed=11),
+        )
+        for scheme, cardinality in REWRITE_LAYOUTS
+    }
+    per_layout: dict[str, list[float]] = {name: [] for name in mixes}
+    samples = []
+    for _ in range(repeats):
+        total = 0.0
+        for name, (rewriter, queries) in mixes.items():
+            t0 = time.perf_counter()
+            for query in queries:
+                rewriter.rewrite_membership(query)
+            elapsed = time.perf_counter() - t0
+            per_layout[name].append(elapsed / len(queries) * 1e6)
+            total += elapsed
+        samples.append(total / (len(mixes) * num_queries))
+    return {
+        **sample_stats(samples),
+        "iterations": repeats,
+        "us_per_query": {
+            name: statistics.median(times) for name, times in per_layout.items()
+        },
+        "params": {
+            "layouts": [f"{s}/C={c}" for s, c in REWRITE_LAYOUTS],
+            "num_queries": num_queries,
+            "mix": "paper_mix, seed 11",
+        },
+        "gate_enforced": False,
+        "gate_skip_reason": "report-only: tracks the per-query rewrite cost; "
+        "no bound is set for it",
+    }
+
+
 def measure_obs_overhead(n_bits: int, density: float, pairs: int = 15) -> dict:
     """Kernel workload timed with observability off vs. installed.
 
@@ -840,6 +898,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{level}: {failure}", file=sys.stderr)
     if adaptive_failures and adaptive["gate_enforced"]:
         return 1
+
+    rewrite = results["rewrite_cost"]
+    per_layout = ", ".join(
+        f"{name} {us:.1f} us" for name, us in rewrite["us_per_query"].items()
+    )
+    print(f"rewrite_membership per query (report-only): {per_layout}")
 
     overhead = results["obs_overhead"]
     print(

@@ -18,15 +18,36 @@ and its (hand-derived, scan-minimal) evaluation equations.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Hashable
+from collections.abc import Callable, Hashable
 
 import numpy as np
 
 from repro.bitmap import BitVector
 from repro.errors import EncodingSchemeError, QueryError
-from repro.expr import Expr, not_of, one, zero
+from repro.expr import Expr, leaf, not_of, one, zero
 
 SlotKey = Hashable
+#: Builds the leaf an expression uses for a slot label.
+LeafFn = Callable[[SlotKey], Expr]
+
+
+class LeafTable(dict):
+    """Interned leaves labelled ``(tag, slot)``, built through ``make_leaf``.
+
+    Calling the table is a leaf constructor: a hybrid scheme tags its
+    parts' slots with it, and the index rewriter tags each component's.
+    """
+
+    def __init__(self, tag: Hashable, make_leaf: LeafFn = leaf):
+        super().__init__()
+        self.tag = tag
+        self.make_leaf = make_leaf
+
+    def __missing__(self, slot: SlotKey) -> Expr:
+        node = self[slot] = self.make_leaf((self.tag, slot))
+        return node
+
+    __call__ = dict.__getitem__
 
 
 class EncodingScheme(ABC):
@@ -37,7 +58,10 @@ class EncodingScheme(ABC):
     conjunction of one-sided queries) :meth:`two_sided_expr`.
 
     All expression builders assume the attribute domain is the integers
-    ``[0, C)``, as in the paper.
+    ``[0, C)``, as in the paper, and build every leaf through the
+    ``make_leaf`` the scheme was constructed with (by default a plain
+    ``Leaf(slot)``; the index rewriter passes a :class:`LeafTable` of
+    ``(component, slot)`` leaves, so no relabelling pass runs).
     """
 
     #: Registry name, e.g. ``"E"``, ``"R"``, ``"I"``.
@@ -48,7 +72,8 @@ class EncodingScheme(ABC):
     #: equality form (Section 6.2).
     prefers_equality: bool = False
 
-    def __init__(self) -> None:
+    def __init__(self, make_leaf: LeafFn = leaf) -> None:
+        self._leaf = make_leaf
         self._catalog_cache: dict[int, dict[SlotKey, frozenset[int]]] = {}
 
     # ------------------------------------------------------------------
@@ -217,4 +242,4 @@ def trivial_domain_expr(cardinality: int) -> Expr | None:
     return None
 
 
-__all__ = ["EncodingScheme", "SlotKey", "trivial_domain_expr", "zero"]
+__all__ = ["EncodingScheme", "LeafFn", "LeafTable", "SlotKey", "trivial_domain_expr", "zero"]

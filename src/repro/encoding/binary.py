@@ -31,7 +31,8 @@ from __future__ import annotations
 
 from repro.encoding.base import EncodingScheme, SlotKey
 from repro.errors import QueryError
-from repro.expr import Expr, and_of, leaf, not_of, one, or_of
+from repro.expr import Expr, and_of, not_of, one, or_of
+from repro.expr.nodes import And
 
 
 def num_slices(cardinality: int) -> int:
@@ -56,7 +57,7 @@ class BinaryEncoding(EncodingScheme):
 
     def _slice(self, bit_index: int, bit_value: int) -> Expr:
         """``B_i`` or its complement."""
-        node = leaf(bit_index)
+        node = self._leaf(bit_index)
         return node if bit_value else not_of(node)
 
     def eq_expr(self, cardinality: int, value: int) -> Expr:
@@ -84,7 +85,7 @@ class BinaryEncoding(EncodingScheme):
         for i in reversed(range(k)):
             bit = (w >> i) & 1
             if bit:
-                terms.append(and_of([*prefix, not_of(leaf(i))]))
+                terms.append(and_of([*prefix, not_of(self._leaf(i))]))
             prefix.append(self._slice(i, bit))
         return or_of(terms)
 
@@ -93,7 +94,11 @@ class BinaryEncoding(EncodingScheme):
             raise QueryError(
                 f"not a two-sided range for C={cardinality}: [{low}, {high}]"
             )
-        return self.le_expr(cardinality, high) & self.ge_expr(cardinality, low)
+        # One flat conjunction: the upper walk is itself an AND when it
+        # has a single term, and nesting it would not be canonical.
+        upper = self.le_expr(cardinality, high)
+        terms = upper.operands if isinstance(upper, And) else (upper,)
+        return and_of([*terms, self.ge_expr(cardinality, low)])
 
 
 __all__ = ["BinaryEncoding", "num_slices"]

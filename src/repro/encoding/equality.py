@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.encoding.base import EncodingScheme, SlotKey
 from repro.errors import QueryError
-from repro.expr import Expr, leaf, not_of, one, or_of
+from repro.expr import Expr, not_of, one, or_of
 
 
 class EqualityEncoding(EncodingScheme):
@@ -32,8 +32,8 @@ class EqualityEncoding(EncodingScheme):
         if cardinality == 1:
             return one()
         if cardinality == 2:
-            return leaf(0) if value == 0 else not_of(leaf(0))
-        return leaf(value)
+            return self._leaf(0) if value == 0 else not_of(self._leaf(0))
+        return self._leaf(value)
 
     def le_expr(self, cardinality: int, value: int) -> Expr:
         self._check_value(cardinality, value)
@@ -55,9 +55,9 @@ class EqualityEncoding(EncodingScheme):
             return self.eq_expr(cardinality, low)
         width = high - low + 1
         if width <= cardinality // 2:
-            return or_of(leaf(v) for v in range(low, high + 1))
-        outside = [leaf(v) for v in range(0, low)]
-        outside += [leaf(v) for v in range(high + 1, cardinality)]
+            return or_of(self._leaf(v) for v in range(low, high + 1))
+        outside = [self._leaf(v) for v in range(0, low)]
+        outside += [self._leaf(v) for v in range(high + 1, cardinality)]
         return not_of(or_of(outside))
 
 

@@ -10,29 +10,11 @@ Slot labels are ``("E", v)`` and ``("I", j)``.
 
 from __future__ import annotations
 
-from repro.encoding.base import EncodingScheme, SlotKey
+from repro.encoding.base import EncodingScheme, LeafFn, LeafTable, SlotKey
 from repro.encoding.equality import EqualityEncoding
 from repro.encoding.interval import IntervalEncoding
 from repro.errors import QueryError
-from repro.expr import Expr
-from repro.expr.nodes import And, Const, Leaf, Not, Or, Xor
-
-
-def _relabel(expr: Expr, tag: str) -> Expr:
-    """Prefix every leaf key of a sub-scheme expression with ``tag``."""
-    if isinstance(expr, Leaf):
-        return Leaf((tag, expr.key))
-    if isinstance(expr, Const):
-        return expr
-    if isinstance(expr, Not):
-        return Not(_relabel(expr.child, tag))
-    if isinstance(expr, And):
-        return And(tuple(_relabel(c, tag) for c in expr.operands))
-    if isinstance(expr, Or):
-        return Or(tuple(_relabel(c, tag) for c in expr.operands))
-    if isinstance(expr, Xor):
-        return Xor(tuple(_relabel(c, tag) for c in expr.operands))
-    raise TypeError(f"unknown expression node {type(expr).__name__}")
+from repro.expr import Expr, leaf
 
 
 class EqualityIntervalEncoding(EncodingScheme):
@@ -41,10 +23,10 @@ class EqualityIntervalEncoding(EncodingScheme):
     name = "EI"
     prefers_equality = True
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._equality = EqualityEncoding()
-        self._interval = IntervalEncoding()
+    def __init__(self, make_leaf: LeafFn = leaf) -> None:
+        super().__init__(make_leaf)
+        self._equality = EqualityEncoding(LeafTable("E", make_leaf))
+        self._interval = IntervalEncoding(LeafTable("I", make_leaf))
 
     def _uses_interval(self, cardinality: int) -> bool:
         return cardinality >= 3
@@ -61,20 +43,20 @@ class EqualityIntervalEncoding(EncodingScheme):
 
     def eq_expr(self, cardinality: int, value: int) -> Expr:
         self._check_value(cardinality, value)
-        return _relabel(self._equality.eq_expr(cardinality, value), "E")
+        return self._equality.eq_expr(cardinality, value)
 
     def le_expr(self, cardinality: int, value: int) -> Expr:
         self._check_value(cardinality, value)
         if not self._uses_interval(cardinality):
-            return _relabel(self._equality.le_expr(cardinality, value), "E")
-        return _relabel(self._interval.le_expr(cardinality, value), "I")
+            return self._equality.le_expr(cardinality, value)
+        return self._interval.le_expr(cardinality, value)
 
     def two_sided_expr(self, cardinality: int, low: int, high: int) -> Expr:
         if not 0 < low < high < cardinality - 1:
             raise QueryError(
                 f"not a two-sided range for C={cardinality}: [{low}, {high}]"
             )
-        return _relabel(self._interval.two_sided_expr(cardinality, low, high), "I")
+        return self._interval.two_sided_expr(cardinality, low, high)
 
 
-__all__ = ["EqualityIntervalEncoding", "_relabel"]
+__all__ = ["EqualityIntervalEncoding"]

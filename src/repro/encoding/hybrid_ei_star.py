@@ -24,8 +24,7 @@ Slot labels are ``("I", j)`` and ``("P", i)``.
 
 from __future__ import annotations
 
-from repro.encoding.base import EncodingScheme, SlotKey
-from repro.encoding.hybrid_ei import _relabel
+from repro.encoding.base import EncodingScheme, LeafFn, LeafTable, SlotKey
 from repro.encoding.interval import IntervalEncoding, interval_params
 from repro.errors import QueryError
 from repro.expr import Expr, leaf, not_of
@@ -44,9 +43,9 @@ class EqualityIntervalStarEncoding(EncodingScheme):
     name = "EI*"
     prefers_equality = True
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._interval = IntervalEncoding()
+    def __init__(self, make_leaf: LeafFn = leaf) -> None:
+        super().__init__(make_leaf)
+        self._interval = IntervalEncoding(LeafTable("I", make_leaf))
 
     def _catalog(self, cardinality: int) -> dict[SlotKey, frozenset[int]]:
         catalog: dict[SlotKey, frozenset[int]] = {
@@ -63,21 +62,21 @@ class EqualityIntervalStarEncoding(EncodingScheme):
         r, m = ei_star_params(cardinality)
         if r:
             if 1 <= value <= r:
-                return leaf(("P", value)) & leaf(("I", 0))
+                return self._leaf(("P", value)) & self._leaf(("I", 0))
             if m + 2 <= value <= m + 1 + r:
-                return leaf(("P", value - m - 1)) & not_of(leaf(("I", 0)))
-        return _relabel(self._interval.eq_expr(cardinality, value), "I")
+                return self._leaf(("P", value - m - 1)) & not_of(self._leaf(("I", 0)))
+        return self._interval.eq_expr(cardinality, value)
 
     def le_expr(self, cardinality: int, value: int) -> Expr:
         self._check_value(cardinality, value)
-        return _relabel(self._interval.le_expr(cardinality, value), "I")
+        return self._interval.le_expr(cardinality, value)
 
     def two_sided_expr(self, cardinality: int, low: int, high: int) -> Expr:
         if not 0 < low < high < cardinality - 1:
             raise QueryError(
                 f"not a two-sided range for C={cardinality}: [{low}, {high}]"
             )
-        return _relabel(self._interval.two_sided_expr(cardinality, low, high), "I")
+        return self._interval.two_sided_expr(cardinality, low, high)
 
 
 __all__ = ["EqualityIntervalStarEncoding", "ei_star_params"]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.encoding.base import EncodingScheme, SlotKey
 from repro.errors import QueryError
-from repro.expr import Expr, leaf, not_of, one
+from repro.expr import Expr, not_of, one
 
 
 class EqualityRangeEncoding(EncodingScheme):
@@ -39,8 +39,8 @@ class EqualityRangeEncoding(EncodingScheme):
         if cardinality == 1:
             return one()
         if cardinality == 2:
-            return leaf(("E", 0)) if value == 0 else not_of(leaf(("E", 0)))
-        return leaf(("E", value))
+            return self._leaf(("E", 0)) if value == 0 else not_of(self._leaf(("E", 0)))
+        return self._leaf(("E", value))
 
     def le_expr(self, cardinality: int, value: int) -> Expr:
         self._check_value(cardinality, value)
@@ -51,7 +51,7 @@ class EqualityRangeEncoding(EncodingScheme):
         if value == cardinality - 2:
             # R^{C-2} = NOT E^{C-1} is virtual.
             return not_of(self.eq_expr(cardinality, cardinality - 1))
-        return leaf(("R", value))
+        return self._leaf(("R", value))
 
     def two_sided_expr(self, cardinality: int, low: int, high: int) -> Expr:
         if not 0 < low < high < cardinality - 1:
@@ -61,7 +61,7 @@ class EqualityRangeEncoding(EncodingScheme):
         # XOR of the two prefixes when both are real range bitmaps;
         # otherwise fall back to the conjunction of one-sided forms.
         if 1 <= low - 1 <= cardinality - 3 and 1 <= high <= cardinality - 3:
-            return leaf(("R", high)) ^ leaf(("R", low - 1))
+            return self._leaf(("R", high)) ^ self._leaf(("R", low - 1))
         return self.le_expr(cardinality, high) & self.ge_expr(cardinality, low)
 
 

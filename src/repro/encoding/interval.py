@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from repro.encoding.base import EncodingScheme, SlotKey
 from repro.errors import QueryError
-from repro.expr import Expr, leaf, not_of, one
+from repro.expr import Expr, not_of, one
 
 
 def interval_params(cardinality: int) -> tuple[int, int]:
@@ -68,19 +68,19 @@ class IntervalEncoding(EncodingScheme):
         if m == 0:
             # C = 2 or C = 3: each stored bitmap is a singleton.
             if value < k:
-                return leaf(value)
+                return self._leaf(value)
             if cardinality == 2:
-                return not_of(leaf(0))
+                return not_of(self._leaf(0))
             # C = 3, value = 2.
-            return not_of(leaf(0) | leaf(1))
+            return not_of(self._leaf(0) | self._leaf(1))
         if value == cardinality - 1:
-            return not_of(leaf(k - 1) | leaf(0))
+            return not_of(self._leaf(k - 1) | self._leaf(0))
         if value < m:
-            return leaf(value) & not_of(leaf(value + 1))
+            return self._leaf(value) & not_of(self._leaf(value + 1))
         if value == m:
-            return leaf(m) & leaf(0)
+            return self._leaf(m) & self._leaf(0)
         # m < value < C - 1: {v} = I^{v-m} \ I^{v-m-1}.
-        return leaf(value - m) & not_of(leaf(value - m - 1))
+        return self._leaf(value - m) & not_of(self._leaf(value - m - 1))
 
     # ------------------------------------------------------------------
     # Equation (5): one-sided range queries
@@ -94,10 +94,10 @@ class IntervalEncoding(EncodingScheme):
             return self.eq_expr(cardinality, 0)
         _, m = interval_params(cardinality)
         if value < m:
-            return leaf(0) & not_of(leaf(value + 1))
+            return self._leaf(0) & not_of(self._leaf(value + 1))
         if value == m:
-            return leaf(0)
-        return leaf(0) | leaf(value - m)
+            return self._leaf(0)
+        return self._leaf(0) | self._leaf(value - m)
 
     # ------------------------------------------------------------------
     # Equation (6): two-sided range queries (derivation in module docstring)
@@ -111,15 +111,15 @@ class IntervalEncoding(EncodingScheme):
         k, m = interval_params(cardinality)
         d = high - low
         if d == m:
-            return leaf(low)
+            return self._leaf(low)
         if d > m:
-            return leaf(low) | leaf(high - m)
+            return self._leaf(low) | self._leaf(high - m)
         # d < m: one of three two-scan forms applies.
         if low <= k - 1:
             if high >= m:
-                return leaf(low) & leaf(high - m)
-            return leaf(low) & not_of(leaf(high + 1))
-        return leaf(high - m) & not_of(leaf(low - m - 1))
+                return self._leaf(low) & self._leaf(high - m)
+            return self._leaf(low) & not_of(self._leaf(high + 1))
+        return self._leaf(high - m) & not_of(self._leaf(low - m - 1))
 
 
 __all__ = ["IntervalEncoding", "interval_params"]

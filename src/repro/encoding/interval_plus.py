@@ -22,7 +22,7 @@ union, and C = 3 needs no special-casing (m' = 1 there).
 
 from __future__ import annotations
 
-from repro.encoding.base import EncodingScheme, SlotKey
+from repro.encoding.base import EncodingScheme, LeafFn, SlotKey
 from repro.encoding.interval import IntervalEncoding
 from repro.errors import QueryError
 from repro.expr import Expr, leaf, not_of, one
@@ -48,9 +48,9 @@ class IntervalPlusEncoding(EncodingScheme):
     name = "I+"
     prefers_equality = False
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._even = IntervalEncoding()
+    def __init__(self, make_leaf: LeafFn = leaf) -> None:
+        super().__init__(make_leaf)
+        self._even = IntervalEncoding(make_leaf)
 
     def _is_odd(self, cardinality: int) -> bool:
         return cardinality % 2 == 1 and cardinality >= 3
@@ -69,14 +69,14 @@ class IntervalPlusEncoding(EncodingScheme):
             return self._even.eq_expr(cardinality, value)
         k, m = interval_plus_params(cardinality)
         if value < m:
-            return leaf(value) & not_of(leaf(value + 1))
+            return self._leaf(value) & not_of(self._leaf(value + 1))
         if value == m:
-            return leaf(m) & leaf(0)
+            return self._leaf(m) & self._leaf(0)
         if value == cardinality - 1:
             # The last bitmap reaches C-1: {C-1} = I^{m} \ I^{m-1}.
-            return leaf(m) & not_of(leaf(m - 1))
+            return self._leaf(m) & not_of(self._leaf(m - 1))
         # m < value < C-1: {v} = I^{v-m} \ I^{v-m-1}.
-        return leaf(value - m) & not_of(leaf(value - m - 1))
+        return self._leaf(value - m) & not_of(self._leaf(value - m - 1))
 
     def le_expr(self, cardinality: int, value: int) -> Expr:
         self._check_value(cardinality, value)
@@ -86,10 +86,10 @@ class IntervalPlusEncoding(EncodingScheme):
         if value == cardinality - 1:
             return one()
         if value < m:
-            return leaf(0) & not_of(leaf(value + 1))
+            return self._leaf(0) & not_of(self._leaf(value + 1))
         if value == m:
-            return leaf(0)
-        return leaf(0) | leaf(value - m)
+            return self._leaf(0)
+        return self._leaf(0) | self._leaf(value - m)
 
     def ge_expr(self, cardinality: int, value: int) -> Expr:
         """``A >= value`` using the odd-C catalog's reflection symmetry.
@@ -106,13 +106,13 @@ class IntervalPlusEncoding(EncodingScheme):
         if value == 0:
             return one()
         if value == m:
-            return leaf(m)
+            return self._leaf(m)
         if value == m + 1:
-            return not_of(leaf(0))
+            return not_of(self._leaf(0))
         if value < m:
-            return leaf(m) | leaf(value)
+            return self._leaf(m) | self._leaf(value)
         # value > m + 1 (includes value == C-1).
-        return leaf(m) & not_of(leaf(value - m - 1))
+        return self._leaf(m) & not_of(self._leaf(value - m - 1))
 
     def two_sided_expr(self, cardinality: int, low: int, high: int) -> Expr:
         if not 0 < low < high < cardinality - 1:
@@ -124,14 +124,14 @@ class IntervalPlusEncoding(EncodingScheme):
         _, m = interval_plus_params(cardinality)
         d = high - low
         if d == m:
-            return leaf(low)
+            return self._leaf(low)
         if d > m:
-            return leaf(low) | leaf(high - m)
+            return self._leaf(low) | self._leaf(high - m)
         if low <= m:
             if high >= m:
-                return leaf(low) & leaf(high - m)
-            return leaf(low) & not_of(leaf(high + 1))
-        return leaf(high - m) & not_of(leaf(low - m - 1))
+                return self._leaf(low) & self._leaf(high - m)
+            return self._leaf(low) & not_of(self._leaf(high + 1))
+        return self._leaf(high - m) & not_of(self._leaf(low - m - 1))
 
 
 __all__ = ["IntervalPlusEncoding", "interval_plus_params"]

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from repro.encoding.base import EncodingScheme, SlotKey
 from repro.errors import QueryError
-from repro.expr import Expr, leaf, not_of, one
+from repro.expr import Expr, not_of, one
 
 _PARITY = "parity"
 
@@ -74,30 +74,30 @@ class OreoEncoding(EncodingScheme):
         c = cardinality
         if c == 1:
             return one()
-        parity = leaf(_parity_key(c))
+        parity = self._leaf(_parity_key(c))
         if value == 0:
             if c == 2:
                 return parity
-            return parity & leaf(1)
+            return parity & self._leaf(1)
         if value == c - 1:
             if value % 2 == 0:
                 # C odd: R^{C-2} exists (C-2 is odd).
-                return not_of(leaf(c - 2))
+                return not_of(self._leaf(c - 2))
             if c == 2:
                 return not_of(parity)
             # C even: complement of A <= C-2 (C-2 even, >= 2).
-            return not_of(leaf(c - 3) | leaf(c - 2))
+            return not_of(self._leaf(c - 3) | self._leaf(c - 2))
         if value % 2 == 0:
             # Interior even value: pair bitmap restricted to evens.
-            return leaf(value) & parity
+            return self._leaf(value) & parity
         # Interior odd value.
         if value + 1 < c - 1:
-            return leaf(value + 1) & not_of(parity)
+            return self._leaf(value + 1) & not_of(parity)
         # value == C-2 (odd, so C is odd) and the pair O^{C-1} is the
         # parity slot instead.
         if value == 1:
-            return leaf(1) & not_of(parity)
-        return (leaf(value) ^ leaf(value - 2)) & not_of(parity)
+            return self._leaf(1) & not_of(parity)
+        return (self._leaf(value) ^ self._leaf(value - 2)) & not_of(parity)
 
     # ------------------------------------------------------------------
 
@@ -109,8 +109,8 @@ class OreoEncoding(EncodingScheme):
         if value == 0:
             return self.eq_expr(c, 0)
         if value % 2:
-            return leaf(value)
-        return leaf(value - 1) | leaf(value)
+            return self._leaf(value)
+        return self._leaf(value - 1) | self._leaf(value)
 
     def two_sided_expr(self, cardinality: int, low: int, high: int) -> Expr:
         if not 0 < low < high < cardinality - 1:
@@ -120,10 +120,10 @@ class OreoEncoding(EncodingScheme):
         if high == low + 1 and low % 2 and high < cardinality - 1:
             # {low, low+1} with odd low is exactly the stored pair
             # bitmap O^{low+1}.
-            return leaf(high)
+            return self._leaf(high)
         if low % 2 == 0 and high % 2:
             # Both prefixes are stored range bitmaps: XOR them.
-            return leaf(high) ^ leaf(low - 1)
+            return self._leaf(high) ^ self._leaf(low - 1)
         return self.le_expr(cardinality, high) & self.ge_expr(cardinality, low)
 
 

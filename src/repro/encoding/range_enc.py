@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.encoding.base import EncodingScheme, SlotKey
 from repro.errors import QueryError
-from repro.expr import Expr, leaf, not_of, one
+from repro.expr import Expr, not_of, one
 
 
 class RangeEncoding(EncodingScheme):
@@ -36,23 +36,23 @@ class RangeEncoding(EncodingScheme):
         if cardinality == 1:
             return one()
         if value == 0:
-            return leaf(0)
+            return self._leaf(0)
         if value == cardinality - 1:
-            return not_of(leaf(cardinality - 2))
-        return leaf(value) ^ leaf(value - 1)
+            return not_of(self._leaf(cardinality - 2))
+        return self._leaf(value) ^ self._leaf(value - 1)
 
     def le_expr(self, cardinality: int, value: int) -> Expr:
         self._check_value(cardinality, value)
         if value == cardinality - 1:
             return one()
-        return leaf(value)
+        return self._leaf(value)
 
     def two_sided_expr(self, cardinality: int, low: int, high: int) -> Expr:
         if not 0 < low < high < cardinality - 1:
             raise QueryError(
                 f"not a two-sided range for C={cardinality}: [{low}, {high}]"
             )
-        return leaf(high) ^ leaf(low - 1)
+        return self._leaf(high) ^ self._leaf(low - 1)
 
 
 __all__ = ["RangeEncoding"]

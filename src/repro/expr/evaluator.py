@@ -144,6 +144,7 @@ def evaluate(
     length: int,
     stats: EvalStats | None = None,
     cache: dict[Hashable, BitVector] | None = None,
+    operations: int | None = None,
 ) -> BitVector:
     """Evaluate ``expr`` into a bit vector of ``length`` bits.
 
@@ -162,6 +163,9 @@ def evaluate(
         Optional bitmap cache shared across several evaluations of the
         same query (the component-wise strategy passes one per query so
         that no bitmap is fetched twice).
+    operations:
+        Bulk operations to charge to ``stats``; defaults to
+        :func:`expression_operation_count` of ``expr``.
 
     A bare :class:`Leaf` evaluates to the fetched vector itself (which
     may be a read-only view); any other expression to a fresh vector.
@@ -174,7 +178,9 @@ def evaluate(
     for node in expr.leaves():
         if node.key not in words:
             words[node.key] = _fetch_leaf(node.key, fetch, length, stats, cache).words
-    stats.operations += expression_operation_count(expr)
+    stats.operations += (
+        expression_operation_count(expr) if operations is None else operations
+    )
     if type(expr) is Leaf:
         return cache[expr.key]
 

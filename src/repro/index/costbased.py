@@ -23,22 +23,22 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Sequence
 
-from repro.encoding.base import EncodingScheme
+from repro.encoding.base import EncodingScheme, LeafFn
 from repro.encoding.equality import EqualityEncoding
-from repro.expr import Expr, leaf, not_of, one, or_of, simplify
-from repro.index.rewrite import QueryRewriter, _relabel_component
+from repro.expr import Expr, leaf, not_of, one, or_of
+from repro.index.rewrite import QueryRewriter
 from repro.storage.store import BitmapStore
 
 
 def equality_interval_candidates(
-    cardinality: int, low: int, high: int
+    cardinality: int, low: int, high: int, make_leaf: LeafFn = leaf
 ) -> list[Expr]:
     """Both Equation (1) forms for an equality-encoded interval."""
     if cardinality <= 2 or (low == 0 and high == cardinality - 1):
         return []
-    inside = or_of(leaf(v) for v in range(low, high + 1))
-    outside_leaves = [leaf(v) for v in range(0, low)] + [
-        leaf(v) for v in range(high + 1, cardinality)
+    inside = or_of(make_leaf(v) for v in range(low, high + 1))
+    outside_leaves = [make_leaf(v) for v in range(0, low)] + [
+        make_leaf(v) for v in range(high + 1, cardinality)
     ]
     candidates = [inside]
     if outside_leaves:
@@ -78,10 +78,9 @@ class CostBasedRewriter(QueryRewriter):
         default = super()._digit_interval(component, low, high)
         if not isinstance(self.scheme, EqualityEncoding):
             return default
-        candidates = [
-            simplify(_relabel_component(candidate, component))
-            for candidate in equality_interval_candidates(base, low, high)
-        ]
+        candidates = equality_interval_candidates(
+            base, low, high, self._leaves[component]
+        )
         if not candidates:
             return default
         return min([default, *candidates], key=self.expression_cost)

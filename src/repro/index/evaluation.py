@@ -7,7 +7,8 @@ problem:
   all constituent interval queries of a membership query are evaluated
   together, with every distinct bitmap fetched exactly once per query
   (a query-local cache sits in front of the buffer pool, and fetches
-  are issued in component order);
+  are issued in component order) and the constituents OR-ed inside one
+  range walk of :func:`~repro.expr.evaluate`;
 * ``"query-wise"`` — constituents are evaluated one at a time with no
   query-local sharing; the shared buffer pool may still hit, but a
   bitmap used by several constituents is re-requested and, under a
@@ -29,20 +30,22 @@ fetch schedules, which the buffer/clock statistics expose.
 
 from __future__ import annotations
 
-from collections.abc import Hashable
-from dataclasses import dataclass, field
+from collections.abc import Hashable, Iterable
+from dataclasses import dataclass
+from functools import cache as _memo
 
 from repro import obs as _obs
-from repro.bitmap import BitVector, or_all
+from repro.bitmap import BitVector
 from repro.errors import QueryError
-from repro.expr import EvalStats, Expr, evaluate
+from repro.expr import EvalStats, Expr, evaluate, expression_operation_count
+from repro.expr.nodes import Or
 from repro.queries.model import IntervalQuery, MembershipQuery, ThresholdQuery
 from repro.storage import BufferPool, BufferStats, CostClock
 
 STRATEGIES = ("component-wise", "query-wise", "scheduled")
 
 # The engine looks ``evaluate`` up as this module's global at each call,
-# so a wrapper patched onto the name sees every constituent evaluation.
+# so a wrapper patched onto the name sees every evaluation.
 # Deprecated: the engine never calls the next two names, but perfbench's
 # per-layer tracer still wraps them.  Delete them with its wrappers.
 evaluate_fused = evaluate
@@ -79,6 +82,21 @@ class EvaluationResult:
     def row_ids(self):
         """Sorted record ids of qualifying records."""
         return self.bitmap.to_indices()
+
+
+@_memo
+def _component_rank(key: Hashable) -> tuple:
+    return key[0], repr(key[1])
+
+
+def component_order(keys: Iterable[Hashable]) -> list[Hashable]:
+    """``(component, slot)`` leaf keys in shared-fetch order.
+
+    Components in order, and within one component slots sorted by their
+    ``repr`` (so mixed slot types compare).  Buffer-pool page counts
+    depend on this order.  A key's rank is computed once per process.
+    """
+    return sorted(keys, key=_component_rank)
 
 
 def schedule_constituents(constituents: list[Expr]) -> list[Expr]:
@@ -203,7 +221,7 @@ class QueryEngine:
         stats = EvalStats()
 
         if self.strategy == "component-wise":
-            answer = self._component_wise(constituents, length, stats)
+            answer = self._component_wise(constituents, stats)
         elif self.strategy == "scheduled":
             answer = self._query_wise(
                 schedule_constituents(constituents), length, stats
@@ -242,51 +260,58 @@ class QueryEngine:
         operations are charged to the engine's clock as in
         :meth:`execute`.
         """
-        length = self.index.num_records
-        words = max(1, -(-length // 64))
+        words = max(1, -(-self.index.num_records // 64))
         before = stats.operations
-        results = [
-            evaluate(expr, self.pool.fetch, length, stats, cache)
-            for expr in constituents
-        ]
-        if len(results) > 1:
-            stats.operations += len(results) - 1
+        answer = self._evaluate_or(constituents, stats, cache)
         self.clock.charge_word_ops(stats.operations - before, words)
-        if len(results) == 1:
-            answer = results[0]
-            if not answer.words.flags.writeable:
-                answer = answer.copy()  # same ownership rule as execute()
-        else:
-            answer = or_all(results)
+        if not answer.words.flags.writeable:
+            answer = answer.copy()  # same ownership rule as execute()
         return self.index.restore_row_order(answer)
 
     # ------------------------------------------------------------------
 
+    def _evaluate_or(
+        self,
+        constituents: list[Expr],
+        stats: EvalStats,
+        cache: dict[Hashable, BitVector],
+    ) -> BitVector:
+        """OR a query's constituents into its answer in one range walk.
+
+        An ``Or`` constituent's operands join the top-level OR directly
+        (the leaf fetch order is unchanged).  The charge is that of
+        evaluating the constituents one by one and OR-ing the results:
+        each constituent's own operation count, with no sharing across
+        constituents, plus ``n - 1`` ORs.
+        """
+        length = self.index.num_records
+        if len(constituents) == 1:
+            return evaluate(constituents[0], self.pool.fetch, length, stats, cache)
+        operations = sum(map(expression_operation_count, constituents))
+        operands = [
+            op for expr in constituents
+            for op in (expr.operands if type(expr) is Or else (expr,))
+        ]
+        return evaluate(
+            Or(tuple(operands)), self.pool.fetch, length, stats, cache,
+            operations + len(constituents) - 1,
+        )
+
     def _component_wise(
-        self, constituents: list[Expr], length: int, stats: EvalStats
+        self, constituents: list[Expr], stats: EvalStats
     ) -> BitVector:
         """Fetch each distinct bitmap once, in component order."""
         cache: dict[Hashable, BitVector] = {}
         # Pre-fetch all leaves ordered by component so that each
         # component's bitmaps are read together (the paper's strategy
         # accesses each component once on behalf of all subqueries).
-        keys = sorted(
-            {key for expr in constituents for key in expr.leaf_keys()},
-            key=lambda key: (key[0], repr(key[1])),
-        )
-        for key in keys:
-            if key not in cache:
-                cache[key] = self.pool.fetch(key)
-                stats.scans += 1
-                stats.fetched_keys.append(key)
-        results = [
-            evaluate(expr, self.pool.fetch, length, stats, cache)
-            for expr in constituents
-        ]
-        if len(results) == 1:
-            return results[0]
-        stats.operations += len(results) - 1
-        return or_all(results)
+        for key in component_order(
+            {key for expr in constituents for key in expr.leaf_keys()}
+        ):
+            cache[key] = self.pool.fetch(key)
+            stats.scans += 1
+            stats.fetched_keys.append(key)
+        return self._evaluate_or(constituents, stats, cache)
 
     def _query_wise(
         self, constituents: list[Expr], length: int, stats: EvalStats

@@ -15,8 +15,11 @@ a bitmap-level expression whose leaves are ``(component, slot)`` pairs:
    two-sided ranges;
 3. *predicate rewrite* — each digit-level predicate is expanded with
    the component scheme's one-component evaluation equations
-   (Equations 1, 2, 4-6), with leaf keys relabelled to
-   ``(component, slot)``.
+   (Equations 1, 2, 4-6), bound to interned ``(component, slot)`` leaves.
+
+A multi-component rewrite is normalized with :func:`~repro.expr.simplify`;
+a one-component rewrite is the scheme's own equation, which every scheme
+emits in canonical form (``tests/index/test_rewrite.py`` checks C <= 40).
 
 Component positions follow the paper: component n is the most
 significant.  Internally components are numbered by their position in
@@ -28,31 +31,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.encoding.base import EncodingScheme
+from repro.encoding.base import EncodingScheme, LeafTable
 from repro.errors import QueryError
-from repro.expr import Expr, and_of, not_of, one, or_of, simplify, zero
-from repro.expr.nodes import And, Const, Leaf, Not, Or, Xor
+from repro.expr import Expr, and_of, not_of, one, or_of, simplify
 from repro.expr.threshold import Threshold
 from repro.index.decompose import decompose_value, validate_bases
 from repro.queries.model import IntervalQuery, MembershipQuery, ThresholdQuery
 from repro.queries.rewrite import minimal_intervals
-
-
-def _relabel_component(expr: Expr, component: int) -> Expr:
-    """Rewrite a one-component expression's leaves to (component, slot)."""
-    if isinstance(expr, Leaf):
-        return Leaf((component, expr.key))
-    if isinstance(expr, Const):
-        return expr
-    if isinstance(expr, Not):
-        return Not(_relabel_component(expr.child, component))
-    if isinstance(expr, And):
-        return And(tuple(_relabel_component(c, component) for c in expr.operands))
-    if isinstance(expr, Or):
-        return Or(tuple(_relabel_component(c, component) for c in expr.operands))
-    if isinstance(expr, Xor):
-        return Xor(tuple(_relabel_component(c, component) for c in expr.operands))
-    raise TypeError(f"unknown expression node {type(expr).__name__}")
 
 
 class QueryRewriter:
@@ -79,25 +64,25 @@ class QueryRewriter:
         self.bases = validate_bases(bases, cardinality)
         self.scheme = scheme
         self.num_components = len(self.bases)
+        self._leaves = [LeafTable(c) for c in range(self.num_components)]
+        self._schemes = [type(scheme)(table) for table in self._leaves]
 
     # ------------------------------------------------------------------
     # Per-digit predicate expansion (rewrite step 3)
     # ------------------------------------------------------------------
 
     def _digit_eq(self, component: int, digit: int) -> Expr:
-        base = self.bases[component]
-        return _relabel_component(self.scheme.eq_expr(base, digit), component)
+        return self._schemes[component].eq_expr(self.bases[component], digit)
 
     def _digit_le(self, component: int, digit: int) -> Expr:
         base = self.bases[component]
         if digit >= base - 1:
             return one()
-        return _relabel_component(self.scheme.le_expr(base, digit), component)
+        return self._schemes[component].le_expr(base, digit)
 
     def _digit_interval(self, component: int, low: int, high: int) -> Expr:
-        base = self.bases[component]
-        return _relabel_component(
-            self.scheme.interval_expr(base, low, high), component
+        return self._schemes[component].interval_expr(
+            self.bases[component], low, high
         )
 
     def _alpha(self, component: int, digit: int) -> Expr:
@@ -142,16 +127,10 @@ class QueryRewriter:
             return self._digit_le(k, digit)
         rest = self._le_digits_rec(digits, k + 1, stop)
         if digit == 0:
-            return self._alpha_zero(k) & rest
+            return self._alpha(k, 0) & rest
         if digit == base - 1:
             return self._digit_le(k, digit - 1) | rest
         return self._digit_le(k, digit - 1) | (self._alpha(k, digit) & rest)
-
-    def _alpha_zero(self, component: int) -> Expr:
-        """``alpha_k`` for digit 0 (``A_k = 0`` and ``A_k <= 0`` coincide)."""
-        if self.scheme.prefers_equality:
-            return self._digit_eq(component, 0)
-        return self._digit_le(component, 0)
 
     def _ge_digits(self, digits_minus_one: Sequence[int], start: int = 0) -> Expr:
         """``A_{start..} >= v`` via ``NOT (A <= v - 1)``.
@@ -174,6 +153,10 @@ class QueryRewriter:
                 f"domain C={self.cardinality}"
             )
         body = self._rewrite_interval_body(query.low, query.high)
+        if self.num_components == 1:
+            # Every scheme's one-component equations are already in
+            # simplify's canonical form, and so is their complement.
+            return not_of(body) if query.negated else body
         body = simplify(body)
         return simplify(not_of(body)) if query.negated else body
 
@@ -280,22 +263,6 @@ class QueryRewriter:
             self.rewrite_interval(interval)
             for interval in minimal_intervals(query)
         ]
-
-    def rewrite_membership_threshold(self, query: MembershipQuery) -> Expr:
-        """Membership as one threshold op instead of an OR of constituents.
-
-        The constituents of a membership query are disjoint intervals,
-        so "in any of them" is exactly "at least one of them":
-        ``Threshold(1, constituents)`` — a single multi-way counting
-        pass over the union of the constituents' bitmaps, with no
-        pairwise OR intermediates.  This is the hybrid-encoding path
-        the compressed engine and the decoded evaluator collapse into one
-        scan of each input.
-        """
-        constituents = self.rewrite_membership(query)
-        if len(constituents) == 1:
-            return constituents[0]
-        return simplify(Threshold(1, tuple(constituents)))
 
     # ------------------------------------------------------------------
     # Threshold rewrite

@@ -38,7 +38,7 @@ from repro.errors import QueryError
 from repro.expr import EvalStats, Expr, Leaf
 from repro.index.bitmap_index import BitmapIndex, IndexSpec
 from repro.index.compressed_engine import CompressedQueryEngine
-from repro.index.evaluation import QueryEngine
+from repro.index.evaluation import QueryEngine, component_order
 from repro.index.rewrite import QueryRewriter
 from repro.index.segmented import DEFAULT_SEGMENT_SIZE, SegmentedBitmapIndex
 from repro.queries.model import IntervalQuery, MembershipQuery, ThresholdQuery
@@ -349,10 +349,7 @@ class ShardEngine:
     ) -> None:
         """One shared fetch of the batch's bitmaps, per segment."""
         engines = self.segment_engines()
-        keys = sorted(
-            {key for i in batch for key in keysets[i]},
-            key=lambda key: (key[0], repr(key[1])),
-        )
+        keys = component_order({key for i in batch for key in keysets[i]})
         fetch_start = self.clock.total_ms
         shared: list[dict] = []
         for engine in engines:

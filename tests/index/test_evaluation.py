@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.bitmap import BitVector, or_all
+from repro.encoding import ALL_SCHEME_NAMES, EXTENDED_SCHEME_NAMES
 from repro.errors import QueryError
+from repro.expr import EvalStats, evaluate
+from repro.expr.evaluator import BLOCK_WORDS
+from repro.expr.nodes import Const, Leaf
 from repro.index import BitmapIndex, IndexSpec
+from repro.index.evaluation import component_order, schedule_constituents
 from repro.queries import IntervalQuery, MembershipQuery
 from repro.serve import QueryService, ServiceConfig
+from repro.serve.driver import paper_mix
 from repro.storage import CostClock
 
 
@@ -127,3 +134,134 @@ class TestAnswerOwnership:
         before = result.row_count
         result.bitmap.words[:] = 0
         assert idx.query(IntervalQuery(2, 2, 4)).row_count == before
+
+
+def _per_constituent(index, constituents, strategy, buffer_pages, cache=None):
+    """Reference: one :func:`evaluate` per constituent, then a pairwise OR
+    of the full-length answers, charged as ``n - 1`` extra operations.
+
+    ``cache`` given means the shared-scan path (prefetched by the caller,
+    component-wise sharing); otherwise the engine's own strategy runs.
+    Returns (answer in original row order, stats, clock).
+    """
+    clock = CostClock()
+    engine = index.engine(buffer_pages=buffer_pages, clock=clock)
+    length = index.num_records
+    stats = EvalStats()
+    if cache is not None:
+        for key in component_order({k for e in constituents for k in e.leaf_keys()}):
+            cache[key] = engine.pool.fetch(key)
+    elif strategy == "component-wise":
+        cache = {}
+        for key in sorted(
+            {k for e in constituents for k in e.leaf_keys()},
+            key=lambda key: (key[0], repr(key[1])),
+        ):
+            cache[key] = engine.pool.fetch(key)
+            stats.scans += 1
+            stats.fetched_keys.append(key)
+    if cache is not None:
+        results = [evaluate(e, engine.pool.fetch, length, stats, cache) for e in constituents]
+    else:
+        if strategy == "scheduled":
+            constituents = schedule_constituents(constituents)
+        results = [evaluate(e, engine.pool.fetch, length, stats, {}) for e in constituents]
+    stats.operations += len(results) - 1
+    answer = or_all(results) if len(results) > 1 else results[0].copy()
+    clock.charge_word_ops(stats.operations, max(1, -(-length // 64)))
+    return index.restore_row_order(answer), stats, clock
+
+
+def _shares_subtree(constituents) -> bool:
+    """Whether two constituents contain the same non-leaf subtree."""
+    owners: dict = {}
+    for i, expr in enumerate(constituents):
+        for node in set(expr.walk()):
+            if type(node) not in (Leaf, Const):
+                owners.setdefault(node, set()).add(i)
+    return any(len(found) > 1 for found in owners.values())
+
+
+class TestOneWalkDifferential:
+    """A membership query's constituents OR inside one range walk; the
+    answer, the scans, the operations, the fetch order and the simulated
+    clock all equal the per-constituent evaluation's."""
+
+    CARDINALITY = 30
+
+    def _queries(self):
+        c = self.CARDINALITY
+        return [
+            *paper_mix(c, 12, seed=4),
+            MembershipQuery.of({0, 1, 2, 4, 6, 7, 8, 12, 14, 20, 21, 25, 29}, c),
+            MembershipQuery.of(set(range(c)), c),
+            MembershipQuery.of({7}, c),
+            IntervalQuery(3, 20, c, negated=True),
+        ]
+
+    @pytest.mark.parametrize("path", ["component-wise", "query-wise", "scheduled", "shared"])
+    @pytest.mark.parametrize("bases", [(30,), (5, 6), (2, 3, 5)])
+    @pytest.mark.parametrize("scheme", ALL_SCHEME_NAMES + EXTENDED_SCHEME_NAMES)
+    def test_matches_naive_scan_and_per_constituent_accounting(self, scheme, bases, path):
+        rng = np.random.default_rng(17)
+        values = rng.integers(0, self.CARDINALITY, size=777)
+        index = BitmapIndex.build(
+            values,
+            IndexSpec(cardinality=self.CARDINALITY, scheme=scheme, bases=bases, codec="raw"),
+        )
+        shared_subtrees = 0
+        for query in self._queries():
+            if isinstance(query, MembershipQuery):
+                constituents = index.rewriter.rewrite_membership(query)
+            else:
+                constituents = [index.rewriter.rewrite_interval(query)]
+            shared_subtrees += _shares_subtree(constituents)
+            expected = BitVector.from_bools(query.matches(values))
+            for buffer_pages in (None, 2):
+                strategy = "component-wise" if path == "shared" else path
+                ref_cache = {} if path == "shared" else None
+                ref_answer, ref_stats, ref_clock = _per_constituent(
+                    index, constituents, strategy, buffer_pages, ref_cache
+                )
+                assert ref_answer == expected
+                clock = CostClock()
+                engine = index.engine(buffer_pages=buffer_pages, clock=clock, strategy=strategy)
+                if path == "shared":
+                    cache: dict = {}
+                    for key in component_order(ref_cache):
+                        cache[key] = engine.pool.fetch(key)
+                    stats = EvalStats()
+                    answer = engine.evaluate_shared(constituents, cache, stats)
+                else:
+                    result = engine.execute(query)
+                    answer, stats = result.bitmap, result.stats
+                assert answer == expected, (query, buffer_pages)
+                assert answer.words.flags.writeable
+                assert stats.scans == ref_stats.scans
+                assert stats.operations == ref_stats.operations
+                assert stats.fetched_keys == ref_stats.fetched_keys
+                assert clock.total_ms == ref_clock.total_ms
+                assert clock.pages_read == ref_clock.pages_read
+        if len(bases) > 1:
+            assert shared_subtrees, "no query exercised shared subtrees"
+
+    @pytest.mark.parametrize("scheme, bases", [("I", (30,)), ("R", (5, 6))])
+    def test_several_word_ranges(self, scheme, bases):
+        """Past one 256 KiB range, with a ragged tail word."""
+        rng = np.random.default_rng(3)
+        values = rng.integers(0, self.CARDINALITY, size=64 * BLOCK_WORDS + 65)
+        index = BitmapIndex.build(
+            values,
+            IndexSpec(cardinality=self.CARDINALITY, scheme=scheme, bases=bases, codec="raw"),
+        )
+        query = MembershipQuery.of({0, 1, 2, 4, 6, 7, 8, 12, 14, 20, 21, 25, 29}, 30)
+        constituents = index.rewriter.rewrite_membership(query)
+        ref_answer, ref_stats, ref_clock = _per_constituent(
+            index, constituents, "component-wise", None
+        )
+        clock = CostClock()
+        result = index.engine(clock=clock).execute(query)
+        assert result.bitmap == ref_answer == BitVector.from_bools(query.matches(values))
+        assert result.stats.operations == ref_stats.operations
+        assert result.stats.fetched_keys == ref_stats.fetched_keys
+        assert clock.total_ms == ref_clock.total_ms

@@ -1,10 +1,14 @@
 """Tests for the Section 6.1/6.2 query rewriter."""
 
+import numpy as np
 import pytest
 
-from repro.encoding import get_scheme
+from repro.encoding import ALL_SCHEME_NAMES, EXTENDED_SCHEME_NAMES, get_scheme
 from repro.errors import QueryError
-from repro.expr import expression_scan_count, simplify
+from repro.expr import expression_scan_count, not_of, simplify
+from repro.expr.nodes import And, Const, Leaf, Not
+from repro.index import BitmapIndex, IndexSpec
+from repro.index.costbased import CostBasedRewriter, equality_interval_candidates
 from repro.index.rewrite import QueryRewriter
 from repro.queries import IntervalQuery, MembershipQuery
 
@@ -144,3 +148,104 @@ class TestSemantics:
             rewriter.rewrite_interval(IntervalQuery(0, 5, 50))
         with pytest.raises(QueryError):
             rewriter.rewrite_membership(MembershipQuery.of({1}, 50))
+
+
+def _relabel(expr, component: int):
+    """Leaf keys ``slot -> (component, slot)``, node by node."""
+    if isinstance(expr, Leaf):
+        return Leaf((component, expr.key))
+    if isinstance(expr, Const):
+        return expr
+    if isinstance(expr, Not):
+        return Not(_relabel(expr.child, component))
+    return type(expr)(tuple(_relabel(c, component) for c in expr.operands))
+
+
+def _intervals(cardinality: int):
+    for low in range(cardinality):
+        for high in range(low, cardinality):
+            yield low, high
+
+
+class TestCanonicalForm:
+    """One-component rewrites skip :func:`simplify`; that is exact only
+    while every scheme's interval equations are its fixed points."""
+
+    @pytest.mark.parametrize("scheme_name", ALL_SCHEME_NAMES + EXTENDED_SCHEME_NAMES)
+    def test_scheme_equations_are_simplify_fixed_points(self, scheme_name):
+        scheme = get_scheme(scheme_name)
+        for cardinality in range(1, 41):
+            for low, high in _intervals(cardinality):
+                expr = scheme.interval_expr(cardinality, low, high)
+                assert simplify(expr) == expr, (cardinality, low, high)
+                negated = not_of(expr)
+                assert simplify(negated) == negated, (cardinality, low, high)
+
+    @pytest.mark.parametrize("scheme_name", ALL_SCHEME_NAMES + EXTENDED_SCHEME_NAMES)
+    def test_one_component_rewrite_matches_simplified_pipeline(self, scheme_name):
+        """Equal to relabel, then simplify (and simplify the complement)."""
+        scheme = get_scheme(scheme_name)
+        for cardinality in range(1, 41):
+            rewriter = QueryRewriter(cardinality, (cardinality,), scheme)
+            for low, high in _intervals(cardinality):
+                if cardinality == 1 or (low, high) == (0, cardinality - 1):
+                    body = Const(True)
+                else:
+                    body = simplify(
+                        _relabel(scheme.interval_expr(cardinality, low, high), 0)
+                    )
+                got = rewriter.rewrite_interval(IntervalQuery(low, high, cardinality))
+                assert got == body, (cardinality, low, high)
+                got = rewriter.rewrite_interval(
+                    IntervalQuery(low, high, cardinality, negated=True)
+                )
+                assert got == simplify(not_of(body)), (cardinality, low, high)
+
+    def test_one_component_cost_based_matches_simplified_pipeline(self):
+        """The cost-based choice, relabelled and simplified as before."""
+        rng = np.random.default_rng(5)
+        for cardinality in range(1, 41):
+            # Skewed so that encoded sizes, and with them choices, vary.
+            values = np.minimum(rng.zipf(1.3, size=400) - 1, cardinality - 1)
+            index = BitmapIndex.build(
+                values, IndexSpec(cardinality=cardinality, scheme="E", codec="bbc")
+            )
+            rewriter = CostBasedRewriter(
+                cardinality, (cardinality,), index.scheme, index.store
+            )
+            for low, high in _intervals(cardinality):
+                if cardinality == 1 or (low, high) == (0, cardinality - 1):
+                    body = Const(True)
+                else:
+                    options = [
+                        _relabel(index.scheme.interval_expr(cardinality, low, high), 0),
+                        *(
+                            simplify(_relabel(candidate, 0))
+                            for candidate in equality_interval_candidates(
+                                cardinality, low, high
+                            )
+                        ),
+                    ]
+                    body = simplify(min(options, key=rewriter.expression_cost))
+                got = rewriter.rewrite_interval(IntervalQuery(low, high, cardinality))
+                assert got == body, (cardinality, low, high)
+                got = rewriter.rewrite_interval(
+                    IntervalQuery(low, high, cardinality, negated=True)
+                )
+                assert got == simplify(not_of(body)), (cardinality, low, high)
+
+    def test_binary_two_sided_is_one_flat_conjunction(self):
+        """``B``'s upper walk is an AND when it has one term; the range
+        must not nest it inside the outer AND."""
+        expr = get_scheme("B").interval_expr(9, 1, 3)
+        assert isinstance(expr, And)
+        assert not any(isinstance(child, And) for child in expr.operands)
+
+    def test_leaves_are_interned_per_component(self):
+        rewriter = QueryRewriter(100, (10, 10), get_scheme("I"))
+        first = rewriter.rewrite_interval(IntervalQuery(3, 3, 100))
+        second = rewriter.rewrite_interval(IntervalQuery(13, 13, 100))
+        shared = {leaf.key: leaf for leaf in first.leaves()}
+        for leaf in second.leaves():
+            if leaf.key in shared:
+                assert leaf is shared[leaf.key]

@@ -29,6 +29,7 @@ def test_report_only_gates_name_their_reason(quick_results):
         if isinstance(entry, dict) and entry.get("gate_enforced") is False
     }
     assert "expr_eval" in report_only  # --quick never gates timings
+    assert "rewrite_cost" in report_only  # never gated, in any mode
     for name, entry in report_only.items():
         assert entry.get("gate_skip_reason"), name
 
@@ -39,7 +40,7 @@ def test_wall_clock_entries_record_n_iqr_and_machine(quick_results):
         for name, entry in quick_results.items()
         if ":" not in name and "median_s" in entry
     }
-    assert {"expr_eval", "numpy_inline_eval", "wah_encode"} <= set(current)
+    assert {"expr_eval", "numpy_inline_eval", "wah_encode", "rewrite_cost"} <= set(current)
     for name, entry in current.items():
         assert entry["n"] >= 1, name
         assert entry["iqr_s"] >= 0.0, name
