@@ -17,7 +17,10 @@ alternate, and every cell reports the median of the repeats::
     git archive <commit> | tar -x -C /tmp/base
     PYTHONPATH=src python benchmarks/bench_hardware.py --base /tmp/base
 
-It prints a Markdown table (the one in ``docs/performance.md``).
+It prints a Markdown table (the one in ``docs/performance.md`` §7).
+``--grid build`` times ``BitmapIndex.build`` (scheme build plus WAH
+encode) and ``--grid restore`` times ``BitmapIndex.restore_row_order``
+on a reordered segment, the same way (tables in §9).
 """
 
 import argparse
@@ -212,17 +215,149 @@ def time_grid(lengths=GRID_LENGTHS) -> dict:
     return {"repro": expr_module.__file__, "timings": timings}
 
 
-def _run_side(checkout: Path, lengths) -> dict:
+# ---------------------------------------------------------------------------
+# Segment cells: build+encode and row-order restore
+# ---------------------------------------------------------------------------
+
+#: Build+encode cells: scheme, cardinality, rows (and sorted or not).
+BUILD_SCHEMES = ("E", "I")
+BUILD_CARDINALITIES = (50, 200)
+BUILD_ROWS = (4096, 65536, 262144, 4_000_000)
+#: Restore cells: rows, share of values in the answer, runs of answer values.
+RESTORE_ROWS = (4096, 65536, 262144)
+RESTORE_DENSITIES = (0.1, 0.5, 0.9)
+RESTORE_RUNS = (1, 4, 8, 16, 64)
+RESTORE_CARDINALITY = 200
+
+
+def time_build_cells(rows=BUILD_ROWS) -> dict:
+    """``BitmapIndex.build`` (scheme build plus WAH encode) per cell."""
+    from repro.index import BitmapIndex, IndexSpec
+
+    rng = np.random.default_rng(5)
+    timings = {}
+    for n in rows:
+        for cardinality in BUILD_CARDINALITIES:
+            column = zipf_column(n, cardinality, 1.0, seed=int(rng.integers(1 << 30)))
+            for order, values in (("unsorted", column), ("sorted", np.sort(column))):
+                for scheme in BUILD_SCHEMES:
+                    spec = IndexSpec(cardinality=cardinality, scheme=scheme, codec="wah")
+                    timings[f"{scheme}|{cardinality}|{n}|{order}"] = _median_call_s(
+                        lambda: BitmapIndex.build(values, spec)
+                    )
+    return timings
+
+
+def answer_values(cardinality: int, density: float, runs: int) -> np.ndarray:
+    """A boolean answer per value: ``runs`` evenly spaced runs of values
+    covering about ``density`` of the domain."""
+    width = max(1, round(density * cardinality / runs))
+    hit = np.zeros(cardinality, dtype=bool)
+    for start in np.linspace(0, cardinality - width, runs).round().astype(int):
+        hit[start : start + width] = True
+    return hit
+
+
+def time_restore_cells(rows=RESTORE_ROWS) -> dict:
+    """``BitmapIndex.restore_row_order`` of one reordered segment's answer."""
+    from repro.bitmap import BitVector
+    from repro.index import BitmapIndex, IndexSpec
+
+    spec = IndexSpec(
+        cardinality=RESTORE_CARDINALITY, scheme="I", codec="wah", reorder="lexicographic"
+    )
+    timings = {}
+    for n in rows:
+        values = zipf_column(n, RESTORE_CARDINALITY, 1.0, seed=n)
+        index = BitmapIndex.build(values, spec)
+        stored = np.sort(values, kind="stable")
+        for density in RESTORE_DENSITIES:
+            for runs in RESTORE_RUNS:
+                hit = answer_values(RESTORE_CARDINALITY, density, runs)
+                answer = BitVector.from_bools(hit[stored])
+                timings[f"{n}|{density}|{runs}"] = _median_call_s(
+                    lambda: index.restore_row_order(answer)
+                )
+    return timings
+
+
+def time_cells(grid: str, lengths) -> dict:
+    """One pass over ``grid`` with the importable ``repro``."""
+    import repro
+
+    if grid == "evaluate":
+        return time_grid(lengths)
+    cells = time_build_cells if grid == "build" else time_restore_cells
+    return {"repro": repro.__file__, "timings": cells(lengths)}
+
+
+def _run_side(checkout: Path, lengths, grid: str = "evaluate") -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     command = [
         sys.executable, str(Path(__file__).resolve()), "--time-grid",
-        "--lengths", ",".join(str(n) for n in lengths),
+        "--grid", grid, "--lengths", ",".join(str(n) for n in lengths),
     ]
     out = subprocess.run(command, env=env, check=True, capture_output=True, text=True)
     result = json.loads(out.stdout)
     if not Path(result["repro"]).resolve().is_relative_to(checkout.resolve()):
         raise RuntimeError(f"{checkout}: timed the wrong repro ({result['repro']})")
     return result["timings"]
+
+
+def _alternate(base: Path, repeats: int, lengths, grid: str) -> dict[str, list[dict]]:
+    runs: dict[str, list[dict]] = {"change": [], "base": []}
+    for repeat in range(repeats):
+        order = ("base", "change") if repeat % 2 == 0 else ("change", "base")
+        for side in order:
+            checkout = base if side == "base" else REPO_ROOT
+            runs[side].append(_run_side(checkout, lengths, grid))
+    return runs
+
+
+def calibrate_cells(base: Path, grid: str, repeats: int, lengths) -> list[dict]:
+    """Alternating build or restore cells: ``(cell, change s, base s)``."""
+    runs = _alternate(base, repeats, lengths, grid)
+    return [
+        {
+            "cell": cell,
+            "change": statistics.median(run[cell] for run in runs["change"]),
+            "base": statistics.median(run[cell] for run in runs["base"]),
+        }
+        for cell in runs["change"][0]
+    ]
+
+
+def within_bound(change_s: float, base_s: float) -> bool:
+    """The calibration bound: within 1.1x of the parent, or within
+    15 us when both sides are under 0.1 ms."""
+    if change_s <= 1.1 * base_s:
+        return True
+    return max(change_s, base_s) < 1e-4 and change_s - base_s <= 15e-6
+
+
+def cells_table(grid: str, rows: list[dict]) -> str:
+    """Markdown table of build or restore cells."""
+    if grid == "build":
+        head = "| scheme | C | rows | order |"
+        rule = "|---|---|---|---|"
+    else:
+        head = "| rows | answer density | value runs |"
+        rule = "|---|---|---|"
+    lines = [
+        head + " change ms | parent ms | ratio | in bound |",
+        rule + "---|---|---|---|",
+    ]
+    for row in rows:
+        parts = row["cell"].split("|")
+        rows_at = 2 if grid == "build" else 0
+        parts[rows_at] = _rows(int(parts[rows_at]))
+        lines.append(
+            "| " + " | ".join(parts)
+            + f" | {row['change'] * 1e3:.3f} | {row['base'] * 1e3:.3f}"
+            + f" | {row['change'] / row['base']:.2f}x"
+            + f" | {'yes' if within_bound(row['change'], row['base']) else 'NO'} |"
+        )
+    return "\n".join(lines)
 
 
 def calibrate(base: Path, repeats: int = 5, lengths=GRID_LENGTHS) -> list[dict]:
@@ -232,11 +367,7 @@ def calibrate(base: Path, repeats: int = 5, lengths=GRID_LENGTHS) -> list[dict]:
     checkout's ``evaluate`` and of every path ``base`` has, prefixed
     ``base.``.
     """
-    runs: dict[str, list[dict]] = {"change": [], "base": []}
-    for repeat in range(repeats):
-        order = ("base", "change") if repeat % 2 == 0 else ("change", "base")
-        for side in order:
-            runs[side].append(_run_side(base if side == "base" else REPO_ROOT, lengths))
+    runs = _alternate(base, repeats, lengths, "evaluate")
     rows = []
     for shape in runs["change"][0]["evaluate"]:
         for length in lengths:
@@ -271,29 +402,45 @@ def grid_table(rows: list[dict]) -> str:
 
 
 def _rows(length: int) -> str:
-    return f"{length >> 20}M" if length >= 1 << 20 else f"{length >> 10}K"
+    if length >= 1 << 20:
+        return f"{length >> 20}M" if length % (1 << 20) == 0 else f"{length / 1e6:g}M"
+    return f"{length >> 10}K"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="decoded-evaluator calibration grid")
     parser.add_argument("--base", type=Path, help="checkout to compare against")
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--lengths", default=",".join(str(n) for n in GRID_LENGTHS))
+    parser.add_argument(
+        "--grid", choices=("evaluate", "build", "restore"), default="evaluate",
+        help="evaluator cells, segment build+encode cells, or restore cells",
+    )
+    parser.add_argument(
+        "--lengths",
+        help="vector lengths (evaluate) or row counts (build, restore), comma-separated",
+    )
     parser.add_argument("--time-grid", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    lengths = tuple(int(n) for n in args.lengths.split(","))
+    default = {"evaluate": GRID_LENGTHS, "build": BUILD_ROWS, "restore": RESTORE_ROWS}
+    lengths = (
+        tuple(int(n) for n in args.lengths.split(","))
+        if args.lengths
+        else default[args.grid]
+    )
     if args.time_grid:
-        print(json.dumps(time_grid(lengths)))
+        print(json.dumps(time_cells(args.grid, lengths)))
         return 0
     if args.base is None:
         parser.error("--base is required")
-    rows = calibrate(args.base, args.repeats, lengths)
     fp = fingerprint(None)
     print(
         f"machine: {fp['cpu_model']}, {fp['nproc']} CPUs, Python {fp['python']}, "
         f"numpy {fp['numpy']}; medians of {args.repeats} alternating repeats"
     )
-    print(grid_table(rows))
+    if args.grid == "evaluate":
+        print(grid_table(calibrate(args.base, args.repeats, lengths)))
+    else:
+        print(cells_table(args.grid, calibrate_cells(args.base, args.grid, args.repeats, lengths)))
     return 0
 
 

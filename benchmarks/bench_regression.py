@@ -66,6 +66,13 @@ Gates that can fail the run (exit 1):
   stay effectively free.  (The overhead is measured in ``--quick``
   mode too but only reported there: one-iteration timings are too
   noisy to gate on.)
+* ``Codec.encode_many`` of a 4,096-row segment's 100 WAH bitmaps
+  slower than :func:`reference_wah_encode`, a separate per-vector WAH
+  encoder, looped over them.  (A loop over ``Codec.encode`` would not
+  do: WAH's ``encode`` is the batched path's one-row case.)  The
+  ``segment_append`` entry also
+  records one 2,000-row append onto a 2,096-row tail and one four-way
+  merge of 4,096-row segments; the gate reports only in ``--quick``;
 * the ``auto`` meta-codec losing its reason to exist on the Markov
   (density x clustering) grid: in any cell ``auto`` coming out more
   than 5% larger than the best fixed codec, any fixed codec beating
@@ -224,6 +231,9 @@ def run_benchmarks(
     results["obs_export"] = o.export()
 
     results["obs_overhead"] = measure_obs_overhead(n_bits, density)
+
+    # Appends: a tail rebuilt from its codes, and a four-way merge.
+    results["segment_append"] = run_segment_append_bench(max(3, 5 * iters))
 
     # Per-query fixed cost: the rewrite of a membership query.
     results["rewrite_cost"] = run_rewrite_bench(num_queries=512, repeats=5)
@@ -681,12 +691,100 @@ def measure_obs_overhead(n_bits: int, density: float, pairs: int = 15) -> dict:
     }
 
 
+#: The segment the append entry grows: an I/C=200 WAH lexicographic tail.
+SEGMENT_APPEND_SPEC = dict(cardinality=200, scheme="I", codec="wah", reorder="lexicographic")
+
+
+def reference_wah_encode(vector: BitVector) -> bytes:
+    """A per-vector WAH encoder kept as the gate's yardstick: pack the
+    bitmap's 31-bit groups, find their runs, then emit one run at a time
+    (fills longer than the counter split into counter-sized words)."""
+    from repro.compress import kernels, wah
+
+    length = len(vector)
+    groups = -(-length // wah._GROUP_BITS)
+    if not groups:
+        return b""
+    bits = np.zeros(groups * wah._GROUP_BITS, dtype=bool)
+    bits[:length] = vector.to_bools()
+    cells = np.zeros((groups, 32), dtype=bool)
+    cells[:, : wah._GROUP_BITS] = bits.reshape(groups, wah._GROUP_BITS)
+    values = np.packbits(cells, axis=1, bitorder="little").view("<u4").ravel()
+    runs = kernels.runs_from_elements(values, wah._LITERAL_MASK)
+    words: list[int] = []
+    taken = 0
+    for kind, count in zip(runs.types.tolist(), runs.lengths.tolist()):
+        if kind == kernels.DIRTY:
+            words += runs.values[taken : taken + count].tolist()
+            taken += count
+        elif count == 1:
+            words.append(wah._LITERAL_MASK if kind == kernels.FILL_ONE else 0)
+        else:
+            fill = wah._FILL_FLAG | (wah._FILL_VALUE_FLAG if kind == kernels.FILL_ONE else 0)
+            while count > 0:
+                words.append(fill | min(count, wah._MAX_FILL))
+                count -= wah._MAX_FILL
+    return np.asarray(words, dtype=np.uint32).tobytes()
+
+
+def run_segment_append_bench(repeats: int) -> dict:
+    """One 2,000-row append onto a 2,096-row tail, and one merge.
+
+    The append rebuilds the 4,096-row tail from its codes (sort, batched
+    build, batched encode); the merge is the four-way compaction of
+    4,096-row segments that the last of four sealing appends triggers.
+    The gate (full mode only) holds ``encode_many`` of a 4,096-row
+    segment's 100 bitmaps to no slower than :func:`reference_wah_encode`
+    looped over them, and both must emit the same payloads.
+    """
+    from repro.index import IndexSpec, SegmentedBitmapIndex
+    from repro.workload import zipf_column
+
+    spec = IndexSpec(**SEGMENT_APPEND_SPEC)
+    column = zipf_column(4 * 4096 + 2000, 200, 1.0, seed=3)
+    append_samples, merge_samples = [], []
+    for _ in range(repeats):
+        index = SegmentedBitmapIndex.build(column[:2096], spec, 4096)
+        t0 = time.perf_counter()
+        index.append(column[2096:4096])
+        append_samples.append(time.perf_counter() - t0)
+        grown = SegmentedBitmapIndex.build(column[: 3 * 4096], spec, 4096)
+        report = grown.append(column[3 * 4096 : 4 * 4096])
+        assert report.merges == 1
+        merge_samples.append(report.compaction_ms / 1e3)
+
+    codec = get_codec("wah")
+    (segment,) = SegmentedBitmapIndex.build(column[:4096], spec, 4096).segments()
+    vectors = [segment.store.get(key) for key in segment.store.keys()]
+    assert codec.encode_many(vectors) == [reference_wah_encode(v) for v in vectors]
+    batched = timeit(lambda: codec.encode_many(vectors), repeats)
+    loop = timeit(lambda: [reference_wah_encode(v) for v in vectors], repeats)
+    return {
+        **sample_stats(append_samples),
+        "iterations": repeats,
+        "merge": sample_stats(merge_samples),
+        "encode_many_s": batched["median_s"],
+        "encode_reference_s": loop["median_s"],
+        "params": {
+            "spec": SEGMENT_APPEND_SPEC,
+            "tail_rows": 2096,
+            "append_rows": 2000,
+            "merge": "4 x 4096-row segments",
+            "encode_bitmaps": len(vectors),
+        },
+        "gate_enforced": True,
+        "gate_skip_reason": None,
+    }
+
+
 #: Entries whose gate only reports under ``--quick``, and why.
 QUICK_REPORT_ONLY = {
     "expr_eval": "report-only under --quick: one-iteration timings are "
     "too noisy to gate on (the allocation half still enforces)",
     "obs_overhead": "report-only under --quick: the shrunken kernel "
     "workload is too short to gate a 5% bound on",
+    "segment_append": "report-only under --quick: three samples are too "
+    "few to gate encode_many against the per-vector reference",
     "adaptive_codec_selection": "report-only under --quick: the shrunken "
     "grid is too small to gate on",
 }
@@ -897,6 +995,21 @@ def main(argv: list[str] | None = None) -> int:
         level = "FAIL" if adaptive["gate_enforced"] else "WARN (quick, not gated)"
         print(f"{level}: {failure}", file=sys.stderr)
     if adaptive_failures and adaptive["gate_enforced"]:
+        return 1
+
+    append = results["segment_append"]
+    print(
+        f"segment append (2,000 rows onto a 2,096-row tail): "
+        f"{append['median_s'] * 1e3:.2f} ms; four-way merge "
+        f"{append['merge']['median_s'] * 1e3:.2f} ms; encode_many "
+        f"{append['encode_many_s'] * 1e3:.3f} ms vs per-vector reference "
+        f"{append['encode_reference_s'] * 1e3:.3f} ms"
+    )
+    if append["gate_enforced"] and append["encode_many_s"] > append["encode_reference_s"]:
+        print(
+            "FAIL: encode_many is slower than the per-vector WAH reference",
+            file=sys.stderr,
+        )
         return 1
 
     rewrite = results["rewrite_cost"]

@@ -18,8 +18,9 @@ from repro.errors import CodecError
 class Codec(ABC):
     """Stateless bitmap compressor/decompressor.
 
-    Subclasses implement :meth:`_encode` / :meth:`_decode`; the public
-    :meth:`encode` / :meth:`decode` wrappers additionally report
+    Subclasses implement :meth:`_encode` / :meth:`_decode` (and may
+    batch :meth:`_encode_many`); the public :meth:`encode` /
+    :meth:`encode_many` / :meth:`decode` wrappers additionally report
     ``codec.encode.*`` / ``codec.decode.*`` counters to the installed
     :mod:`repro.obs` instance (tagged by codec name), so every byte that
     crosses the codec boundary is attributable to the span that caused
@@ -38,6 +39,10 @@ class Codec(ABC):
     @abstractmethod
     def _encode(self, vector: BitVector) -> bytes:
         """Compress ``vector`` into a self-contained byte string."""
+
+    def _encode_many(self, vectors: list[BitVector]) -> list[bytes]:
+        """Compress a batch; codecs with a batched kernel override this."""
+        return [self._encode(vector) for vector in vectors]
 
     @abstractmethod
     def _decode(self, payload: bytes, length: int) -> BitVector:
@@ -80,6 +85,28 @@ class Codec(ABC):
             tracer.attribute("codec.encode.bits_in", len(vector))
             tracer.attribute("codec.encode.bytes_out", len(payload))
         return payload
+
+    def encode_many(self, vectors) -> list[bytes]:
+        """Compress a batch of vectors in one call.
+
+        Payloads are byte-identical to one :meth:`encode` per vector,
+        and so are the ``codec.encode.*`` counter totals.
+        """
+        vectors = list(vectors)
+        payloads = self._encode_many(vectors)
+        o = _obs.active()
+        if o is not None and vectors:
+            bits = sum(len(vector) for vector in vectors)
+            size = sum(len(payload) for payload in payloads)
+            calls, bits_in, bytes_out, _, _ = self._counters(o)
+            calls.inc(len(vectors))
+            bits_in.inc(bits)
+            bytes_out.inc(size)
+            tracer = o.tracer
+            tracer.attribute("codec.encode.calls", len(vectors))
+            tracer.attribute("codec.encode.bits_in", bits)
+            tracer.attribute("codec.encode.bytes_out", size)
+        return payloads
 
     def decode(self, payload: bytes, length: int) -> BitVector:
         """Decompress ``payload``, reporting to the installed obs sink."""

@@ -9,8 +9,10 @@ representation — :class:`Runs` — and implements the hot operations on
 it as whole-array numpy expressions, so encode, decode, and
 compressed-domain logic never touch elements one at a time from Python:
 
-* :func:`runs_from_elements` segments an element array into runs with a
-  single ``flatnonzero`` over value-change boundaries;
+* :func:`runs_from_element_rows` segments every row of an element
+  matrix into runs with a single ``flatnonzero`` over value-change and
+  row boundaries (:func:`runs_from_elements` is its one-row case), so a
+  batch of bitmaps encodes in one pass;
 * :func:`elements_from_runs` re-materializes elements with one
   ``np.repeat`` plus a bulk scatter of the dirty elements;
 * :func:`combine` aligns two run sequences on the union of their run
@@ -107,17 +109,32 @@ def runs_from_elements(elements: np.ndarray, full) -> Runs:
     """Segment ``elements`` into canonical runs.
 
     ``full`` is the all-ones element value (e.g. ``0xFF`` for bytes).
+    The one-row case of :func:`runs_from_element_rows`.
     """
-    n = int(elements.shape[0])
-    if n == 0:
-        return empty_runs(elements.dtype)
-    cls = np.full(n, DIRTY, dtype=np.int8)
-    cls[elements == 0] = FILL_ZERO
-    cls[elements == full] = FILL_ONE
-    change = np.flatnonzero(cls[1:] != cls[:-1]) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [n]))
-    return Runs(cls[starts], (ends - starts).astype(np.int64), elements[cls == DIRTY])
+    return runs_from_element_rows(elements.reshape(1, -1), full)[0]
+
+
+def runs_from_element_rows(elements: np.ndarray, full) -> tuple[Runs, np.ndarray]:
+    """Segment every row of a 2-d element matrix into canonical runs.
+
+    One classification and one ``flatnonzero`` over the whole matrix; a
+    run never crosses a row, so the result is each row's
+    :func:`runs_from_elements` concatenated in row order.  Returns the
+    runs and the number of runs in each row.
+    """
+    rows, width = elements.shape
+    if rows == 0 or width == 0:
+        return empty_runs(elements.dtype), np.zeros(rows, dtype=np.int64)
+    flat = elements.reshape(-1)
+    cls = np.full(flat.shape[0], DIRTY, dtype=np.int8)
+    cls[flat == 0] = FILL_ZERO
+    cls[flat == full] = FILL_ONE
+    change = cls[1:] != cls[:-1]
+    change[width - 1 :: width] = True
+    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
+    ends = np.concatenate((starts[1:], [flat.shape[0]]))
+    runs = Runs(cls[starts], (ends - starts).astype(np.int64), flat[cls == DIRTY])
+    return runs, np.bincount(starts // width, minlength=rows).astype(np.int64)
 
 
 def elements_from_runs(runs: Runs, full, dtype) -> np.ndarray:

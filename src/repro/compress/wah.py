@@ -14,10 +14,11 @@ decoding.  The format is the classic one:
 Runs longer than ``2**30`` groups are emitted as multiple fill words.
 
 Encode and decode are built on the vectorized run kernels in
-:mod:`repro.compress.kernels`: group values are produced with one
-``np.packbits`` pass, segmented into runs with ``np.flatnonzero``, and
-the output stream is assembled by bulk scatter — no per-group Python
-iteration.
+:mod:`repro.compress.kernels`.  Encoding is batched: the group values
+of many equal-length bitmaps come from whole-matrix word shifts, one
+``np.flatnonzero`` segments every row into runs, and every stream is
+assembled by one bulk scatter — no per-group Python iteration.  A
+single bitmap is the one-row case.
 """
 
 from __future__ import annotations
@@ -37,27 +38,28 @@ _FILL_VALUE_FLAG = 1 << 30
 _MAX_FILL = (1 << 30) - 1
 
 
-def group_values(vector: BitVector) -> np.ndarray:
-    """The bitmap's 31-bit group values as a ``uint32`` array.
+def group_rows(words: np.ndarray, length: int) -> np.ndarray:
+    """31-bit group values of equal-length bitmaps, one row per bitmap.
 
-    Each group is padded to 32 bits (high bit zero) so one
-    ``np.packbits`` call produces all groups at once; LSB = first bit of
-    the group, matching the format's bit order.
+    ``words`` holds each bitmap's 64-bit words plus at least one zero
+    word of slack per row (group ``g`` may straddle two words); bits past
+    ``length`` must be zero (the padding invariant).  LSB = first bit of
+    the group, matching the format's bit order.  Whole-matrix shifts:
+    no per-bit unpacking.
     """
-    n = len(vector)
-    num_groups = (n + _GROUP_BITS - 1) // _GROUP_BITS
-    if num_groups == 0:
-        return np.empty(0, dtype=np.uint32)
-    bits = np.zeros(num_groups * _GROUP_BITS, dtype=bool)
-    bits[:n] = vector.to_bools()
-    padded = np.zeros((num_groups, 32), dtype=bool)
-    padded[:, :_GROUP_BITS] = bits.reshape(num_groups, _GROUP_BITS)
-    packed = np.packbits(padded, axis=1, bitorder="little")
-    return np.frombuffer(packed.tobytes(), dtype="<u4").astype(np.uint32)
+    num_groups = (length + _GROUP_BITS - 1) // _GROUP_BITS
+    first_bit = np.arange(num_groups, dtype=np.int64) * _GROUP_BITS
+    word = first_bit >> 6
+    shift = (first_bit & 63).astype(np.uint64)
+    # A shift by 64 is undefined; 63 pushes the high word's bits past the
+    # group's 31 bits just the same.
+    high_shift = np.minimum(np.uint64(64) - shift, np.uint64(63))
+    groups = (words[:, word] >> shift) | (words[:, word + 1] << high_shift)
+    return (groups & np.uint64(_LITERAL_MASK)).astype(np.uint32)
 
 
 def groups_to_bits(values: np.ndarray, length: int) -> BitVector:
-    """Inverse of :func:`group_values`: group array back to a bitmap."""
+    """Group values (:func:`group_rows`) back to a bitmap."""
     if values.shape[0] == 0:
         return BitVector.from_bools(np.empty(0, dtype=bool))
     raw = np.frombuffer(values.astype("<u4").tobytes(), dtype=np.uint8)
@@ -82,54 +84,50 @@ def runs_from_wah(payload: bytes) -> Runs:
 
 
 def wah_from_runs(runs: Runs) -> bytes:
-    """Emit the canonical WAH stream for ``runs`` via bulk scatter.
+    """The canonical WAH stream for ``runs`` (one-row
+    :func:`wah_from_run_rows`)."""
+    return wah_from_run_rows(runs, np.array([runs.num_runs]))[0]
 
+
+def wah_from_run_rows(runs: Runs, runs_per_row: np.ndarray) -> list[bytes]:
+    """Emit one canonical WAH stream per row via bulk scatter.
+
+    ``runs`` concatenates the rows' run sequences and ``runs_per_row``
+    counts each row's runs (:func:`kernels.runs_from_element_rows`).
     Canonical means the same stream the reference encoder produces: a
-    lone fillable group becomes a literal word, longer clean runs become
-    fill words.  Falls back to a scalar path only when a clean run
-    exceeds the 30-bit fill counter.
+    lone fillable group becomes a literal word, a longer clean run
+    becomes fill words, split into ``_MAX_FILL``-group chunks when it
+    overflows the 30-bit counter.
     """
-    if runs.num_runs == 0:
-        return b""
     is_fill = runs.types != DIRTY
-    if bool((runs.lengths[is_fill] > _MAX_FILL).any()):
-        return _wah_from_runs_chunked(runs)
-    counts = np.where(is_fill, np.int64(1), runs.lengths)
+    lengths = runs.lengths
+    counts = np.where(is_fill, -(-lengths // _MAX_FILL), lengths)
     offsets = np.cumsum(counts) - counts
     out = np.empty(int(counts.sum()), dtype=np.uint32)
     if is_fill.any():
-        f_len = runs.lengths[is_fill]
+        f_len = lengths[is_fill]
         f_one = runs.types[is_fill] == FILL_ONE
-        literal = np.where(f_one, np.uint32(_LITERAL_MASK), np.uint32(0))
-        fill_word = (
-            np.uint32(_FILL_FLAG)
-            | np.where(f_one, np.uint32(_FILL_VALUE_FLAG), np.uint32(0))
-            | f_len.astype(np.uint32)
+        f_words = counts[is_fill]
+        fill_flag = np.where(
+            f_one, np.uint32(_FILL_FLAG | _FILL_VALUE_FLAG), np.uint32(_FILL_FLAG)
         )
-        out[offsets[is_fill]] = np.where(f_len == 1, literal, fill_word)
+        literal = np.where(f_one, np.uint32(_LITERAL_MASK), np.uint32(0))
+        last = offsets[is_fill] + f_words - 1
+        remainder = (f_len - (f_words - 1) * _MAX_FILL).astype(np.uint32)
+        out[last] = np.where(f_len == 1, literal, fill_flag | remainder)
+        full = f_words > 1
+        if full.any():
+            chunks = f_words[full] - 1
+            out[kernels.expand_ranges(offsets[is_fill][full], chunks)] = np.repeat(
+                fill_flag[full] | np.uint32(_MAX_FILL), chunks
+            )
     dirty = ~is_fill
     if dirty.any():
-        out[kernels.expand_ranges(offsets[dirty], runs.lengths[dirty])] = runs.values
-    return out.tobytes()
-
-
-def _wah_from_runs_chunked(runs: Runs) -> bytes:
-    """Scalar emitter for runs longer than the fill counter allows."""
-    words: list[int] = []
-    val_pos = 0
-    for t, n in zip(runs.types.tolist(), runs.lengths.tolist()):
-        if t == DIRTY:
-            words.extend(runs.values[val_pos : val_pos + n].tolist())
-            val_pos += n
-        elif n == 1:
-            words.append(_LITERAL_MASK if t == FILL_ONE else 0)
-        else:
-            fill_bit = _FILL_VALUE_FLAG if t == FILL_ONE else 0
-            while n > 0:
-                chunk = min(n, _MAX_FILL)
-                words.append(_FILL_FLAG | fill_bit | chunk)
-                n -= chunk
-    return np.asarray(words, dtype=np.uint32).tobytes()
+        out[kernels.expand_ranges(offsets[dirty], lengths[dirty])] = runs.values
+    run_bounds = np.concatenate(([0], np.cumsum(runs_per_row)))
+    word_bounds = np.concatenate(([0], np.cumsum(counts)))[run_bounds].tolist()
+    raw = out.tobytes()
+    return [raw[4 * lo : 4 * hi] for lo, hi in zip(word_bounds, word_bounds[1:])]
 
 
 class WahCodec(Codec):
@@ -138,10 +136,33 @@ class WahCodec(Codec):
     name = "wah"
 
     def _encode(self, vector: BitVector) -> bytes:
-        values = group_values(vector)
-        if values.shape[0] == 0:
-            return b""
-        return wah_from_runs(kernels.runs_from_elements(values, _LITERAL_MASK))
+        return self._encode_many([vector])[0]
+
+    def _encode_many(self, vectors) -> list[bytes]:
+        """Encode equal-length bitmaps together, in blocks of at most
+        :data:`~repro.expr.evaluator.BLOCK_WORDS` words."""
+        from repro.expr.evaluator import BLOCK_WORDS  # expr imports compress
+
+        payloads: list[bytes] = [b""] * len(vectors)
+        by_length: dict[int, list[int]] = {}
+        for i, vector in enumerate(vectors):
+            by_length.setdefault(len(vector), []).append(i)
+        for length, members in by_length.items():
+            if length == 0:
+                continue
+            width = vectors[members[0]].num_words + 1
+            per_block = max(1, BLOCK_WORDS // width)
+            for lo in range(0, len(members), per_block):
+                block = members[lo : lo + per_block]
+                words = np.zeros((len(block), width), dtype=np.uint64)
+                for row, i in enumerate(block):
+                    words[row, :-1] = vectors[i].words
+                runs, per_row = kernels.runs_from_element_rows(
+                    group_rows(words, length), _LITERAL_MASK
+                )
+                for i, payload in zip(block, wah_from_run_rows(runs, per_row)):
+                    payloads[i] = payload
+        return payloads
 
     def _decode(self, payload: bytes, length: int) -> BitVector:
         runs = runs_from_wah(payload)

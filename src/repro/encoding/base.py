@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.bitmap import BitVector
 from repro.errors import EncodingSchemeError, QueryError
-from repro.expr import Expr, leaf, not_of, one, zero
+from repro.expr import BLOCK_WORDS, Expr, leaf, not_of, one, zero
 
 SlotKey = Hashable
 #: Builds the leaf an expression uses for a slot label.
@@ -75,6 +75,7 @@ class EncodingScheme(ABC):
     def __init__(self, make_leaf: LeafFn = leaf) -> None:
         self._leaf = make_leaf
         self._catalog_cache: dict[int, dict[SlotKey, frozenset[int]]] = {}
+        self._membership_cache: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Definition
@@ -122,6 +123,18 @@ class EncodingScheme(ABC):
     # Construction
     # ------------------------------------------------------------------
 
+    def membership(self, cardinality: int) -> np.ndarray:
+        """``(slots, cardinality)`` boolean table: row ``i`` marks the
+        values the ``i``-th catalog slot represents (memoized)."""
+        table = self._membership_cache.get(cardinality)
+        if table is None:
+            catalog = self.catalog(cardinality)
+            table = np.zeros((len(catalog), cardinality), dtype=bool)
+            for row, value_set in enumerate(catalog.values()):
+                table[row, list(value_set)] = True
+            self._membership_cache[cardinality] = table
+        return table
+
     def build(
         self, values: np.ndarray, cardinality: int
     ) -> dict[SlotKey, BitVector]:
@@ -129,7 +142,11 @@ class EncodingScheme(ABC):
 
         ``values`` holds one attribute value (in ``[0, cardinality)``)
         per record; the result maps each slot label to its bit vector of
-        ``len(values)`` bits.
+        ``len(values)`` bits.  Every vector is one row of a single
+        ``(slots, words)`` matrix, filled a block of at most
+        :data:`~repro.expr.evaluator.BLOCK_WORDS` matrix words at a time:
+        one gather of every slot's membership row through the block's
+        values (a lookup table per slot), then ``np.packbits``.
         """
         self._check_cardinality(cardinality)
         vals = np.asarray(values)
@@ -138,11 +155,23 @@ class EncodingScheme(ABC):
                 f"column values outside domain [0, {cardinality}): "
                 f"[{vals.min()}, {vals.max()}]"
             )
-        bitmaps: dict[SlotKey, BitVector] = {}
-        for slot, value_set in self.catalog(cardinality).items():
-            members = np.isin(vals, np.fromiter(value_set, dtype=vals.dtype if vals.size else np.int64))
-            bitmaps[slot] = BitVector.from_bools(members)
-        return bitmaps
+        table = self.membership(cardinality)
+        length = int(vals.shape[0])
+        num_words = -(-length // 64)
+        matrix = np.zeros((table.shape[0], num_words), dtype=np.uint64)
+        as_bytes = matrix.view(np.uint8)
+        step = max(1, BLOCK_WORDS // max(1, table.shape[0]))
+        for lo in range(0, num_words, step):
+            # intp indices take numpy's fastest gather path.
+            rows = vals[lo * 64 : (lo + step) * 64].astype(np.intp)
+            start, stop = lo * 8, lo * 8 + -(-rows.size // 8)
+            as_bytes[:, start:stop] = np.packbits(
+                table.take(rows, axis=1), axis=1, bitorder="little"
+            )
+        return {
+            slot: BitVector(length, matrix[row])
+            for row, slot in enumerate(self.catalog(cardinality))
+        }
 
     # ------------------------------------------------------------------
     # Evaluation equations

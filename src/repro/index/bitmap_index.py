@@ -49,6 +49,21 @@ class UpdateReport:
     compaction_ms: float = 0.0
 
 
+def count_touched(
+    scheme: EncodingScheme, bases: Sequence[int], values: np.ndarray
+) -> int:
+    """Bitmaps a batch of ``values`` sets at least one bit in (§4.2).
+
+    Read off the scheme catalog from the batch's distinct values alone:
+    a slot is touched when its value set meets a component's digits.
+    """
+    digits = decompose_column(np.unique(values), bases)
+    return sum(
+        int(scheme.membership(base)[:, np.unique(column)].any(axis=1).sum())
+        for base, column in zip(bases, digits)
+    )
+
+
 @dataclass(frozen=True)
 class IndexSpec:
     """Design-point description of a bitmap index.
@@ -149,7 +164,11 @@ class BitmapIndex:
             vals = reordering.apply(vals)
         elif validate_strategy(spec.reorder) != "none":
             reordering = RowReordering.from_sort(vals, spec.reorder)
-            vals = reordering.apply(vals)
+            vals = (
+                reordering.apply(vals)
+                if reordering.codes is None
+                else reordering.sorted_codes()
+            )
         scheme = get_scheme(spec.scheme)
         bases = spec.resolved_bases()
         if store is None:
@@ -163,8 +182,10 @@ class BitmapIndex:
                 )
         digit_columns = decompose_column(vals, bases)
         for component, (base, column) in enumerate(zip(bases, digit_columns)):
-            for slot, vector in scheme.build(column, base).items():
-                store.put((component, slot), vector)
+            store.put_many(
+                ((component, slot), vector)
+                for slot, vector in scheme.build(column, base).items()
+            )
         return cls(
             spec, store, int(vals.size), scheme, bases, reordering=reordering
         )
@@ -190,11 +211,10 @@ class BitmapIndex:
         result cache keyed on it.
 
         On a reordered index the new rows land past the sorted prefix in
-        arrival order (the permutation gains identity entries), so
-        appends never trigger a re-sort.
+        arrival order (identity entries; the reordering keeps their
+        codes), so appends never trigger a re-sort.
         """
         from repro.bitmap import concatenate
-        from repro.index.decompose import decompose_column
 
         vals = np.asarray(values)
         if vals.size == 0:
@@ -206,25 +226,23 @@ class BitmapIndex:
                 f"batch values outside domain [0, {self.cardinality})"
             )
         digit_columns = decompose_column(vals, self.bases)
-        touched = 0
         for component, (base, column) in enumerate(
             zip(self.bases, digit_columns)
         ):
             extensions = self.scheme.build(column, base)
-            for slot, extension in extensions.items():
-                key = (component, slot)
-                current = self.store.get(key)
-                self.store.put(key, concatenate([current, extension]))
-                if extension.any():
-                    touched += 1
+            keys = [(component, slot) for slot in extensions]
+            self.store.put_many(
+                (key, concatenate([self.store.get(key), extension]))
+                for key, extension in zip(keys, extensions.values())
+            )
         self.num_records += int(vals.size)
         if self.reordering is not None:
-            self.reordering.extend(int(vals.size))
+            self.reordering.extend(vals)
         self.epoch += 1
         return UpdateReport(
             records_appended=int(vals.size),
             bitmaps_extended=self.num_bitmaps(),
-            bitmaps_touched=touched,
+            bitmaps_touched=count_touched(self.scheme, self.bases, vals),
         )
 
     # ------------------------------------------------------------------
@@ -268,15 +286,18 @@ class BitmapIndex:
     def restore_row_order(self, bitmap):
         """Translate an answer from stored (sorted) to original row order.
 
-        The single place the build-time permutation re-enters query
+        The single place the build-time reordering re-enters query
         evaluation: both engines call it on their *final* answer, so
         everything upstream — compressed-domain ops, range-wise evaluation,
         thresholds, shared-scan batching — runs untouched in sorted
-        space.  A no-op (the same object) for unreordered indexes.
+        space.  Such an answer sets each row's bit by the row's value
+        alone, so a one-column sort restores it from the kept codes
+        (:meth:`~repro.table.reorder.RowReordering.restore_answer`).  A
+        no-op (the same object) for unreordered indexes.
         """
         if self.reordering is None or self.reordering.is_identity:
             return bitmap
-        return self.reordering.restore_bitmap(bitmap)
+        return self.reordering.restore_answer(bitmap)
 
     def use_cost_based_rewriter(self) -> None:
         """Swap in a rewriter that prices expression choices by the

@@ -2,8 +2,9 @@
 (extension).
 
 Production bitmap indexes partition the relation into horizontal
-segments with an independent index per segment: appends only touch the
-tail segment (no decode/re-encode of old bitmaps, unlike
+segments with an independent index per segment: appends only rebuild
+the tail segment, from its kept codes plus the new rows (no decode or
+re-encode of old bitmaps, unlike
 :meth:`~repro.index.BitmapIndex.append`), segments can be evaluated
 independently, and per-segment answers concatenate into the global
 answer because record ids are segment-local offsets.
@@ -33,7 +34,12 @@ from itertools import accumulate
 import numpy as np
 
 from repro.errors import EncodingSchemeError, ReproError
-from repro.index.bitmap_index import BitmapIndex, IndexSpec, UpdateReport
+from repro.index.bitmap_index import (
+    BitmapIndex,
+    IndexSpec,
+    UpdateReport,
+    count_touched,
+)
 
 #: Default rows per tail segment (small relative to a shard so appends
 #: seal segments regularly).
@@ -44,6 +50,11 @@ FANOUT = 4
 #: rows at the default segment size).  Larger merges cost more peak
 #: memory than they save per query.
 MAX_TIER_SEGMENTS = FANOUT**3
+
+
+def code_dtype(cardinality: int) -> np.dtype:
+    """The narrowest unsigned dtype holding every value of ``[0, C)``."""
+    return np.min_scalar_type(max(cardinality - 1, 0))
 
 
 class SegmentedBitmapIndex:
@@ -58,9 +69,10 @@ class SegmentedBitmapIndex:
         self.segment_size = segment_size
         self._segments: list[BitmapIndex] = []
         #: Each segment's raw codes in arrival order, in the narrowest
-        #: dtype that holds the cardinality — what a merge re-sorts.
+        #: dtype that holds the cardinality — what a merge re-sorts.  A
+        #: sorted segment's are its reordering's own codes array.
         self._codes: list[np.ndarray] = []
-        self._code_dtype = np.min_scalar_type(max(spec.cardinality - 1, 0))
+        self._code_dtype = code_dtype(spec.cardinality)
         #: Monotonic update counter: bumped by every :meth:`append`
         #: (mirrors :attr:`repro.index.BitmapIndex.epoch`).
         self.epoch = 0
@@ -137,10 +149,15 @@ class SegmentedBitmapIndex:
         """Append records, filling the tail segment before opening new
         ones, and compact every run of sealed segments this completes.
 
-        Only the tail segment's bitmaps are ever rewritten in place;
-        merged segments are replaced by a new one, never mutated, so an
-        index that shares them (:meth:`split_at`) is unaffected.  An
-        empty batch changes nothing and must not bump the epoch (a bump
+        A partial tail is rebuilt from its codes plus the new rows
+        (re-sorted under a reordered spec, so a grown segment stores
+        exactly what a built one does) and replaced; merged segments are
+        likewise replaced by a new one.  No segment is ever mutated, so
+        an index that shares them (:meth:`split_at`) is unaffected.
+        ``bitmaps_touched`` is read off the scheme catalog from each
+        chunk's distinct values
+        (:func:`~repro.index.bitmap_index.count_touched`).  An empty
+        batch changes nothing and must not bump the epoch (a bump
         would sweep every serving result cache keyed on it for no
         reason).  A merge leaves every answer unchanged, so it adds no
         epoch bump of its own.
@@ -157,30 +174,21 @@ class SegmentedBitmapIndex:
         compaction_s = 0.0
         offset = 0
         while offset < vals.size:
-            if (
-                self._segments
-                and self._segments[-1].num_records < self.segment_size
-            ):
-                tail = self._segments[-1]
-                room = self.segment_size - tail.num_records
-                chunk = vals[offset : offset + room]
-                report = tail.append(chunk)
-                self._codes[-1] = np.concatenate(
-                    [self._codes[-1], chunk.astype(self._code_dtype)]
-                )
-                touched += report.bitmaps_touched
-                extended += report.bitmaps_extended
+            tail = self._codes[-1] if self._codes else None
+            if tail is None or tail.size >= self.segment_size:
+                chunk = codes = vals[offset : offset + self.segment_size]
             else:
-                chunk = vals[offset : offset + self.segment_size]
-                segment = self._add_segment(chunk)
-                touched += sum(
-                    1
-                    for key in segment.store.keys()
-                    if segment.store.get(key).any()
-                )
-                extended += segment.num_bitmaps()
+                # A partial tail is rebuilt from its codes plus the chunk
+                # and replaced, never mutated.
+                chunk = vals[offset : offset + self.segment_size - tail.size]
+                codes = np.concatenate([tail, chunk.astype(self._code_dtype)])
+                del self._segments[-1]
+                del self._codes[-1]
+            segment = self._add_segment(codes)
+            touched += count_touched(segment.scheme, segment.bases, chunk)
+            extended += segment.num_bitmaps()
             offset += len(chunk)
-            if self._segments[-1].num_records == self.segment_size:
+            if segment.num_records == self.segment_size:
                 start = time.perf_counter()
                 merged += self._compact()
                 compaction_s += time.perf_counter() - start
@@ -258,6 +266,10 @@ class SegmentedBitmapIndex:
     def _add_segment(self, values: np.ndarray) -> BitmapIndex:
         codes = np.asarray(values).astype(self._code_dtype)
         segment = BitmapIndex.build(codes, self.spec)
+        reordering = segment.reordering
+        if reordering is not None and reordering.codes is not None:
+            # A one-column sort keeps the same codes; hold one array.
+            codes = reordering.codes
         self._segments.append(segment)
         self._codes.append(codes)
         return segment

@@ -212,10 +212,8 @@ class ShardEngine:
         Only meaningful on the inline transport (the returned index is a
         live object, not a picklable snapshot).  ``self`` keeps serving
         its full row range unchanged — :meth:`SegmentedBitmapIndex.split_at`
-        does not mutate.  The front-end cuts only below the parent's row
-        count, so the parent's partial tail — the one segment an append
-        rewrites in place — is never shared, and a merge replaces
-        segments without mutating them.
+        does not mutate, and neither does an append: it replaces the
+        tail it rebuilds, as a merge replaces the segments it merges.
         """
         left, _ = self.index.split_at(row)
         return left
@@ -311,10 +309,10 @@ class ShardEngine:
     def segment_engines(self) -> list:
         """Persistent per-segment engines, in segment order.
 
-        An engine lives as long as its segment: the tail fills in place
-        (its store versions make the engine's buffer pool re-read), and
-        a merge replaces segments, so the merged ones' engines and pools
-        are dropped here and the new segment gets a fresh engine.
+        An engine lives as long as its segment.  An append rebuilds the
+        tail and a merge replaces segments, so the replaced segments'
+        engines and pools are dropped here and each new segment gets a
+        fresh engine.
         """
         current = {}
         for segment in self.segments():

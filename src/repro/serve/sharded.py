@@ -78,6 +78,7 @@ from repro import obs as _obs
 from repro.bitmap import BitVector, concatenate
 from repro.errors import (
     DeadlineExceeded,
+    EncodingSchemeError,
     Overloaded,
     QueryError,
     ServeError,
@@ -87,7 +88,7 @@ from repro.errors import (
     WorkerUnresponsive,
 )
 from repro.index.bitmap_index import IndexSpec
-from repro.index.segmented import DEFAULT_SEGMENT_SIZE
+from repro.index.segmented import DEFAULT_SEGMENT_SIZE, code_dtype
 from repro.parallel import ProcessWorker, WorkerFault
 from repro.queries.model import IntervalQuery, MembershipQuery, ThresholdQuery
 from repro.serve.shard_worker import ShardEngine, build_shard_engine
@@ -411,7 +412,7 @@ class _Shard:
         #: joined by :meth:`acked_rows` where a whole array is needed.
         #: None for a shard serving a prebuilt index, which keeps no
         #: copy of its rows and cannot be rebuilt.
-        self._row_chunks = None if rows is None else [np.asarray(rows)]
+        self._row_chunks = None if rows is None else [rows]
         self._rows_lock = threading.Lock()
         #: Number of acked rows.
         self.num_rows = handle.num_records if rows is None else len(rows)
@@ -444,10 +445,13 @@ class _Shard:
             return self._row_chunks[0]
 
     def _ack_append(self, rows: np.ndarray) -> None:
-        """Record an acknowledged append (a copy of ``rows``)."""
+        """Record an acknowledged append (a copy of ``rows`` in the code
+        dtype: the engine validated them)."""
         with self._rows_lock:
             if self._row_chunks is not None:
-                self._row_chunks.append(np.array(rows))
+                self._row_chunks.append(
+                    np.asarray(rows).astype(code_dtype(self.service.spec.cardinality))
+                )
             self.num_rows += len(rows)
 
     # ------------------------------------------------------------------
@@ -1091,6 +1095,12 @@ class ShardedQueryService(_FrontEnd):
         self.spec = spec
         self._next_shard_id = 0
         rows = np.asarray(values)
+        if rows.size and (rows.min() < 0 or rows.max() >= spec.cardinality):
+            raise EncodingSchemeError(
+                f"column values outside domain [0, {spec.cardinality})"
+            )
+        # Acked rows are kept in the code dtype (1 B/row for C <= 256).
+        rows = rows.astype(code_dtype(spec.cardinality))
         chunk = max(1, -(-len(rows) // config.shards))
         self._start(
             [

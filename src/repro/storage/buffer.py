@@ -16,13 +16,54 @@ from collections import OrderedDict
 from collections.abc import Hashable
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro import obs as _obs
 from repro.bitmap import BitVector
-from repro.compress import RawCodec
+from repro.compress import RawCodec, kernels
 from repro.errors import BufferError_
 from repro.storage.iomodel import CostClock
 from repro.storage.pages import pages_for
 from repro.storage.store import BitmapStore
+
+
+#: A decoded bitmap at least this many times larger than its payload
+#: stays resident as its non-zero word runs and is expanded on each
+#: hit; the page accounting is the decoded size either way.  Chosen
+#: from a sweep on ``sharded_appends`` (``docs/performance.md`` §9):
+#: peak RSS after a fixed op count is flat for every cut-off from 4 to
+#: 256, and the highest such cut-off expands the fewest hits.  A
+#: payload that small also bounds the runs (each costs the codec at
+#: least a word); a sorted segment's bitmaps have at most 5.
+COMPACT_RATIO = 256
+_FULL_WORD = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+
+
+class _WordRuns:
+    """A resident bitmap kept as its non-zero 64-bit word runs."""
+
+    __slots__ = ("length", "num_words", "parts")
+
+    def __init__(self, vector: BitVector):
+        self.length = len(vector)
+        self.num_words = vector.num_words
+        runs = kernels.runs_from_elements(vector.words, _FULL_WORD)
+        #: ``(start, stop, words)`` of each non-zero run.
+        self.parts = []
+        start = taken = 0
+        for kind, count in zip(runs.types.tolist(), runs.lengths.tolist()):
+            if kind == kernels.FILL_ONE:
+                self.parts.append((start, start + count, _FULL_WORD))
+            elif kind == kernels.DIRTY:
+                self.parts.append((start, start + count, runs.values[taken : taken + count]))
+                taken += count
+            start += count
+
+    def expand(self) -> BitVector:
+        words = np.zeros(self.num_words, dtype=np.uint64)
+        for start, stop, fill in self.parts:
+            words[start:stop] = fill
+        return BitVector(self.length, words)
 
 
 @dataclass
@@ -75,7 +116,7 @@ class BufferPool:
         self._capacity = capacity_pages
         self._clock = clock
         self._resident: OrderedDict[
-            Hashable, tuple[BitVector, int, int]
+            Hashable, tuple[BitVector | _WordRuns, int, int]
         ] = OrderedDict()
         self._used_pages = 0
         self.stats = BufferStats()
@@ -96,10 +137,13 @@ class BufferPool:
         A resident entry is served only while the store's per-key write
         version is unchanged; a re-stored bitmap (an append replaces
         every bitmap of an index) invalidates the entry, which is then
-        re-read and re-charged like any other miss.  Resident bitmaps
-        can also change size in place, so each hit re-measures the entry
-        and settles the difference against the pool's page accounting,
-        evicting colder entries if the bitmap outgrew its old footprint.
+        re-read and re-charged like any other miss.  A decoded entry is
+        the bitmap callers receive and can change size in place, so each
+        hit on one re-measures it and settles the difference against the
+        pool's page accounting, evicting colder entries if the bitmap
+        outgrew its old footprint.  An entry kept as word runs
+        (:data:`COMPACT_RATIO`) hands each hit a fresh expansion, so its
+        size never changes and its pages stand as charged.
         """
         entry = self._resident.get(key)
         if entry is not None:
@@ -110,12 +154,15 @@ class BufferPool:
                 del self._resident[key]
                 self._used_pages -= cached_pages
             else:
-                pages = pages_for(vector.num_words * 8, self._store.page_size)
-                if pages != cached_pages:
-                    self._used_pages += pages - cached_pages
-                    self._resident[key] = (vector, pages, version)
-                    if pages > cached_pages:
-                        self._evict_to_fit(0, keep=key)
+                if isinstance(vector, _WordRuns):
+                    vector = vector.expand()
+                else:
+                    pages = pages_for(vector.num_words * 8, self._store.page_size)
+                    if pages != cached_pages:
+                        self._used_pages += pages - cached_pages
+                        self._resident[key] = (vector, pages, version)
+                        if pages > cached_pages:
+                            self._evict_to_fit(0, keep=key)
                 self._resident.move_to_end(key)
                 self.stats.hits += 1
                 o = _obs.active()
@@ -139,7 +186,10 @@ class BufferPool:
 
         decoded_pages = pages_for(vector.num_words * 8, self._store.page_size)
         self._evict_to_fit(decoded_pages)
-        self._resident[key] = (vector, decoded_pages, self._store.version(key))
+        resident = vector
+        if info.encoded_bytes * COMPACT_RATIO <= vector.num_words * 8:
+            resident = _WordRuns(vector)
+        self._resident[key] = (resident, decoded_pages, self._store.version(key))
         self._used_pages += decoded_pages
         if o is not None:
             o.gauge_set("buffer.used_pages", self._used_pages, pool="decoded")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import os
 import re
-from collections.abc import Hashable, Iterator
+from collections.abc import Hashable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -168,6 +168,21 @@ class BitmapStore:
         """Encode and store ``vector`` under ``key`` (replacing any old one)."""
         payload = self._codec.encode(vector)
         return self.put_payload(key, payload, len(vector))
+
+    def put_many(
+        self, items: Iterable[tuple[Hashable, BitVector]]
+    ) -> list[StoredBitmapInfo]:
+        """Encode and store many ``(key, vector)`` pairs in one codec call.
+
+        Same payloads as one :meth:`put` per pair; each still goes
+        through :meth:`put_payload`, so a persistent store writes it.
+        """
+        items = list(items)
+        payloads = self._codec.encode_many(vector for _, vector in items)
+        return [
+            self.put_payload(key, payload, len(vector))
+            for (key, vector), payload in zip(items, payloads)
+        ]
 
     def put_payload(
         self, key: Hashable, payload: bytes, length: int

@@ -18,12 +18,14 @@ This module provides that pass:
   leading sort keys produce the longest runs across *every* column;
 * :func:`reorder_rows` sorts a set of columns by that key order and
   returns the reordered columns plus a :class:`RowReordering`;
-* :class:`RowReordering` is the stored permutation: it maps positions
-  in the sorted layout back to original record ids, so query answers
-  computed in sorted space are translated at the result boundary and
-  clients never see reordered ids.  Appended rows land *past* the
-  sorted prefix as identity entries (:meth:`RowReordering.extend`), so
-  tail-append paths (segments, shards) keep working unchanged.
+* :class:`RowReordering` maps positions in the sorted layout back to
+  original record ids, so query answers computed in sorted space are
+  translated at the result boundary and clients never see reordered
+  ids.  A one-column sort keeps the column's codes (1 B/row) and
+  restores an answer from them; a joint sort or a loaded index keeps an
+  int64 permutation.  Appended rows land *past* the sorted prefix as
+  identity entries (:meth:`RowReordering.extend`), so tail-append paths
+  (segments, shards) keep working unchanged.
 
 Everything between build and result mapping — compressed-domain ops,
 expression evaluation, thresholds, serving — operates purely in sorted
@@ -53,17 +55,51 @@ def validate_strategy(strategy: str) -> str:
     return strategy
 
 
-class RowReordering:
-    """A stored row permutation mapping sorted positions to original ids.
+#: The restore's cost model, in row-compare units: a range compare over
+#: the codes costs its rows plus :data:`RESTORE_CALL_ROWS` of per-call
+#: overhead, the value-table gather :data:`RESTORE_GATHER_PASSES` per row.
+#: Fitted to the restore cells of ``benchmarks/bench_hardware.py``
+#: (``docs/performance.md`` §9): the compares win up to about 3 runs at
+#: 4,096 rows and about 9 at 262,144.
+RESTORE_CALL_ROWS = 20_000
+RESTORE_GATHER_PASSES = 9
 
-    ``permutation[p]`` is the original record id of the row stored at
-    position ``p``; the array is a permutation of ``0..len-1``.
+
+def restore_by_compare(runs: int, rows: int) -> bool:
+    """True when ``runs`` range compares over ``rows`` codes beat one
+    value-table gather (see :data:`RESTORE_CALL_ROWS`)."""
+    return (runs - 1) * (rows + RESTORE_CALL_ROWS) <= (
+        RESTORE_GATHER_PASSES * rows + RESTORE_CALL_ROWS
+    )
+
+
+class RowReordering:
+    """A row reordering mapping sorted positions to original ids.
+
+    It has one of two forms:
+
+    * a stored *permutation*: ``permutation[p]`` is the original record
+      id of the row stored at position ``p`` (table-level joint sorts
+      and indexes loaded from disk);
+    * one column's *codes* (:meth:`from_sort`): the column in arrival
+      order, 1 B/row for small cardinalities, plus one stored position
+      per value.  The permutation is derived on demand and never kept.
+
     ``num_sorted`` is the length of the sorted prefix — rows appended
     after the build sit past it in arrival order (identity entries), so
-    the permutation stays a bijection without re-sorting the index.
+    the mapping stays a bijection without re-sorting the index.
     """
 
-    __slots__ = ("permutation", "num_sorted", "strategy", "_identity")
+    __slots__ = (
+        "_permutation",
+        "codes",
+        "_positions",
+        "_probe_cache",
+        "_size",
+        "num_sorted",
+        "strategy",
+        "_identity",
+    )
 
     def __init__(
         self,
@@ -76,12 +112,18 @@ class RowReordering:
             raise ReproError(
                 f"permutation must be 1-d, got ndim={perm.ndim}"
             )
-        self.permutation = perm
-        self.num_sorted = perm.size if num_sorted is None else int(num_sorted)
-        if not 0 <= self.num_sorted <= perm.size:
+        self._permutation = perm
+        #: The sorted column's codes in arrival order (codes form), or None.
+        self.codes: np.ndarray | None = None
+        self._size = perm.size
+        self._init_prefix(num_sorted, strategy)
+
+    def _init_prefix(self, num_sorted: int | None, strategy: str) -> None:
+        self.num_sorted = self._size if num_sorted is None else int(num_sorted)
+        if not 0 <= self.num_sorted <= self._size:
             raise ReproError(
                 f"sorted prefix {self.num_sorted} outside "
-                f"[0, {perm.size}]"
+                f"[0, {self._size}]"
             )
         self.strategy = strategy
         self._identity: bool | None = None
@@ -99,13 +141,40 @@ class RowReordering:
     def from_sort(
         cls, values: np.ndarray, strategy: str = "lexicographic"
     ) -> "RowReordering":
-        """Stable ascending sort of one column (its lexicographic order)."""
+        """Stable ascending sort of one column (its lexicographic order).
+
+        A column of non-negative integers is kept as its codes, in the
+        narrowest unsigned dtype that holds them; each value's stored
+        position is where its run starts in the sorted layout.
+        """
         vals = np.asarray(values)
-        return cls(
-            np.argsort(vals, kind="stable").astype(np.int64),
-            vals.size,
-            strategy,
-        )
+        if vals.dtype.kind not in "biu" or (vals.size and vals.min() < 0):
+            return cls(
+                np.argsort(vals, kind="stable").astype(np.int64),
+                vals.size,
+                strategy,
+            )
+        top = int(vals.max()) if vals.size else 0
+        codes = vals.astype(np.min_scalar_type(top))
+        counts = np.bincount(codes, minlength=top + 1)
+        positions = np.cumsum(counts) - counts
+        positions[counts == 0] = -1
+        return cls._of_codes(codes, positions, codes.size, strategy)
+
+    @classmethod
+    def _of_codes(
+        cls, codes: np.ndarray, positions: np.ndarray, num_sorted: int, strategy: str
+    ) -> "RowReordering":
+        """The codes form over ``codes`` (``positions[v]``: a stored
+        position holding value ``v``, or -1)."""
+        reordering = cls.__new__(cls)
+        reordering._permutation = None
+        reordering.codes = codes
+        reordering._positions = positions
+        reordering._probe_cache = None
+        reordering._size = codes.size
+        reordering._init_prefix(num_sorted, strategy)
+        return reordering
 
     @classmethod
     def validated(
@@ -141,7 +210,22 @@ class RowReordering:
     @property
     def size(self) -> int:
         """Number of rows covered."""
-        return self.permutation.size
+        return self._size
+
+    @property
+    def permutation(self) -> np.ndarray:
+        """``permutation[p]``: the original id of stored row ``p``.
+
+        Derived from the codes on every access in the codes form (a
+        stable argsort of the sorted prefix, then identity entries), so
+        it is never held in memory there.
+        """
+        if self.codes is None:
+            return self._permutation
+        prefix = np.argsort(self.codes[: self.num_sorted], kind="stable")
+        return np.concatenate(
+            [prefix, np.arange(self.num_sorted, self._size)]
+        ).astype(np.int64)
 
     @property
     def is_identity(self) -> bool:
@@ -152,18 +236,26 @@ class RowReordering:
         appends.
         """
         if self._identity is None:
-            self._identity = bool(
-                np.array_equal(
-                    self.permutation,
-                    np.arange(self.permutation.size, dtype=np.int64),
+            if self.codes is None:
+                self._identity = bool(
+                    np.array_equal(
+                        self._permutation,
+                        np.arange(self._size, dtype=np.int64),
+                    )
                 )
-            )
+            else:
+                prefix = self.codes[: self.num_sorted]
+                self._identity = bool(np.all(prefix[1:] >= prefix[:-1]))
         return self._identity
 
     def copy(self) -> "RowReordering":
         """An independent copy (indexes mutate theirs on append)."""
-        return RowReordering(
-            self.permutation.copy(), self.num_sorted, self.strategy
+        if self.codes is None:
+            return RowReordering(
+                self._permutation.copy(), self.num_sorted, self.strategy
+            )
+        return RowReordering._of_codes(
+            self.codes.copy(), self._positions.copy(), self.num_sorted, self.strategy
         )
 
     # ------------------------------------------------------------------
@@ -173,64 +265,146 @@ class RowReordering:
     def apply(self, values: np.ndarray) -> np.ndarray:
         """A column in sorted row order (what indexes are built over)."""
         vals = np.asarray(values)
-        if vals.shape[0] != self.permutation.size:
+        if vals.shape[0] != self._size:
             raise ReproError(
                 f"column has {vals.shape[0]} rows, permutation covers "
-                f"{self.permutation.size}"
+                f"{self._size}"
             )
         return vals[self.permutation]
+
+    def sorted_codes(self) -> np.ndarray:
+        """The codes form's sorted prefix in stored order (what
+        :meth:`apply` returns for the sorted column, without a sort)."""
+        counts = np.bincount(self.codes[: self.num_sorted])
+        return np.repeat(np.arange(counts.size, dtype=self.codes.dtype), counts)
 
     def to_original(self, row_ids: np.ndarray) -> np.ndarray:
         """Sorted original record ids for sorted-space ``row_ids``."""
         ids = np.asarray(row_ids, dtype=np.int64)
-        if ids.size and (
-            ids.min() < 0 or ids.max() >= self.permutation.size
-        ):
-            raise ReproError(
-                f"row ids outside [0, {self.permutation.size})"
-            )
+        if ids.size and (ids.min() < 0 or ids.max() >= self._size):
+            raise ReproError(f"row ids outside [0, {self._size})")
         out = self.permutation[ids]
         out.sort()
         return out
 
     def restore_bitmap(self, bitmap: BitVector) -> BitVector:
-        """An answer bitmap translated from sorted to original row order.
+        """Any bitmap translated from sorted to original row order.
 
         Bit ``permutation[p]`` of the result equals bit ``p`` of the
-        input — one vectorized scatter, the only per-query cost of the
-        whole reordering scheme.
+        input — one vectorized scatter.
         """
-        if len(bitmap) != self.permutation.size:
-            raise ReproError(
-                f"bitmap length {len(bitmap)} does not match permutation "
-                f"size {self.permutation.size}"
-            )
-        original = np.zeros(self.permutation.size, dtype=bool)
+        self._check_length(bitmap)
+        original = np.zeros(self._size, dtype=bool)
         original[self.permutation] = bitmap.to_bools()
         return BitVector.from_bools(original)
+
+    def restore_answer(self, bitmap: BitVector) -> BitVector:
+        """An answer of the sorted column's own index, in original order.
+
+        Such an answer sets a row's bit by the row's value alone.  The
+        codes form therefore reads one bit per value (at the value's
+        stored position) and rebuilds the answer from the codes: one
+        unsigned range compare per run of set values, or one value-table
+        gather when that is cheaper (:func:`restore_by_compare`).  The
+        permutation form restores it like any bitmap
+        (:meth:`restore_bitmap`).
+        """
+        if self.codes is None:
+            return self.restore_bitmap(bitmap)
+        self._check_length(bitmap)
+        if self._size == 0:
+            return BitVector(0)
+        word_of, shift_of = self._probe()
+        hits = ((bitmap.words[word_of] >> shift_of) & np.uint64(1)).astype(bool)
+        edges = np.zeros(hits.size + 2, dtype=bool)
+        edges[1:-1] = hits
+        bounds = np.flatnonzero(edges[1:] != edges[:-1]).tolist()
+        starts, stops = bounds[0::2], bounds[1::2]
+        codes, top = self.codes, hits.size
+        if not starts:
+            return BitVector(self._size)
+        if starts == [0] and stops == [top]:
+            return BitVector.ones(self._size)
+        if not restore_by_compare(len(starts), self._size):
+            return BitVector.from_bools(hits.take(codes))
+        bits = None
+        for lo, hi in zip(starts, stops):
+            if lo == 0:
+                run = codes < hi
+            elif hi == top:
+                run = codes >= lo
+            else:
+                run = np.subtract(codes, lo, dtype=codes.dtype) < hi - lo
+            bits = run if bits is None else np.bitwise_or(bits, run, out=bits)
+        return BitVector.from_bools(bits)
+
+    def _probe(self) -> tuple[np.ndarray, np.ndarray]:
+        """Word index and bit shift of a stored position for every value
+        up to the largest code.
+
+        A value that no row holds borrows the next held value's
+        position (its bit is never read back, and borrowing keeps
+        answer runs unbroken).  Cached until :meth:`extend`.
+        """
+        if self._probe_cache is None:
+            held = np.flatnonzero(self._positions >= 0)
+            nearest = np.minimum(
+                np.searchsorted(held, np.arange(self._positions.size)),
+                held.size - 1,
+            )
+            probe = self._positions[held[nearest]]
+            self._probe_cache = (probe >> 6, (probe & 63).astype(np.uint64))
+        return self._probe_cache
+
+    def _check_length(self, bitmap: BitVector) -> None:
+        if len(bitmap) != self._size:
+            raise ReproError(
+                f"bitmap length {len(bitmap)} does not match permutation "
+                f"size {self._size}"
+            )
 
     # ------------------------------------------------------------------
     # Appends
     # ------------------------------------------------------------------
 
-    def extend(self, count: int) -> None:
-        """Track ``count`` rows appended past the sorted prefix.
+    def extend(self, values) -> None:
+        """Track rows appended past the sorted prefix.
 
         Appended rows keep their arrival positions (identity entries),
         so only the prefix built at sort time is sorted; ``num_sorted``
-        is unchanged and records where the sorted run ends.
+        is unchanged and records where the sorted run ends.  ``values``
+        is the appended rows' values.  The codes form appends them as
+        codes and gives each value it has not held before the position
+        of its first new row.
         """
-        if count < 0:
-            raise ReproError(f"append count must be >= 0, got {count}")
-        if count == 0:
+        new = np.asarray(values)
+        if new.ndim != 1:
+            raise ReproError(f"appended values must be 1-d, got ndim={new.ndim}")
+        if new.size == 0:
             return
-        start = self.permutation.size
-        self.permutation = np.concatenate(
-            [
-                self.permutation,
-                np.arange(start, start + count, dtype=np.int64),
-            ]
-        )
+        if new.min() < 0:
+            raise ReproError("appended values must be non-negative")
+        if self.codes is None:
+            self._permutation = np.concatenate(
+                [
+                    self._permutation,
+                    np.arange(self._size, self._size + new.size, dtype=np.int64),
+                ]
+            )
+            self._size += new.size
+            return
+        top = int(new.max())
+        dtype = np.promote_types(self.codes.dtype, np.min_scalar_type(top))
+        self.codes = np.concatenate([self.codes, new.astype(dtype)])
+        if top >= self._positions.size:
+            self._positions = np.concatenate(
+                [self._positions, np.full(top + 1 - self._positions.size, -1)]
+            )
+        values, first = np.unique(new, return_index=True)
+        fresh = self._positions[values] < 0
+        self._positions[values[fresh]] = self._size + first[fresh]
+        self._size += new.size
+        self._probe_cache = None
 
     def __repr__(self) -> str:
         return (

@@ -262,3 +262,72 @@ class TestSegmented:
         query = queries()[0]
         assert segmented_ids(left, query) == naive_ids(values[:128], query)
         assert segmented_ids(right, query) == naive_ids(values[128:], query)
+
+
+class TestCodesRestore:
+    """A single-column sort keeps codes, not a permutation; the answers
+    it restores must equal the permutation scatter's."""
+
+    SPEC = IndexSpec(
+        cardinality=CARDINALITY, scheme="I", codec="wah", reorder="lexicographic"
+    )
+
+    def test_built_index_holds_codes_not_a_permutation(self, rng):
+        values = column(rng)
+        reordering = BitmapIndex.build(values, self.SPEC).reordering
+        assert reordering.codes is not None
+        assert reordering.codes.dtype == np.uint8
+        assert reordering._permutation is None
+        assert np.array_equal(
+            reordering.permutation, np.argsort(values, kind="stable")
+        )
+
+    @pytest.mark.parametrize("mapped", [False, True])
+    def test_permutation_file_bytes_unchanged(self, tmp_path, rng, mapped):
+        values = column(rng, size=300)
+        batch = np.array([CARDINALITY - 1, 3, CARDINALITY - 1])
+        index = BitmapIndex.build(values, self.SPEC)
+        index.append(batch)
+        save_index(index, tmp_path / "idx")
+        written = (tmp_path / "idx" / PERMUTATION_NAME).read_bytes()
+        expected = np.concatenate(
+            [np.argsort(values, kind="stable"), np.arange(300, 303)]
+        ).astype("<i8")
+        assert written == expected.tobytes()
+        loaded = load_index(tmp_path / "idx", mapped=mapped)
+        assert loaded.reordering.codes is None  # loads keep the permutation
+        save_index(loaded, tmp_path / "again")
+        assert (tmp_path / "again" / PERMUTATION_NAME).read_bytes() == written
+        merged = np.concatenate([values, batch])
+        for query in queries():
+            assert ids(loaded.query(query).bitmap) == naive_ids(merged, query)
+
+    def test_values_absent_from_the_sorted_prefix_arrive_by_append(self, rng):
+        values = rng.integers(2, 6, size=200)  # no 0, 1 or anything >= 6
+        index = BitmapIndex.build(values, self.SPEC)
+        batches = [np.array([0, 7, 3]), np.array([11, 1, 0, 7]), np.array([9])]
+        merged = values
+        for batch in batches:
+            index.append(batch)
+            merged = np.concatenate([merged, batch])
+            for low, high in [(0, 0), (0, 1), (6, 11), (7, 7), (1, 9), (3, 5)]:
+                query = IntervalQuery(low, high, CARDINALITY)
+                answer = index.query(query).bitmap
+                assert ids(answer) == naive_ids(merged, query)
+            membership = MembershipQuery.of({0, 3, 7, 9, 11}, CARDINALITY)
+            assert ids(index.query(membership).bitmap) == naive_ids(merged, membership)
+
+    def test_segmented_and_compressed_engines(self, rng):
+        values = column(rng, size=900)
+        spec = IndexSpec(
+            cardinality=CARDINALITY, scheme="E", codec="wah", reorder="lexicographic"
+        )
+        index = SegmentedBitmapIndex.build(values, spec, segment_size=256)
+        index.append(column(rng, size=70))
+        merged = np.concatenate([values, np.concatenate(index._codes)[900:]])
+        for query in queries():
+            assert segmented_ids(index, query) == naive_ids(merged, query)
+        flat = BitmapIndex.build(values, spec)
+        for query in queries():
+            engine = CompressedQueryEngine(flat)
+            assert ids(engine.execute(query).bitmap) == naive_ids(values, query)

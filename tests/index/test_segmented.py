@@ -358,3 +358,69 @@ def test_segmented_property(seed, segment_size, sizes, scheme):
     result = evaluate(index, IntervalQuery(low, high, 12))
     expected = BitVector.from_bools((merged >= low) & (merged <= high))
     assert result.bitmap == expected
+
+
+class TestGrownEqualsBuilt:
+    """Tails rebuilt from their codes: a column grown by appends stores
+    exactly what one built from the same rows does."""
+
+    SPEC = IndexSpec(cardinality=50, scheme="I", codec="wah", reorder="lexicographic")
+
+    @staticmethod
+    def payloads(index):
+        return [
+            {key: segment.store.get_payload(key) for key in segment.store.keys()}
+            for segment in index.segments()
+        ]
+
+    @staticmethod
+    def decode_and_count(index, batch):
+        """``bitmaps_touched`` the old way: build each piece the batch
+        adds to a segment and count the bitmaps with a set bit."""
+        touched = 0
+        tail = index.num_records % index.segment_size
+        offset = 0
+        while offset < batch.size:
+            piece = batch[offset : offset + index.segment_size - tail]
+            built = BitmapIndex.build(piece, IndexSpec(cardinality=50, scheme="I"))
+            touched += sum(
+                1 for key in built.store.keys() if built.store.get(key).any()
+            )
+            offset += piece.size
+            tail = 0
+        return touched
+
+    @pytest.mark.parametrize(
+        "batch, rows",
+        [(1, 4200), (3, 4200), (2000, 16500), (4095, 16500), (4096, 16500), (4097, 16500)],
+    )
+    def test_grown_payloads_equal_built(self, rng, batch, rows):
+        values = rng.zipf(1.3, size=rows) % 50
+        index = SegmentedBitmapIndex(self.SPEC)
+        for offset in range(0, rows, batch):
+            chunk = values[offset : offset + batch]
+            expected = self.decode_and_count(index, chunk)
+            assert index.append(chunk).bitmaps_touched == expected
+        built = SegmentedBitmapIndex.build(values, self.SPEC)
+        assert [s.num_records for s in index.segments()] == [
+            s.num_records for s in built.segments()
+        ]
+        assert self.payloads(index) == self.payloads(built)
+        assert index.size_bytes() == built.size_bytes()
+
+    def test_tail_segment_is_replaced_not_mutated(self, rng):
+        index = SegmentedBitmapIndex.build(rng.integers(0, 50, 100), self.SPEC)
+        (tail,) = index.segments()
+        snapshot = {key: tail.store.get_payload(key) for key in tail.store.keys()}
+        index.append(rng.integers(0, 50, 10))
+        assert index.segments()[0] is not tail
+        assert tail.num_records == 100
+        assert {key: tail.store.get_payload(key) for key in tail.store.keys()} == snapshot
+
+    def test_sorted_segments_hold_their_codes_once(self, rng):
+        values = rng.integers(0, 50, 9_000)
+        index = SegmentedBitmapIndex.build(values[:5_000], self.SPEC)
+        index.append(values[5_000:])
+        for codes, segment in zip(index._codes, index.segments()):
+            assert codes is segment.reordering.codes
+        assert np.array_equal(np.concatenate(index._codes), values)

@@ -24,6 +24,7 @@ from repro.bitmap import BitVector
 from repro.compress import available_codecs
 from repro.encoding import ALL_SCHEME_NAMES
 from repro.errors import (
+    EncodingSchemeError,
     Overloaded,
     QueryError,
     ServeError,
@@ -320,6 +321,20 @@ class TestShardBoundaries:
             assert np.array_equal(s.execute(query).row_ids(), expected)
             assert s.recover(s.shard_info()[-1]["id"])
             assert np.array_equal(s.execute(query).row_ids(), expected)
+
+    def test_acked_rows_kept_in_the_code_dtype(self):
+        values = self.column(64)
+        with ShardedQueryService(values, make_spec(), inline_config(shards=2)) as s:
+            s.append(self.column(9))
+            shards = s._layout.shards
+            assert {shard.acked_rows().dtype for shard in shards} == {np.dtype(np.uint8)}
+            assert np.array_equal(shards[-1].acked_rows()[-9:], self.column(9))
+
+    def test_out_of_domain_rows_rejected_before_narrowing(self):
+        with pytest.raises(EncodingSchemeError):
+            ShardedQueryService(
+                np.array([0, CARDINALITY + 236]), make_spec(), inline_config(shards=1)
+            )
 
     def test_appends_racing_recoveries_lose_no_rows(self):
         values = self.column(64)

@@ -1,5 +1,6 @@
 """Tests for the LRU buffer pool and its cost accounting."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -233,3 +234,64 @@ def test_pool_properties(sequence, capacity):
     assert pool.stats.fetches == len(sequence)
     assert pool.stats.hits + pool.stats.misses == len(sequence)
     assert pool.stats.evictions <= pool.stats.misses
+
+
+class TestFillRunEntries:
+    """Highly compressible bitmaps stay resident as their word runs."""
+
+    def make_sorted_store(self, length=65_536):
+        store = BitmapStore(codec="wah", page_size=512)
+        for i in range(4):
+            bits = np.zeros(length, dtype=bool)
+            bits[i * 9_000 + 17 : i * 9_000 + 20_011] = True
+            store.put(("run", i), BitVector.from_bools(bits))
+        rng = np.random.default_rng(0)
+        store.put("noisy", BitVector.from_bools(rng.random(length) < 0.3))
+        return store
+
+    def test_hits_expand_to_the_stored_bitmap(self):
+        store = self.make_sorted_store()
+        pool = BufferPool(store, capacity_pages=10_000)
+        for key in store.keys():
+            first = pool.fetch(key)
+            again = pool.fetch(key)
+            assert first == again == store.get(key)
+        assert pool.stats.misses == 5 and pool.stats.hits == 5
+
+    def test_only_fill_dominated_bitmaps_are_kept_as_runs(self):
+        store = self.make_sorted_store()
+        pool = BufferPool(store, capacity_pages=10_000)
+        for key in store.keys():
+            pool.fetch(key)
+        compact = {
+            key
+            for key, (entry, _, _) in pool._resident.items()
+            if not isinstance(entry, BitVector)
+        }
+        assert compact == {("run", i) for i in range(4)}
+        # Page accounting is the decoded size either way.
+        assert pool.used_pages == 5 * 16
+
+    def test_raw_bitmaps_stay_decoded(self):
+        store = BitmapStore(codec="raw", page_size=512)
+        store.put("a", BitVector.zeros(65_536))
+        pool = BufferPool(store, capacity_pages=100)
+        pool.fetch("a")
+        assert isinstance(pool._resident["a"][0], BitVector)
+
+    def test_replaced_payload_is_reread(self):
+        store = self.make_sorted_store()
+        pool = BufferPool(store, capacity_pages=10_000)
+        pool.fetch(("run", 0))
+        store.put(("run", 0), BitVector.ones(65_536))
+        assert pool.fetch(("run", 0)) == BitVector.ones(65_536)
+        assert pool.stats.misses == 2
+
+    def test_each_hit_gets_its_own_expansion(self):
+        store = self.make_sorted_store()
+        pool = BufferPool(store, capacity_pages=10_000)
+        pool.fetch(("run", 1))
+        served = pool.fetch(("run", 1))
+        served.words[:] = 0
+        assert pool.fetch(("run", 1)) == store.get(("run", 1))
+        assert pool.used_pages == 16

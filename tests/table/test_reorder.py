@@ -13,6 +13,7 @@ import pytest
 
 from repro.bitmap import BitVector
 from repro.errors import ReproError
+from repro.index import BitmapIndex, IndexSpec
 from repro.queries import IntervalQuery, MembershipQuery
 from repro.table import (
     REORDER_STRATEGIES,
@@ -23,6 +24,7 @@ from repro.table import (
     reorder_rows,
 )
 from repro.table.reorder import (
+    restore_by_compare,
     lexicographic_permutation,
     validate_strategy,
 )
@@ -90,35 +92,35 @@ class TestRowReordering:
 
     def test_extend_appends_identity_entries(self):
         reordering = RowReordering(np.array([1, 0]), 2)
-        reordering.extend(3)
+        reordering.extend(np.array([0, 1, 0]))
         assert reordering.permutation.tolist() == [1, 0, 2, 3, 4]
         assert reordering.num_sorted == 2
         assert reordering.size == 5
 
     def test_extend_zero_is_noop(self):
         reordering = RowReordering.identity(2)
-        reordering.extend(0)
+        reordering.extend(np.array([], dtype=np.int64))
         assert reordering.size == 2
 
     def test_extend_negative_rejected(self):
         with pytest.raises(ReproError):
-            RowReordering.identity(2).extend(-1)
+            RowReordering.identity(2).extend(np.array([-1]))
 
     def test_is_identity_cache_survives_extend(self):
         reordering = RowReordering(np.array([1, 0]))
         assert not reordering.is_identity
-        reordering.extend(2)
+        reordering.extend(np.array([0, 1]))
         # Identity entries never flip the answer either way.
         assert not reordering.is_identity
         identity = RowReordering.identity(2)
         assert identity.is_identity
-        identity.extend(2)
+        identity.extend(np.array([0, 1]))
         assert identity.is_identity
 
     def test_copy_is_independent(self):
         original = RowReordering(np.array([1, 0]), 2, "lexicographic")
         clone = original.copy()
-        clone.extend(1)
+        clone.extend(np.array([0]))
         assert original.size == 2
         assert clone.size == 3
         assert clone.strategy == "lexicographic"
@@ -381,3 +383,98 @@ class TestReorderedTable:
         assert (
             sorted_build.total_index_bytes() < plain.total_index_bytes()
         )
+
+
+class TestCodesRestore:
+    """``restore_answer`` over codes equals the permutation scatter."""
+
+    @staticmethod
+    def both(values, answer_of_value):
+        """(codes restore, permutation scatter) of the sorted-space answer
+        that sets each row's bit by ``answer_of_value[row value]``."""
+        reordering = RowReordering.from_sort(values)
+        stored = BitVector.from_bools(answer_of_value[reordering.apply(values)])
+        return reordering.restore_answer(stored), reordering.restore_bitmap(stored)
+
+    @pytest.mark.parametrize("size", [0, 1, 63, 64, 65, 1000])
+    @pytest.mark.parametrize(
+        "pattern", ["empty", "ones", "one_run", "two_runs", "many_runs", "edges"]
+    )
+    def test_every_answer_shape(self, rng, size, pattern):
+        cardinality = 40
+        values = rng.integers(0, cardinality, size=size)
+        answer_of_value = np.zeros(cardinality, dtype=bool)
+        if pattern == "ones":
+            answer_of_value[:] = True
+        elif pattern == "one_run":
+            answer_of_value[5:17] = True
+        elif pattern == "two_runs":
+            answer_of_value[[0, 1, 2, 30, 31]] = True
+        elif pattern == "many_runs":  # past the compare limit: the gather path
+            answer_of_value[::2] = True
+            assert not restore_by_compare(cardinality // 2, size)
+        elif pattern == "edges":
+            answer_of_value[[0, cardinality - 1]] = True
+        codes_restore, scatter = self.both(values, answer_of_value)
+        assert codes_restore == scatter
+        assert codes_restore == BitVector.from_bools(answer_of_value[values])
+
+    def test_run_count_around_the_crossover(self, rng):
+        values = rng.integers(0, 200, size=5000)
+        crossover = max(r for r in range(1, 60) if restore_by_compare(r, values.size))
+        assert not restore_by_compare(crossover + 1, values.size)
+        for runs in range(crossover - 1, crossover + 3):
+            answer_of_value = np.zeros(200, dtype=bool)
+            answer_of_value[3 : 3 + 3 * runs : 3] = True
+            codes_restore, scatter = self.both(values, answer_of_value)
+            assert codes_restore == scatter
+
+    def test_wide_codes(self, rng):
+        values = rng.integers(0, 70_000, size=3000)
+        answer_of_value = rng.random(70_000) < 0.3
+        codes_restore, scatter = self.both(values, answer_of_value)
+        assert RowReordering.from_sort(values).codes.dtype == np.uint32
+        assert codes_restore == scatter
+
+    @pytest.mark.parametrize("scheme", ["E", "R", "I", "ER", "O", "EI", "EI*", "I+", "B"])
+    @pytest.mark.parametrize("components", [1, 2, 3])
+    def test_index_answers_every_scheme(self, rng, scheme, components):
+        cardinality = 27
+        values = rng.integers(0, cardinality, size=500)
+        spec = IndexSpec(
+            cardinality=cardinality,
+            scheme=scheme,
+            num_components=components,
+            reorder="lexicographic",
+        )
+        index = BitmapIndex.build(values, spec)
+        assert index.reordering.codes is not None
+        queries = [
+            IntervalQuery(0, 0, cardinality),
+            IntervalQuery(4, 20, cardinality),
+            IntervalQuery(0, cardinality - 1, cardinality),
+            MembershipQuery.of(set(range(0, cardinality, 2)), cardinality),
+        ]
+        for query in queries:
+            stored = BitVector.from_bools(query.matches(index.reordering.apply(values)))
+            assert index.reordering.restore_answer(stored) == (
+                index.reordering.restore_bitmap(stored)
+            )
+            assert index.query(query).bitmap == BitVector.from_bools(query.matches(values))
+
+    def test_extend_by_codes(self):
+        reordering = RowReordering.from_sort(np.array([3, 1, 3, 0]))
+        reordering.extend(np.array([5, 1]))
+        assert reordering.size == 6 and reordering.num_sorted == 4
+        assert reordering.permutation.tolist() == [3, 1, 0, 2, 4, 5]
+        with pytest.raises(ReproError):
+            reordering.extend(2)  # the values, not their count
+        clone = reordering.copy()
+        clone.extend(np.array([2]))
+        assert reordering.size == 6 and clone.size == 7
+
+    def test_joint_sort_keeps_a_permutation(self, rng):
+        columns = {"a": rng.integers(0, 4, 50), "b": rng.integers(0, 9, 50)}
+        _, reordering = reorder_rows(columns)
+        assert reordering.codes is None
+        assert reordering.permutation.dtype == np.int64

@@ -30,6 +30,7 @@ def test_report_only_gates_name_their_reason(quick_results):
     }
     assert "expr_eval" in report_only  # --quick never gates timings
     assert "rewrite_cost" in report_only  # never gated, in any mode
+    assert "segment_append" in report_only  # gated in full mode only
     for name, entry in report_only.items():
         assert entry.get("gate_skip_reason"), name
 
@@ -40,7 +41,14 @@ def test_wall_clock_entries_record_n_iqr_and_machine(quick_results):
         for name, entry in quick_results.items()
         if ":" not in name and "median_s" in entry
     }
-    assert {"expr_eval", "numpy_inline_eval", "wah_encode", "rewrite_cost"} <= set(current)
+    assert {
+        "expr_eval",
+        "numpy_inline_eval",
+        "wah_encode",
+        "rewrite_cost",
+        "segment_append",
+    } <= set(current)
+    assert current["segment_append"]["merge"]["n"] >= 1
     for name, entry in current.items():
         assert entry["n"] >= 1, name
         assert entry["iqr_s"] >= 0.0, name
