@@ -73,6 +73,11 @@ Gates that can fail the run (exit 1):
   ``segment_append`` entry also
   records one 2,000-row append onto a 2,096-row tail and one four-way
   merge of 4,096-row segments; the gate reports only in ``--quick``;
+* a membership query over a sorted WAH segment (4,096 and 262,144
+  rows) answered in value space — leaves probed at one row per value,
+  the answer rebuilt from the codes — differing from decoding every
+  leaf, evaluating over rows and restoring (enforced in every mode),
+  or, in full mode, being slower than it (``segment_probe``);
 * the ``auto`` meta-codec losing its reason to exist on the Markov
   (density x clustering) grid: in any cell ``auto`` coming out more
   than 5% larger than the best fixed codec, any fixed codec beating
@@ -234,6 +239,9 @@ def run_benchmarks(
 
     # Appends: a tail rebuilt from its codes, and a four-way merge.
     results["segment_append"] = run_segment_append_bench(max(3, 5 * iters))
+
+    # Queries on sorted segments: probe and rebuild vs decode and restore.
+    results["segment_probe"] = run_segment_probe_bench(max(3, 5 * iters))
 
     # Per-query fixed cost: the rewrite of a membership query.
     results["rewrite_cost"] = run_rewrite_bench(num_queries=512, repeats=5)
@@ -777,6 +785,71 @@ def run_segment_append_bench(repeats: int) -> dict:
     }
 
 
+#: Segment sizes of the probe entry: a tail-sized and a top-tier segment.
+SEGMENT_PROBE_ROWS = (4096, 262144)
+
+
+def run_segment_probe_bench(repeats: int) -> dict:
+    """One membership query over a sorted WAH segment, both ways, cold.
+
+    Value space (the engine's path for a sorted segment): one batched
+    probe of every leaf at the segment's probe positions, evaluation
+    over the per-value vectors, and the answer rebuilt from the codes.
+    Row space: every leaf decoded, evaluated over all rows, and the
+    answer restored from its bits at the probe positions.  Each sample
+    starts from an empty pool, so it pays the probe or the decodes.
+    The answers must be equal, and equal to a naive scan (enforced in
+    every mode); in full mode the value-space path must also be no
+    slower than row space at each size.
+    """
+    from repro.index import BitmapIndex, IndexSpec
+    from repro.index.evaluation import component_order, plan_or
+    from repro.queries import MembershipQuery
+    from repro.storage import BufferPool
+    from repro.workload import zipf_column
+
+    spec = IndexSpec(**SEGMENT_APPEND_SPEC)
+    query = MembershipQuery.of([3, 4, 5, 17, 18, 60, 61, 62, 150], spec.cardinality)
+    cells, answers_equal = {}, True
+    for rows in SEGMENT_PROBE_ROWS:
+        column = zipf_column(rows, spec.cardinality, 1.0, seed=3)
+        segment = BitmapIndex.build(column, spec)
+        expr, operations = plan_or(segment.rewriter.rewrite_membership(query))
+        keys = component_order(expr.leaf_keys())
+
+        def answer(by_value: bool) -> BitVector:
+            pool = BufferPool(
+                segment.store, 1 << 30, probe=segment.value_probe if by_value else None
+            )
+            cache = dict(zip(keys, pool.fetch_many(keys)))
+            length = segment.value_probe()[0].size if by_value else rows
+            bits = evaluate(expr, pool.fetch, length, None, cache, operations)
+            return segment.restore_row_order(bits, by_value=by_value)
+
+        expected = BitVector.from_bools(query.matches(column))
+        answers_equal &= answer(True) == answer(False) == expected
+        samples = {True: [], False: []}
+        for _ in range(repeats):
+            for by_value in (True, False):
+                t0 = time.perf_counter()
+                answer(by_value)
+                samples[by_value].append(time.perf_counter() - t0)
+        cells[str(rows)] = {
+            "probe": sample_stats(samples[True]),
+            "decode": sample_stats(samples[False]),
+            "leaves": len(keys),
+        }
+    return {
+        **cells[str(SEGMENT_PROBE_ROWS[-1])]["probe"],
+        "iterations": repeats,
+        "cells": cells,
+        "answers_equal": answers_equal,
+        "params": {"spec": SEGMENT_APPEND_SPEC, "query": sorted(query.values)},
+        "gate_enforced": True,
+        "gate_skip_reason": None,
+    }
+
+
 #: Entries whose gate only reports under ``--quick``, and why.
 QUICK_REPORT_ONLY = {
     "expr_eval": "report-only under --quick: one-iteration timings are "
@@ -785,6 +858,8 @@ QUICK_REPORT_ONLY = {
     "workload is too short to gate a 5% bound on",
     "segment_append": "report-only under --quick: three samples are too "
     "few to gate encode_many against the per-vector reference",
+    "segment_probe": "report-only under --quick: three samples are too few "
+    "to gate the value-space path against decoding (answers still gate)",
     "adaptive_codec_selection": "report-only under --quick: the shrunken "
     "grid is too small to gate on",
 }
@@ -1010,6 +1085,24 @@ def main(argv: list[str] | None = None) -> int:
             "FAIL: encode_many is slower than the per-vector WAH reference",
             file=sys.stderr,
         )
+        return 1
+
+    probe = results["segment_probe"]
+    for rows, cell in probe["cells"].items():
+        print(
+            f"segment probe ({rows} sorted rows, {cell['leaves']} leaves): value space "
+            f"{cell['probe']['median_s'] * 1e3:.3f} ms vs decode "
+            f"{cell['decode']['median_s'] * 1e3:.3f} ms"
+        )
+    if not probe["answers_equal"]:
+        print("FAIL: value-space and row-space answers differ", file=sys.stderr)
+        return 1
+    slower = [
+        rows for rows, cell in probe["cells"].items()
+        if cell["probe"]["median_s"] > cell["decode"]["median_s"]
+    ]
+    if slower and probe["gate_enforced"]:
+        print(f"FAIL: the value-space path is slower at {slower} rows", file=sys.stderr)
         return 1
 
     rewrite = results["rewrite_cost"]

@@ -258,6 +258,12 @@ class BitVector:
         bits = np.unpackbits(as_bytes, bitorder="little")
         return bits[: self._length].astype(bool)
 
+    def take(self, positions: np.ndarray) -> np.ndarray:
+        """The bits at ``positions`` (an int64 array) as a boolean array:
+        one word gather and one shift, no unpacking."""
+        shifts = (positions & 63).astype(np.uint64)
+        return ((self._words[positions >> 6] >> shifts) & np.uint64(1)).astype(bool)
+
     def to_indices(self) -> np.ndarray:
         """Sorted array of the positions of set bits."""
         return np.flatnonzero(self.to_bools())

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
+import numpy as np
+
 from repro import obs as _obs
 from repro.bitmap import BitVector
 from repro.errors import CodecError
@@ -19,12 +21,13 @@ class Codec(ABC):
     """Stateless bitmap compressor/decompressor.
 
     Subclasses implement :meth:`_encode` / :meth:`_decode` (and may
-    batch :meth:`_encode_many`); the public :meth:`encode` /
-    :meth:`encode_many` / :meth:`decode` wrappers additionally report
-    ``codec.encode.*`` / ``codec.decode.*`` counters to the installed
-    :mod:`repro.obs` instance (tagged by codec name), so every byte that
-    crosses the codec boundary is attributable to the span that caused
-    it.
+    batch :meth:`_encode_many` or read bits straight from payloads in
+    :meth:`_probe_many`); the public :meth:`encode` / :meth:`encode_many`
+    / :meth:`decode` / :meth:`probe_many` wrappers additionally report
+    ``codec.encode.*`` / ``codec.decode.*`` / ``codec.probe.*`` counters
+    to the installed :mod:`repro.obs` instance (tagged by codec name), so
+    every byte that crosses the codec boundary is attributable to the
+    span that caused it.
     """
 
     #: Short registry name; subclasses must override.
@@ -58,6 +61,17 @@ class Codec(ABC):
         """
         return None
 
+    def _probe_many(self, payloads: list, length: int, positions: np.ndarray) -> np.ndarray:
+        """Bits at ``positions`` of each payload; the default decodes
+        each one (zero-copy where the codec can) and gathers."""
+        bits = np.empty((len(payloads), positions.size), dtype=bool)
+        for row, payload in enumerate(payloads):
+            vector = self._decode_view(payload, length)
+            if vector is None:
+                vector = self._decode(payload, length)
+            bits[row] = vector.take(positions)
+        return bits
+
     def _counters(self, o):
         owner, handles = self._obs_handles
         if owner is not o:
@@ -67,6 +81,8 @@ class Codec(ABC):
                 o.metrics.counter("codec.encode.bytes_out", codec=self.name),
                 o.metrics.counter("codec.decode.calls", codec=self.name),
                 o.metrics.counter("codec.decode.bytes_in", codec=self.name),
+                o.metrics.counter("codec.probe.calls", codec=self.name),
+                o.metrics.counter("codec.probe.bytes_in", codec=self.name),
             )
             self._obs_handles = (o, handles)
         return handles
@@ -76,7 +92,7 @@ class Codec(ABC):
         payload = self._encode(vector)
         o = _obs.active()
         if o is not None:
-            calls, bits_in, bytes_out, _, _ = self._counters(o)
+            calls, bits_in, bytes_out, *_ = self._counters(o)
             calls.inc(1)
             bits_in.inc(len(vector))
             bytes_out.inc(len(payload))
@@ -98,7 +114,7 @@ class Codec(ABC):
         if o is not None and vectors:
             bits = sum(len(vector) for vector in vectors)
             size = sum(len(payload) for payload in payloads)
-            calls, bits_in, bytes_out, _, _ = self._counters(o)
+            calls, bits_in, bytes_out, *_ = self._counters(o)
             calls.inc(len(vectors))
             bits_in.inc(bits)
             bytes_out.inc(size)
@@ -113,7 +129,7 @@ class Codec(ABC):
         vector = self._decode(payload, length)
         o = _obs.active()
         if o is not None:
-            _, _, _, calls, bytes_in = self._counters(o)
+            _, _, _, calls, bytes_in, *_ = self._counters(o)
             calls.inc(1)
             bytes_in.inc(len(payload))
             tracer = o.tracer
@@ -136,13 +152,39 @@ class Codec(ABC):
             vector = self._decode(payload, length)
         o = _obs.active()
         if o is not None:
-            _, _, _, calls, bytes_in = self._counters(o)
+            _, _, _, calls, bytes_in, *_ = self._counters(o)
             calls.inc(1)
             bytes_in.inc(len(payload))
             tracer = o.tracer
             tracer.attribute("codec.decode.calls", 1)
             tracer.attribute("codec.decode.bytes_in", len(payload))
         return vector
+
+    def probe_many(self, payloads, length: int, positions: np.ndarray) -> np.ndarray:
+        """The bits at ``positions`` of every ``length``-bit payload.
+
+        Returns one boolean row per payload, equal to decoding it and
+        gathering ``positions``; a run-length codec may instead search
+        its runs and never decode (WAH does, one search over every
+        payload of the batch).  A payload that does not decode raises
+        the :class:`CodecError` :meth:`decode` would.  Reports
+        ``codec.probe.*`` counters (calls count payloads).
+        """
+        payloads = list(payloads)
+        positions = np.asarray(positions, dtype=np.int64)
+        if positions.size and (positions.min() < 0 or positions.max() >= length):
+            raise CodecError(f"probe positions outside [0, {length})")
+        bits = self._probe_many(payloads, length, positions)
+        o = _obs.active()
+        if o is not None and payloads:
+            size = sum(len(payload) for payload in payloads)
+            *_, calls, bytes_in = self._counters(o)
+            calls.inc(len(payloads))
+            bytes_in.inc(size)
+            tracer = o.tracer
+            tracer.attribute("codec.probe.calls", len(payloads))
+            tracer.attribute("codec.probe.bytes_in", size)
+        return bits
 
     def decode_blockwise(
         self, payload, length: int, block_words: int = 2048
@@ -158,7 +200,7 @@ class Codec(ABC):
         vector = _streams.decode_blockwise(self.name, payload, length, block_words)
         o = _obs.active()
         if o is not None:
-            _, _, _, calls, bytes_in = self._counters(o)
+            _, _, _, calls, bytes_in, *_ = self._counters(o)
             calls.inc(1)
             bytes_in.inc(len(payload))
             tracer = o.tracer

@@ -18,10 +18,14 @@ Encode and decode are built on the vectorized run kernels in
 of many equal-length bitmaps come from whole-matrix word shifts, one
 ``np.flatnonzero`` segments every row into runs, and every stream is
 assembled by one bulk scatter — no per-group Python iteration.  A
-single bitmap is the one-row case.
+single bitmap is the one-row case.  A probe (:meth:`Codec.probe_many`)
+reads the bits at given positions of a batch of streams with one run
+search over their concatenation, never decoding them.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -177,5 +181,43 @@ class WahCodec(Codec):
         values = kernels.elements_from_runs(runs, _LITERAL_MASK, np.uint32)
         return groups_to_bits(values, length)
 
+    def _probe_many(self, payloads, length: int, positions: np.ndarray) -> np.ndarray:
+        """One run search over the concatenated streams, no decode.
+
+        Every stream must cover exactly the groups of ``length`` bits
+        (checked as :meth:`_decode` checks it), so stream ``i``'s group
+        ``g`` is group ``i * groups + g`` of the concatenation; the word
+        covering it is the first whose cumulative group count passes it.
+        A fill word answers with its fill bit, a literal with its own bit.
+        """
+        num_groups = (length + _GROUP_BITS - 1) // _GROUP_BITS
+        sizes = [len(payload) for payload in payloads]
+        for size in sizes:
+            if size % 4:
+                raise CodecError(f"WAH payload size {size} not word aligned")
+        words = np.frombuffer(b"".join(payloads), dtype=np.uint32)
+        is_fill = words >= np.uint32(_FILL_FLAG)
+        counts = (words & np.uint32(_MAX_FILL)).astype(np.int64)
+        counts[~is_fill] = 1
+        # starts[j]: the groups before word j of the concatenation.
+        starts = np.zeros(words.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=starts[1:])
+        before = 0
+        for end in accumulate(sizes):
+            after = int(starts[end // 4])
+            total, before = after - before, after
+            if total > num_groups:
+                raise CodecError("WAH stream overruns the declared length")
+            if total != num_groups:
+                raise CodecError(
+                    f"WAH stream produced {total} groups, expected {num_groups}"
+                )
+        groups, bits = np.divmod(positions, _GROUP_BITS)
+        offsets = np.arange(len(sizes), dtype=np.int64) * num_groups
+        word = words[np.searchsorted(starts[1:], offsets[:, None] + groups, side="right")]
+        shift = np.where(
+            word >= np.uint32(_FILL_FLAG), np.uint32(30), bits.astype(np.uint32)
+        )
+        return ((word >> shift) & np.uint32(1)).astype(bool)
 
 register_codec(WahCodec())

@@ -283,7 +283,7 @@ class BitmapIndex:
     # Querying
     # ------------------------------------------------------------------
 
-    def restore_row_order(self, bitmap):
+    def restore_row_order(self, bitmap, by_value: bool = False):
         """Translate an answer from stored (sorted) to original row order.
 
         The single place the build-time reordering re-enters query
@@ -294,10 +294,33 @@ class BitmapIndex:
         alone, so a one-column sort restores it from the kept codes
         (:meth:`~repro.table.reorder.RowReordering.restore_answer`).  A
         no-op (the same object) for unreordered indexes.
+
+        With ``by_value`` the answer is one bit per value, evaluated
+        over the bitmaps read at :meth:`value_probe`'s positions, and is
+        rebuilt from the codes
+        (:meth:`~repro.table.reorder.RowReordering.answer_of_values`).
         """
+        if by_value:
+            return self.reordering.answer_of_values(bitmap)
         if self.reordering is None or self.reordering.is_identity:
             return bitmap
         return self.reordering.restore_answer(bitmap)
+
+    def value_probe(self) -> tuple[np.ndarray, int] | None:
+        """Where this index's answers can be read value by value, or None.
+
+        An index sorted on its one column (a codes-form reordering that
+        is not the identity) sets each row's bit in every stored bitmap
+        by the row's value alone, so a query is decided by the bits at
+        one stored row per value.  Returns those rows
+        (:meth:`~repro.table.reorder.RowReordering.probe_positions`) and
+        the length every stored bitmap has; None for any other index,
+        whose queries are evaluated over whole rows.
+        """
+        reordering = self.reordering
+        if reordering is None or reordering.codes is None or reordering.is_identity:
+            return None
+        return reordering.probe_positions(), self.num_records
 
     def use_cost_based_rewriter(self) -> None:
         """Swap in a rewriter that prices expression choices by the

@@ -160,6 +160,10 @@ class _PayloadPool:
             o.gauge_set("buffer.used_pages", self.used_pages, pool="compressed")
         return bitmap
 
+    def fetch_many(self, keys) -> list[_PooledBitmap]:
+        """:meth:`fetch` of each key in order."""
+        return [self.fetch(key) for key in keys]
+
     @property
     def used_pages(self) -> int:
         """Pages held by resident payloads and their decoded copies."""
@@ -315,6 +319,7 @@ class CompressedQueryEngine:
         constituents: list[Expr],
         cache: dict[Hashable, CompressedBitmap],
         stats: EvalStats,
+        plan=None,
     ):
         """Evaluate one query's constituents against a shared leaf cache.
 
@@ -323,7 +328,9 @@ class CompressedQueryEngine:
         query in the batch, so each stored bitmap crosses the buffer
         pool at most once per batch.  Returns the decoded answer; a
         bare-leaf answer's decode is charged as decompression, exactly
-        as in :meth:`execute`.
+        as in :meth:`execute`.  ``plan`` is the decoded engine's
+        (:func:`~repro.index.evaluation.plan_or`); this engine ORs the
+        constituents node by node and does not use it.
         """
         return self._evaluate(constituents, cache, stats)
 

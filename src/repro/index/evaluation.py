@@ -139,8 +139,36 @@ def schedule_constituents(constituents: list[Expr]) -> list[Expr]:
     return [constituents[i] for i in order]
 
 
+def plan_or(constituents: list[Expr]) -> tuple[Expr, int]:
+    """The one expression a query's constituents are OR-ed through, and
+    the bulk operations it is charged.
+
+    An ``Or`` constituent's operands join the top-level OR directly (the
+    leaf fetch order is unchanged).  The charge is that of evaluating
+    the constituents one by one and OR-ing the results: each
+    constituent's own operation count, with no sharing across
+    constituents, plus ``n - 1`` ORs.  A serving shard plans each query
+    once and hands the plan to every segment's engine.
+    """
+    if len(constituents) == 1:
+        return constituents[0], expression_operation_count(constituents[0])
+    operations = sum(map(expression_operation_count, constituents))
+    operands = [
+        op for expr in constituents
+        for op in (expr.operands if type(expr) is Or else (expr,))
+    ]
+    return Or(tuple(operands)), operations + len(constituents) - 1
+
+
 class QueryEngine:
-    """Evaluates queries against one :class:`~repro.index.BitmapIndex`."""
+    """Evaluates queries against one :class:`~repro.index.BitmapIndex`.
+
+    An index sorted on its one column (:meth:`BitmapIndex.value_probe`)
+    is evaluated in *value space*: the pool reads each bitmap only at
+    one stored row per value, the expression runs unchanged over those
+    short vectors, and the answer is rebuilt from the codes.  Every
+    scan, operation, page and pool counter is what row space counts.
+    """
 
     def __init__(
         self,
@@ -164,7 +192,13 @@ class QueryEngine:
                 1, -(-words * 8 // index.store.page_size)
             )
             buffer_pages = max(1, decoded_pages_per_bitmap * (index.num_bitmaps() + 2))
-        self.pool = BufferPool(index.store, buffer_pages, clock=self.clock)
+        self._by_value = index.value_probe() is not None
+        self.pool = BufferPool(
+            index.store,
+            buffer_pages,
+            clock=self.clock,
+            probe=index.value_probe if self._by_value else None,
+        )
 
     @property
     def buffer_stats(self) -> BufferStats:
@@ -216,30 +250,16 @@ class QueryEngine:
 
     def _execute_constituents(self, constituents: list[Expr]) -> EvaluationResult:
         start_ms = self.clock.total_ms
-        length = self.index.num_records
-        words = max(1, -(-length // 64))
         stats = EvalStats()
-
         if self.strategy == "component-wise":
             answer = self._component_wise(constituents, stats)
         elif self.strategy == "scheduled":
-            answer = self._query_wise(
-                schedule_constituents(constituents), length, stats
-            )
+            answer = self._query_wise(schedule_constituents(constituents), stats)
         else:
-            answer = self._query_wise(constituents, length, stats)
-
-        # A bare-leaf answer can be the pool-resident vector itself,
-        # which may view read-only (store/mmap) memory — callers own
-        # their results, so hand out a writable copy instead.  Pure
-        # allocation traffic: no scans or operations to charge.
-        if not answer.words.flags.writeable:
-            answer = answer.copy()
-
-        # Charge CPU for the bulk word operations and the final ORs.
-        self.clock.charge_word_ops(stats.operations, words)
+            answer = self._query_wise(constituents, stats)
+        bitmap = self._finish(answer, stats.operations)
         return EvaluationResult(
-            bitmap=self.index.restore_row_order(answer),
+            bitmap=bitmap,
             stats=stats,
             simulated_ms=self.clock.total_ms - start_ms,
             strategy=self.strategy,
@@ -250,6 +270,7 @@ class QueryEngine:
         constituents: list[Expr],
         cache: dict[Hashable, BitVector],
         stats: EvalStats,
+        plan: tuple[Expr, int] | None = None,
     ) -> BitVector:
         """Evaluate one query's constituents against a shared leaf cache.
 
@@ -258,65 +279,70 @@ class QueryEngine:
         same ``cache`` to every query in the batch, so each stored
         bitmap crosses the buffer pool at most once per batch.  Word
         operations are charged to the engine's clock as in
-        :meth:`execute`.
+        :meth:`execute`.  ``plan`` is :func:`plan_or` of the
+        constituents, when the caller already has it.
         """
-        words = max(1, -(-self.index.num_records // 64))
         before = stats.operations
-        answer = self._evaluate_or(constituents, stats, cache)
-        self.clock.charge_word_ops(stats.operations - before, words)
-        if not answer.words.flags.writeable:
-            answer = answer.copy()  # same ownership rule as execute()
-        return self.index.restore_row_order(answer)
+        answer = self._evaluate_or(constituents, stats, cache, plan)
+        return self._finish(answer, stats.operations - before)
 
     # ------------------------------------------------------------------
+
+    def _length(self) -> int:
+        """Bits per evaluated vector: one per value in value space, one
+        per row otherwise."""
+        if self._by_value:
+            return self.index.value_probe()[0].size
+        return self.index.num_records
+
+    def _finish(self, answer: BitVector, operations: int) -> BitVector:
+        """Charge ``operations`` bulk word operations over the index's
+        rows; the answer in original row order, owned by the caller."""
+        self.clock.charge_word_ops(
+            operations, max(1, -(-self.index.num_records // 64))
+        )
+        if self._by_value:
+            return self.index.restore_row_order(answer, by_value=True)
+        # A bare-leaf answer can be the pool-resident vector itself,
+        # which may view read-only (store/mmap) memory — callers own
+        # their results, so hand out a writable copy instead.  Pure
+        # allocation traffic: no scans or operations to charge.
+        if not answer.words.flags.writeable:
+            answer = answer.copy()
+        return self.index.restore_row_order(answer)
 
     def _evaluate_or(
         self,
         constituents: list[Expr],
         stats: EvalStats,
         cache: dict[Hashable, BitVector],
+        plan: tuple[Expr, int] | None = None,
     ) -> BitVector:
-        """OR a query's constituents into its answer in one range walk.
-
-        An ``Or`` constituent's operands join the top-level OR directly
-        (the leaf fetch order is unchanged).  The charge is that of
-        evaluating the constituents one by one and OR-ing the results:
-        each constituent's own operation count, with no sharing across
-        constituents, plus ``n - 1`` ORs.
-        """
-        length = self.index.num_records
-        if len(constituents) == 1:
-            return evaluate(constituents[0], self.pool.fetch, length, stats, cache)
-        operations = sum(map(expression_operation_count, constituents))
-        operands = [
-            op for expr in constituents
-            for op in (expr.operands if type(expr) is Or else (expr,))
-        ]
+        """OR a query's constituents into its answer in one range walk
+        (:func:`plan_or`)."""
+        expr, operations = plan_or(constituents) if plan is None else plan
         return evaluate(
-            Or(tuple(operands)), self.pool.fetch, length, stats, cache,
-            operations + len(constituents) - 1,
+            expr, self.pool.fetch, self._length(), stats, cache, operations
         )
 
     def _component_wise(
         self, constituents: list[Expr], stats: EvalStats
     ) -> BitVector:
         """Fetch each distinct bitmap once, in component order."""
-        cache: dict[Hashable, BitVector] = {}
         # Pre-fetch all leaves ordered by component so that each
         # component's bitmaps are read together (the paper's strategy
         # accesses each component once on behalf of all subqueries).
-        for key in component_order(
+        keys = component_order(
             {key for expr in constituents for key in expr.leaf_keys()}
-        ):
-            cache[key] = self.pool.fetch(key)
-            stats.scans += 1
-            stats.fetched_keys.append(key)
+        )
+        cache = dict(zip(keys, self.pool.fetch_many(keys)))
+        stats.scans += len(keys)
+        stats.fetched_keys.extend(keys)
         return self._evaluate_or(constituents, stats, cache)
 
-    def _query_wise(
-        self, constituents: list[Expr], length: int, stats: EvalStats
-    ) -> BitVector:
+    def _query_wise(self, constituents: list[Expr], stats: EvalStats) -> BitVector:
         """Evaluate one constituent at a time with no cross-sharing."""
+        length = self._length()
         answer: BitVector | None = None
         for expr in constituents:
             cache: dict[Hashable, BitVector] = {}

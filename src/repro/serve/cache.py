@@ -66,8 +66,13 @@ class ResultCache:
 
         Every probe is recorded as one hit or one miss: the shard engine
         probes each request exactly once, so ``hits + misses`` equals
-        the requests it answered.
+        the requests it answered.  A disabled cache counts the miss
+        without building (and hashing) the key.
         """
+        if not self._capacity:
+            with self._lock:
+                self.stats.misses += 1
+            return None
         key = (epoch, expression)
         with self._lock:
             answer = self._entries.get(key)

@@ -38,7 +38,7 @@ from repro.errors import QueryError
 from repro.expr import EvalStats, Expr, Leaf
 from repro.index.bitmap_index import BitmapIndex, IndexSpec
 from repro.index.compressed_engine import CompressedQueryEngine
-from repro.index.evaluation import QueryEngine, component_order
+from repro.index.evaluation import QueryEngine, component_order, plan_or
 from repro.index.rewrite import QueryRewriter
 from repro.index.segmented import DEFAULT_SEGMENT_SIZE, SegmentedBitmapIndex
 from repro.queries.model import IntervalQuery, MembershipQuery, ThresholdQuery
@@ -349,20 +349,16 @@ class ShardEngine:
         engines = self.segment_engines()
         keys = component_order({key for i in batch for key in keysets[i]})
         fetch_start = self.clock.total_ms
-        shared: list[dict] = []
-        for engine in engines:
-            cache: dict = {}
-            for key in keys:
-                cache[key] = engine.pool.fetch(key)
-            shared.append(cache)
+        shared = [dict(zip(keys, engine.pool.fetch_many(keys))) for engine in engines]
         fetch_share = (self.clock.total_ms - fetch_start) / len(batch)
         for i in batch:
             eval_start = self.clock.total_ms
             stats = EvalStats()
+            constituents = list(expressions[i])
+            # One plan per query, shared by every segment's engine.
+            plan = plan_or(constituents) if self.engine_kind == "decoded" else None
             pieces = [
-                engine.evaluate_shared(
-                    list(expressions[i]), shared[k], stats
-                )
+                engine.evaluate_shared(constituents, shared[k], stats, plan)
                 for k, engine in enumerate(engines)
             ]
             if len(pieces) == 1:

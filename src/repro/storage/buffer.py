@@ -13,57 +13,18 @@ as in the paper's setup where an 11 MB pool sufficed).
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Hashable
+from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs as _obs
 from repro.bitmap import BitVector
-from repro.compress import RawCodec, kernels
+from repro.compress import RawCodec
 from repro.errors import BufferError_
 from repro.storage.iomodel import CostClock
 from repro.storage.pages import pages_for
 from repro.storage.store import BitmapStore
-
-
-#: A decoded bitmap at least this many times larger than its payload
-#: stays resident as its non-zero word runs and is expanded on each
-#: hit; the page accounting is the decoded size either way.  Chosen
-#: from a sweep on ``sharded_appends`` (``docs/performance.md`` §9):
-#: peak RSS after a fixed op count is flat for every cut-off from 4 to
-#: 256, and the highest such cut-off expands the fewest hits.  A
-#: payload that small also bounds the runs (each costs the codec at
-#: least a word); a sorted segment's bitmaps have at most 5.
-COMPACT_RATIO = 256
-_FULL_WORD = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
-
-
-class _WordRuns:
-    """A resident bitmap kept as its non-zero 64-bit word runs."""
-
-    __slots__ = ("length", "num_words", "parts")
-
-    def __init__(self, vector: BitVector):
-        self.length = len(vector)
-        self.num_words = vector.num_words
-        runs = kernels.runs_from_elements(vector.words, _FULL_WORD)
-        #: ``(start, stop, words)`` of each non-zero run.
-        self.parts = []
-        start = taken = 0
-        for kind, count in zip(runs.types.tolist(), runs.lengths.tolist()):
-            if kind == kernels.FILL_ONE:
-                self.parts.append((start, start + count, _FULL_WORD))
-            elif kind == kernels.DIRTY:
-                self.parts.append((start, start + count, runs.values[taken : taken + count]))
-                taken += count
-            start += count
-
-    def expand(self) -> BitVector:
-        words = np.zeros(self.num_words, dtype=np.uint64)
-        for start, stop, fill in self.parts:
-            words[start:stop] = fill
-        return BitVector(self.length, words)
 
 
 @dataclass
@@ -100,6 +61,10 @@ class BufferPool:
         still served (it simply occupies the pool alone).
     clock:
         Optional cost clock charged for misses.
+    probe:
+        Optional callable returning ``(positions, length)``: the pool
+        then keeps each ``length``-bit bitmap's bits at ``positions``
+        instead of the decoded bitmap, accounted as the decoded bitmap.
     """
 
     def __init__(
@@ -107,6 +72,7 @@ class BufferPool:
         store: BitmapStore,
         capacity_pages: int,
         clock: CostClock | None = None,
+        probe: Callable[[], tuple[np.ndarray, int]] | None = None,
     ):
         if capacity_pages < 1:
             raise BufferError_(
@@ -115,9 +81,9 @@ class BufferPool:
         self._store = store
         self._capacity = capacity_pages
         self._clock = clock
-        self._resident: OrderedDict[
-            Hashable, tuple[BitVector | _WordRuns, int, int]
-        ] = OrderedDict()
+        self._probe = probe
+        #: key -> (vector, or None while its probe is pending; pages; version)
+        self._resident: OrderedDict[Hashable, tuple[BitVector | None, int, int]] = OrderedDict()
         self._used_pages = 0
         self.stats = BufferStats()
 
@@ -140,36 +106,70 @@ class BufferPool:
         re-read and re-charged like any other miss.  A decoded entry is
         the bitmap callers receive and can change size in place, so each
         hit on one re-measures it and settles the difference against the
-        pool's page accounting, evicting colder entries if the bitmap
-        outgrew its old footprint.  An entry kept as word runs
-        (:data:`COMPACT_RATIO`) hands each hit a fresh expansion, so its
-        size never changes and its pages stand as charged.
+        pool's page accounting, evicting colder entries if it outgrew
+        its old footprint; a probed entry's pages stand as charged.
         """
-        entry = self._resident.get(key)
-        if entry is not None:
-            vector, cached_pages, version = entry
-            if version != self._store.version(key):
-                # Stale: the stored payload was replaced after this
-                # decode.  Drop the entry and read through below.
-                del self._resident[key]
-                self._used_pages -= cached_pages
-            else:
-                if isinstance(vector, _WordRuns):
-                    vector = vector.expand()
-                else:
-                    pages = pages_for(vector.num_words * 8, self._store.page_size)
-                    if pages != cached_pages:
-                        self._used_pages += pages - cached_pages
-                        self._resident[key] = (vector, pages, version)
-                        if pages > cached_pages:
-                            self._evict_to_fit(0, keep=key)
-                self._resident.move_to_end(key)
-                self.stats.hits += 1
-                o = _obs.active()
-                if o is not None:
-                    o.count("buffer.hits", 1, pool="decoded")
-                return vector
+        return self.fetch_many((key,))[0]
 
+    def fetch_many(self, keys: Iterable[Hashable]) -> list[BitVector]:
+        """:meth:`fetch` of each of the distinct ``keys``, in order; a
+        probing pool reads all of their misses in one
+        :meth:`Codec.probe_many` call."""
+        keys = list(keys)
+        if len(set(keys)) != len(keys):
+            raise BufferError_("fetch_many needs distinct keys")
+        positions, length = (None, None) if self._probe is None else self._probe()
+        vectors, probed = [], []
+        try:
+            for key in keys:
+                vector = self._hit(key)
+                vectors.append(self._read(key) if vector is None else vector)
+            missed = [i for i, vector in enumerate(vectors) if vector is None]
+            if missed:
+                views = [self._store.payload_view(keys[i]) for i in missed]
+                probed = self._store.codec.probe_many(views, length, positions)
+        except BaseException:
+            for key, (vector, pages, _) in list(self._resident.items()):
+                if vector is None:  # a placeholder of this batch
+                    del self._resident[key]
+                    self._used_pages -= pages
+            raise
+        for i, bits in zip(missed, probed):
+            vector = vectors[i] = BitVector.from_bools(bits)
+            entry = self._resident.get(keys[i])
+            if entry is not None and entry[0] is None:
+                self._resident[keys[i]] = (vector, *entry[1:])
+        return vectors
+
+    def _hit(self, key: Hashable) -> BitVector | None:
+        """The resident vector for ``key`` (counted as a hit), or None."""
+        entry = self._resident.get(key)
+        if entry is None:
+            return None
+        vector, cached_pages, version = entry
+        if version != self._store.version(key):
+            # Stale: the stored payload was replaced after this read.
+            del self._resident[key]
+            self._used_pages -= cached_pages
+            return None
+        if self._probe is None:
+            pages = pages_for(vector.num_words * 8, self._store.page_size)
+            if pages != cached_pages:
+                self._used_pages += pages - cached_pages
+                self._resident[key] = (vector, pages, version)
+                if pages > cached_pages:
+                    self._evict_to_fit(0, keep=key)
+        self._resident.move_to_end(key)
+        self.stats.hits += 1
+        o = _obs.active()
+        if o is not None:
+            o.count("buffer.hits", 1, pool="decoded")
+        return vector
+
+    def _read(self, key: Hashable) -> BitVector | None:
+        """Count and charge a miss of ``key`` and make it resident at its
+        decoded size.  Returns the decoded bitmap, or None in a probing
+        pool, whose entry is a placeholder until the batch is probed."""
         self.stats.misses += 1
         o = _obs.active()
         if o is not None:
@@ -178,18 +178,14 @@ class BufferPool:
         # Decode through the payload view: zero-copy words over a mapped
         # store, a heap view otherwise.  Charges are measured from
         # ``info`` either way, so the two paths account identically.
-        vector = self._store.get_view(key)
+        vector = self._store.get_view(key) if self._probe is None else None
         if self._clock is not None:
             self._clock.charge_read(info.pages)
             if not isinstance(self._store.codec, RawCodec):
                 self._clock.charge_decompress(info.encoded_bytes)
-
-        decoded_pages = pages_for(vector.num_words * 8, self._store.page_size)
+        decoded_pages = pages_for(-(-info.length // 64) * 8, self._store.page_size)
         self._evict_to_fit(decoded_pages)
-        resident = vector
-        if info.encoded_bytes * COMPACT_RATIO <= vector.num_words * 8:
-            resident = _WordRuns(vector)
-        self._resident[key] = (resident, decoded_pages, self._store.version(key))
+        self._resident[key] = (vector, decoded_pages, self._store.version(key))
         self._used_pages += decoded_pages
         if o is not None:
             o.gauge_set("buffer.used_pages", self._used_pages, pool="decoded")

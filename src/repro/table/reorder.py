@@ -302,20 +302,24 @@ class RowReordering:
         """An answer of the sorted column's own index, in original order.
 
         Such an answer sets a row's bit by the row's value alone.  The
-        codes form therefore reads one bit per value (at the value's
-        stored position) and rebuilds the answer from the codes: one
-        unsigned range compare per run of set values, or one value-table
-        gather when that is cheaper (:func:`restore_by_compare`).  The
-        permutation form restores it like any bitmap
-        (:meth:`restore_bitmap`).
+        codes form therefore reads one bit per value, at
+        :meth:`probe_positions`, and rebuilds the answer from those
+        (:meth:`answer_of_values`).  The permutation form restores it
+        like any bitmap (:meth:`restore_bitmap`).
         """
         if self.codes is None:
             return self.restore_bitmap(bitmap)
         self._check_length(bitmap)
         if self._size == 0:
             return BitVector(0)
-        word_of, shift_of = self._probe()
-        hits = ((bitmap.words[word_of] >> shift_of) & np.uint64(1)).astype(bool)
+        return self.answer_of_values(BitVector.from_bools(bitmap.take(self.probe_positions())))
+
+    def answer_of_values(self, values: BitVector) -> BitVector:
+        """The original-order answer giving each row its value's bit in
+        ``values`` (codes form): one unsigned range compare over the codes
+        per run of set values, or one value-table gather when that is
+        cheaper (:func:`restore_by_compare`)."""
+        hits = values.to_bools()
         edges = np.zeros(hits.size + 2, dtype=bool)
         edges[1:-1] = hits
         bounds = np.flatnonzero(edges[1:] != edges[:-1]).tolist()
@@ -338,13 +342,11 @@ class RowReordering:
             bits = run if bits is None else np.bitwise_or(bits, run, out=bits)
         return BitVector.from_bools(bits)
 
-    def _probe(self) -> tuple[np.ndarray, np.ndarray]:
-        """Word index and bit shift of a stored position for every value
-        up to the largest code.
-
-        A value that no row holds borrows the next held value's
-        position (its bit is never read back, and borrowing keeps
-        answer runs unbroken).  Cached until :meth:`extend`.
+    def probe_positions(self) -> np.ndarray:
+        """A stored position for every value up to the largest code
+        (codes form only).  A value that no row holds borrows the next
+        held value's position (its bit is never read back, and borrowing
+        keeps answer runs unbroken).  Cached until :meth:`extend`.
         """
         if self._probe_cache is None:
             held = np.flatnonzero(self._positions >= 0)
@@ -352,8 +354,7 @@ class RowReordering:
                 np.searchsorted(held, np.arange(self._positions.size)),
                 held.size - 1,
             )
-            probe = self._positions[held[nearest]]
-            self._probe_cache = (probe >> 6, (probe & 63).astype(np.uint64))
+            self._probe_cache = self._positions[held[nearest]].astype(np.int64)
         return self._probe_cache
 
     def _check_length(self, bitmap: BitVector) -> None:

@@ -55,6 +55,16 @@ class TestResultCache:
         assert len(cache) == 0
         assert cache.get(0, EXPR_A) is None
 
+    def test_capacity_zero_counts_misses_without_hashing(self):
+        class Unhashable:
+            def __hash__(self):
+                raise AssertionError("a disabled cache hashed its key")
+
+        cache = ResultCache(0)
+        for _ in range(3):
+            assert cache.get(0, (Unhashable(),)) is None
+        assert (cache.stats.hits, cache.stats.misses) == (0, 3)
+
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             ResultCache(-1)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bitmap import BitVector
-from repro.errors import BufferError_
+from repro.errors import BufferError_, CodecError
 from repro.storage import BitmapStore, BufferPool, CostClock
 
 
@@ -237,7 +237,7 @@ def test_pool_properties(sequence, capacity):
 
 
 class TestFillRunEntries:
-    """Highly compressible bitmaps stay resident as their word runs."""
+    """Fill-dominated (sorted) WAH bitmaps through a decoding pool."""
 
     def make_sorted_store(self, length=65_536):
         store = BitmapStore(codec="wah", page_size=512)
@@ -258,20 +258,6 @@ class TestFillRunEntries:
             assert first == again == store.get(key)
         assert pool.stats.misses == 5 and pool.stats.hits == 5
 
-    def test_only_fill_dominated_bitmaps_are_kept_as_runs(self):
-        store = self.make_sorted_store()
-        pool = BufferPool(store, capacity_pages=10_000)
-        for key in store.keys():
-            pool.fetch(key)
-        compact = {
-            key
-            for key, (entry, _, _) in pool._resident.items()
-            if not isinstance(entry, BitVector)
-        }
-        assert compact == {("run", i) for i in range(4)}
-        # Page accounting is the decoded size either way.
-        assert pool.used_pages == 5 * 16
-
     def test_raw_bitmaps_stay_decoded(self):
         store = BitmapStore(codec="raw", page_size=512)
         store.put("a", BitVector.zeros(65_536))
@@ -287,11 +273,88 @@ class TestFillRunEntries:
         assert pool.fetch(("run", 0)) == BitVector.ones(65_536)
         assert pool.stats.misses == 2
 
-    def test_each_hit_gets_its_own_expansion(self):
-        store = self.make_sorted_store()
-        pool = BufferPool(store, capacity_pages=10_000)
-        pool.fetch(("run", 1))
-        served = pool.fetch(("run", 1))
-        served.words[:] = 0
-        assert pool.fetch(("run", 1)) == store.get(("run", 1))
-        assert pool.used_pages == 16
+
+class TestProbingPool:
+    """A pool with ``probe`` keeps each bitmap's bits at the probe
+    positions and accounts for it exactly as a decoding pool does."""
+
+    POSITIONS = np.array([0, 17, 3_000, 9_999], dtype=np.int64)
+
+    def probing(self, store, capacity, clock=None, positions=None):
+        positions = self.POSITIONS if positions is None else positions
+        return BufferPool(
+            store, capacity, clock=clock, probe=lambda: (positions, 10_000)
+        )
+
+    def wah_store(self):
+        store = BitmapStore(codec="wah", page_size=512)
+        for i in range(8):
+            bits = np.zeros(10_000, dtype=bool)
+            bits[i * 1_000 : 3_000 + i * 1_000] = True
+            store.put(i, BitVector.from_bools(bits))
+        return store
+
+    def test_entries_are_the_bits_at_the_positions(self):
+        store = self.wah_store()
+        pool = self.probing(store, 100)
+        for key, vector in zip(range(8), pool.fetch_many(range(8))):
+            assert len(vector) == self.POSITIONS.size
+            assert np.array_equal(vector.to_bools(), store.get(key).take(self.POSITIONS))
+            assert pool.fetch(key) is vector
+        assert (pool.stats.misses, pool.stats.hits) == (8, 8)
+
+    @pytest.mark.parametrize("capacity", [3, 7, 100])
+    def test_accounting_equals_fetching_one_at_a_time(self, capacity):
+        sequence = [[0, 1, 2], [2, 3], [0, 4, 5, 6], [1], [7, 0, 3]]
+        store = self.wah_store()
+        probe_clock, fetch_clock = CostClock(), CostClock()
+        probing = self.probing(store, capacity, probe_clock)
+        decoding = BufferPool(store, capacity, clock=fetch_clock)
+        for keys in sequence:
+            probing.fetch_many(keys)
+            for key in keys:
+                decoding.fetch(key)
+            assert probing.used_pages == decoding.used_pages
+            assert [probing.contains(k) for k in range(8)] == [
+                decoding.contains(k) for k in range(8)
+            ]
+        assert probing.stats == decoding.stats
+        assert probe_clock.total_ms == fetch_clock.total_ms
+        assert probe_clock.pages_read == fetch_clock.pages_read
+
+    def test_an_entry_evicted_in_its_own_batch_is_still_served(self):
+        store = self.wah_store()
+        pool = self.probing(store, 3)  # room for one 3-page bitmap
+        vectors = pool.fetch_many([0, 1, 2])
+        assert [v.to_bools().tolist() for v in vectors] == [
+            store.get(k).take(self.POSITIONS).tolist() for k in range(3)
+        ]
+        assert not pool.contains(0) and pool.contains(2)
+
+    def test_replaced_payload_is_probed_again(self):
+        store = self.wah_store()
+        pool = self.probing(store, 100)
+        pool.fetch(0)
+        store.put(0, BitVector.ones(10_000))
+        assert pool.fetch(0).all()
+        assert pool.stats.misses == 2
+
+    def test_a_failed_probe_leaves_no_entry(self):
+        store = self.wah_store()
+        store.put_payload(5, b"\x01\x02\x03", 10_000)  # misaligned WAH
+        pool = self.probing(store, 100)
+        pool.fetch(0)
+        with pytest.raises(CodecError):
+            pool.fetch_many([1, 5, 2])
+        assert [pool.contains(k) for k in (0, 1, 5, 2)] == [True, False, False, False]
+        assert pool.used_pages == 3
+
+    def test_a_bitmap_of_the_wrong_length_is_rejected(self):
+        store = self.wah_store()
+        store.put(9, BitVector.zeros(20_000))
+        with pytest.raises(CodecError, match="overruns the declared length"):
+            self.probing(store, 100).fetch(9)
+
+    def test_duplicate_keys_are_rejected(self):
+        with pytest.raises(BufferError_):
+            self.probing(self.wah_store(), 100).fetch_many([1, 1])

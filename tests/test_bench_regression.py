@@ -31,6 +31,7 @@ def test_report_only_gates_name_their_reason(quick_results):
     assert "expr_eval" in report_only  # --quick never gates timings
     assert "rewrite_cost" in report_only  # never gated, in any mode
     assert "segment_append" in report_only  # gated in full mode only
+    assert "segment_probe" in report_only  # timing gated in full mode only
     for name, entry in report_only.items():
         assert entry.get("gate_skip_reason"), name
 
@@ -47,8 +48,15 @@ def test_wall_clock_entries_record_n_iqr_and_machine(quick_results):
         "wah_encode",
         "rewrite_cost",
         "segment_append",
+        "segment_probe",
     } <= set(current)
     assert current["segment_append"]["merge"]["n"] >= 1
+    probe = current["segment_probe"]
+    assert probe["answers_equal"]
+    assert set(probe["cells"]) == {"4096", "262144"}
+    for cell in probe["cells"].values():
+        for path in ("probe", "decode"):
+            assert cell[path]["n"] >= 1 and cell[path]["iqr_s"] >= 0.0
     for name, entry in current.items():
         assert entry["n"] >= 1, name
         assert entry["iqr_s"] >= 0.0, name
