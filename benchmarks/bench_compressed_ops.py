@@ -1,16 +1,17 @@
 """Ablation: compressed-domain evaluation vs decompress-then-operate.
 
 The paper's Figure 9 crossover exists because compressed indexes pay a
-decompression charge per query.  Compressed-domain EWAH evaluation
-(extension) removes that charge; this bench measures both engines on
-the same EWAH index across skews — simulated cost and wall clock.
+decompression charge per query.  The compressed convention of
+``QueryEngine`` (``engine="compressed"``, an extension) removes that
+charge; this bench measures both conventions on the same EWAH index
+across skews — simulated cost and wall clock.
 """
 
 import pytest
 
 from benchmarks.conftest import record_table
 from repro.analysis.report import render_table
-from repro.index import BitmapIndex, CompressedQueryEngine, IndexSpec
+from repro.index import BitmapIndex, IndexSpec, QueryEngine
 from repro.queries import QuerySetSpec, generate_query_set
 from repro.storage import CostClock
 from repro.workload import zipf_column
@@ -27,17 +28,15 @@ def build(skew: float) -> tuple[BitmapIndex, list]:
     return index, queries
 
 
+def engine_kind(compressed: bool) -> str:
+    return "compressed" if compressed else "decoded"
+
+
 def simulated_cost(index, queries, compressed: bool) -> tuple[float, float]:
     clock = CostClock()
-    if compressed:
-        engine = CompressedQueryEngine(index, clock=clock)
-    else:
-        engine = index.engine(clock=clock)
+    engine = QueryEngine(index, clock=clock, engine=engine_kind(compressed))
     for query in queries:
-        if compressed:
-            engine.pool.clear()
-        else:
-            engine.pool.clear()
+        engine.pool.clear()
         engine.execute(query)
     return clock.cpu_ms, clock.total_ms
 
@@ -85,10 +84,7 @@ def test_engine_wall_clock(benchmark, compressed):
     index, queries = build(2.0)
 
     def run():
-        if compressed:
-            engine = CompressedQueryEngine(index)
-        else:
-            engine = index.engine()
+        engine = QueryEngine(index, engine=engine_kind(compressed))
         total = 0
         for query in queries:
             total += engine.execute(query).row_count

@@ -40,9 +40,13 @@ Gates that can fail the run (exit 1):
 
 * the 1-of-16 threshold plan disagreeing with the expanded OR-chain
   bit-for-bit, or failing to operate strictly fewer words than the
-  chain's pairwise fold on the compressed engine — one counting pass
-  over the N payloads is the point of the threshold algebra (counted
-  words, deterministic, so this gate runs in ``--quick`` mode too);
+  chain's pairwise fold under the compressed convention — one counting
+  pass over the N payloads is the point of the threshold algebra
+  (counted words, deterministic, so this gate runs in ``--quick`` mode
+  too);
+* the compressed convention's stream path (``compressed_stream_path``:
+  a pool holding the leaves' payloads but no decoded copy) answering
+  differently from a naive scan; its wall-clock time is report-only;
 * a ``reorder="lexicographic"`` build failing to come out strictly
   smaller than the unordered build for WAH/EWAH/BBC at any measured
   Zipf skew z >= 1, or any reordered query answer differing from the
@@ -268,6 +272,11 @@ def run_benchmarks(
     # Threshold algebra: k-of-N as one counting pass vs the expanded
     # OR-chain.  Counted words, deterministic at any size.
     results["threshold_vs_or_chain"] = run_threshold_bench(num_records)
+
+    # The compressed convention's stream path (bounded pool), timed.
+    results["compressed_stream_path"] = run_stream_path_bench(
+        50 * num_records, max(3, 5 * iters)
+    )
 
     # Row reordering: size and AND/OR throughput before/after the
     # build-time sort, per codec, over the Zipf skew sweep (the
@@ -509,18 +518,19 @@ def check_adaptive_gates(entry: dict) -> list[str]:
 def run_threshold_bench(num_records: int, fanin: int = 16) -> dict:
     """1-of-N threshold vs the equivalent pairwise OR-chain, in words.
 
-    Both plans evaluate the same N = 16 equality bitmaps on the
-    compressed engine.  The chain folds them through binary ORs, paying
-    for every materialized intermediate; the threshold plan streams all
-    N payloads through the bit-sliced counter once, so its
-    ``words_operated`` must be strictly lower and the answers must be
-    bit-identical.  Counted via :class:`~repro.storage.CostClock`, so
-    the gate is deterministic and runs in ``--quick`` mode too.
+    Both plans evaluate the same N = 16 equality bitmaps under the
+    compressed convention (``QueryEngine(engine="compressed")``).  The
+    chain folds them through binary ORs, charged for every intermediate
+    it operates on; the threshold plan counts all N leaves in one node,
+    charged their encoded bytes once, so its ``words_operated`` must be
+    strictly lower and the answers must be bit-identical.  Counted via
+    :class:`~repro.storage.CostClock`, so the gate is deterministic and
+    runs in ``--quick`` mode too.
     """
     from functools import reduce
 
     from repro.expr import EvalStats, Threshold
-    from repro.index import BitmapIndex, CompressedQueryEngine, IndexSpec
+    from repro.index import BitmapIndex, IndexSpec, QueryEngine
     from repro.queries import IntervalQuery
     from repro.storage import CostClock
     from repro.workload import zipf_column
@@ -535,7 +545,7 @@ def run_threshold_bench(num_records: int, fanin: int = 16) -> dict:
         for v in range(fanin)
     ]
     clock = CostClock()
-    engine = CompressedQueryEngine(index, clock=clock)
+    engine = QueryEngine(index, clock=clock, engine="compressed")
 
     def run(expr):
         start = clock.words_operated
@@ -556,6 +566,73 @@ def run_threshold_bench(num_records: int, fanin: int = 16) -> dict:
         "threshold_words_operated": threshold_words,
         "words_saved_pct": (1.0 - threshold_words / chain_words) * 100.0,
         "bit_identical": bool(chain_bitmap == threshold_bitmap),
+    }
+
+
+#: Codecs of the stream-path entry.
+STREAM_PATH_CODECS = ("wah", "auto")
+
+
+def run_stream_path_bench(rows: int, repeats: int) -> dict:
+    """The compressed convention's stream path, in wall-clock.
+
+    An E/C=200 index over a clustered Markov column (the
+    ``clustered_compressed`` workload's data), per codec, served by
+    ``QueryEngine(engine="compressed")`` under a pool of exactly the
+    queries' encoded pages: every leaf stays resident as its cached
+    block stream and no decoded copy fits.  A sample runs a 12-leaf
+    range query (one OR node) and a 2-of-3 threshold over three ranges
+    once each.  Answers must equal a naive scan (enforced in every
+    mode); the timing is report-only.
+    """
+    from repro.index import BitmapIndex, IndexSpec, QueryEngine
+    from repro.queries import IntervalQuery, ThresholdQuery
+    from repro.workload import markov_column
+
+    cardinality = 200
+    column = markov_column(rows, cardinality, clustering_factor=32.0, seed=5)
+    queries = [
+        IntervalQuery(10, 21, cardinality),
+        ThresholdQuery(
+            2,
+            tuple(IntervalQuery(lo, lo + 11, cardinality) for lo in (10, 15, 18)),
+        ),
+    ]
+    cells, answers_equal, paths = {}, True, {}
+    for codec in STREAM_PATH_CODECS:
+        index = BitmapIndex.build(
+            column, IndexSpec(cardinality=cardinality, scheme="E", codec=codec)
+        )
+        keys = set().union(*(index.rewriter.rewrite(q).leaf_keys() for q in queries))
+        engine = QueryEngine(
+            index,
+            buffer_pages=sum(index.store.info(key).pages for key in keys),
+            engine="compressed",
+        )
+        for query in queries:  # the first pass reads every payload
+            answer = engine.execute(query).bitmap
+            answers_equal &= answer == BitVector.from_bools(query.matches(column))
+        with obs.observed() as o:
+            for query in queries:
+                engine.execute(query)
+        for path, counter in o.metrics.to_dict().get("compress.physical", {}).items():
+            paths[path] = paths.get(path, 0) + int(counter["value"])
+        cells[codec] = timeit(lambda: [engine.execute(q) for q in queries], repeats)
+    return {
+        **cells[STREAM_PATH_CODECS[0]],
+        "iterations": repeats,
+        "cells": cells,
+        "answers_equal": answers_equal,
+        "leaf_sources": paths,
+        "params": {
+            "rows": rows,
+            "spec": f"E/C={cardinality}",
+            "data": "markov_column, clustering 32, seed 5",
+            "queries": [str(q) for q in queries],
+        },
+        "gate_enforced": False,
+        "gate_skip_reason": "report-only: times the stream path; no bound is "
+        "set for it (answers still gate)",
     }
 
 
@@ -1009,6 +1086,16 @@ def main(argv: list[str] | None = None) -> int:
             f"{threshold['or_chain_words_operated']}",
             file=sys.stderr,
         )
+        return 1
+
+    stream = results["compressed_stream_path"]
+    for codec, cell in stream["cells"].items():
+        print(
+            f"compressed stream path ({codec}, {stream['params']['rows']} rows, "
+            f"leaf sources {stream['leaf_sources']}): {cell['median_s'] * 1e3:.2f} ms"
+        )
+    if not stream["answers_equal"]:
+        print("FAIL: the stream path's answers differ from a naive scan", file=sys.stderr)
         return 1
 
     reorder = results["reorder_skew_benefit"]

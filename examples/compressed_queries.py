@@ -2,18 +2,21 @@
 
 The paper's Figure 9 shows compressed indexes losing to uncompressed
 ones at low skew because every query pays a decompression charge.
-Word-aligned codecs can evaluate queries *without decompressing*:
-logical ops run directly on the compressed payloads, touching only the
-"dirty" words.  This example builds the same EWAH index twice the
-paper's way (decompress-then-operate) and the compressed-domain way,
-and prints the cost model's verdict per skew level.
+``QueryEngine(index, engine="compressed")`` keeps the encoded payloads
+in its pool and charges each operator node the bytes its operands
+occupy, so the charge shrinks with the compression ratio; a leaf is
+read from its decoded copy or streamed straight from its payload.
+This example queries the same EWAH index the paper's way
+(decompress-then-operate) and the compressed-domain way, and prints
+the cost model's verdict per skew level.
 
 Run:  python examples/compressed_queries.py
 """
 
 from __future__ import annotations
 
-from repro import BitmapIndex, CompressedQueryEngine, IndexSpec, MembershipQuery
+from repro import BitmapIndex, IndexSpec, MembershipQuery
+from repro.index import QueryEngine
 from repro.storage import CostClock
 from repro.workload import zipf_column
 
@@ -23,10 +26,9 @@ QUERY = MembershipQuery.of({3, 4, 5, 17, 30, 31, 32, 44}, 50)
 
 def run_once(index: BitmapIndex, compressed_domain: bool) -> CostClock:
     clock = CostClock()
-    if compressed_domain:
-        engine = CompressedQueryEngine(index, clock=clock)
-    else:
-        engine = index.engine(clock=clock)
+    engine = QueryEngine(
+        index, clock=clock, engine="compressed" if compressed_domain else "decoded"
+    )
     result = engine.execute(QUERY)
     # Both engines must agree exactly.
     assert result.row_count == engine2_expected[id(index)]
@@ -58,9 +60,9 @@ def main() -> None:
             f"{speedup:7.1f}x"
         )
     print(
-        "\nReading: the compressed-domain engine never decodes its "
-        "operands, so the CPU charge that drives the paper's Figure 9 "
-        "crossover largely disappears."
+        "\nReading: the compressed convention charges no decompression "
+        "for its operands, so the CPU charge that drives the paper's "
+        "Figure 9 crossover largely disappears."
     )
 
 

@@ -49,8 +49,6 @@ from repro.compress.roaring_ops import roaring_count, roaring_logical, roaring_n
 from repro.compress.stats import CompressionStats, measure_all_codecs, measure_codec
 from repro.compress.streams import (
     BlockStream,
-    VectorStream,
-    decode_blockwise,
     open_stream,
     register_stream,
 )
@@ -139,7 +137,5 @@ __all__ = [
     "register_compressed_ops",
     "register_stream",
     "BlockStream",
-    "VectorStream",
     "open_stream",
-    "decode_blockwise",
 ]

@@ -239,7 +239,7 @@ def _tagged(name: str, inner_payload: bytes) -> bytes:
 def _inner_ops(name: str):
     """(logical, not_, count) payload ops for an inner codec.
 
-    ``raw`` is not a compressed-domain codec (the compressed engine
+    ``raw`` is not a compressed-domain codec (``engine="compressed"``
     rejects a raw *store*), but as an ``auto`` inner codec its payload
     ops are the plain word operations from :mod:`repro.compress.raw`.
     """

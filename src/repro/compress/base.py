@@ -186,27 +186,14 @@ class Codec(ABC):
             tracer.attribute("codec.probe.bytes_in", size)
         return bits
 
+    # Deprecated: nothing calls it since the range walk reads a stream
+    # leaf window by window; perfbench's tracer still wraps it.  Delete
+    # with its wrappers (ROADMAP item 2).
     def decode_blockwise(
         self, payload, length: int, block_words: int = 2048
     ) -> BitVector:
-        """Decode through the codec's block stream (block-sized scratch).
-
-        Identical output and ``codec.decode.*`` accounting to
-        :meth:`decode`; only the decode temporaries shrink from
-        vector-sized to block-sized.
-        """
-        from repro.compress import streams as _streams
-
-        vector = _streams.decode_blockwise(self.name, payload, length, block_words)
-        o = _obs.active()
-        if o is not None:
-            _, _, _, calls, bytes_in, *_ = self._counters(o)
-            calls.inc(1)
-            bytes_in.inc(len(payload))
-            tracer = o.tracer
-            tracer.attribute("codec.decode.calls", 1)
-            tracer.attribute("codec.decode.bytes_in", len(payload))
-        return vector
+        """:meth:`decode` (``block_words`` is ignored)."""
+        return self.decode(payload, length)
 
     def encoded_size(self, vector: BitVector) -> int:
         """Size in bytes of the encoded form (default: encode and measure).

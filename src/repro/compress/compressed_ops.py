@@ -164,17 +164,6 @@ class CompressedBitmap:
         """Materialize the plain bit vector."""
         return get_codec(self.codec).decode(self.payload, self.length)
 
-    def decode_blockwise(self, block_words: int = 2048) -> BitVector:
-        """Materialize block-at-a-time through the codec's stream kernel.
-
-        Identical result and ``codec.decode.*`` accounting to
-        :meth:`decode`; the decode scratch stays block-sized instead of
-        scaling with the run count.
-        """
-        return get_codec(self.codec).decode_blockwise(
-            self.payload, self.length, block_words
-        )
-
     def _check(self, other: "CompressedBitmap") -> None:
         if self.length != other.length:
             raise CodecError(

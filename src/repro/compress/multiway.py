@@ -1,33 +1,23 @@
-"""N-way merges and threshold (k-of-N) kernels over encoded bitmaps.
+"""Bit-sliced threshold counting, and the deprecated N-way adapters.
 
-Pairwise compressed-domain operations evaluate a wide OR/AND as a
-left-fold, re-touching every intermediate result N-2 times; Kaser &
-Lemire ("Compressed bitmap indexes: beyond unions and intersections")
-show that streaming the N inputs *simultaneously* answers the same
-query — and the more general symmetric threshold function "at least k
-of N" — in one pass that never materializes an intermediate.
+Kaser & Lemire ("Compressed bitmap indexes: beyond unions and
+intersections") show that an N-operand operation needs one pass over
+its inputs, never an intermediate per operand, and that the symmetric
+"at least k of N" function admits the same pass.
+:func:`repro.expr.evaluate` is that pass for every engine: it walks the
+expression once per word range, reading each leaf from resident words
+or from a :class:`~repro.compress.streams.BlockStream` over its
+payload.  This module holds the counter its threshold nodes use:
 
-This module is that one pass, built on the block cursors of
-:mod:`repro.compress.streams`: the N inputs advance in lockstep through
-word windows (a k-way merge at block granularity — raw/WAH/EWAH/BBC
-streams rematerialize only the runs overlapping the window, roaring
-streams gather only the containers overlapping it, so the merge sees
-runs/containers, never whole vectors), and each window is either
+* :class:`ThresholdCounter` — a word-parallel **bit-sliced counter**:
+  ``ceil(log2(N+1))`` word slices hold, per bit position, the binary
+  count of inputs that have that bit set; each input is ripple-carry
+  added in O(width) bulk ops and the final ``count >= k`` compare is a
+  bitwise magnitude comparison against the constant ``k``.
 
-* reduced with the operator (:func:`multiway_logical`), or
-* counted with a word-parallel **bit-sliced counter**
-  (:class:`ThresholdCounter`): ``ceil(log2(N+1))`` word slices hold,
-  per bit position, the binary count of inputs that have that bit set;
-  each input is ripple-carry added in O(width) bulk ops and the final
-  ``count >= k`` compare is a bitwise magnitude comparison against the
-  constant ``k`` (:func:`multiway_threshold`, :func:`threshold_vectors`).
-
-Total work is ``O(N * words * log N)`` bulk word operations with
-``O(log N)`` block-sized scratch — independent of how many
-intermediates a fold would have allocated.  The cost model charges a
-multi-way op by the compressed bytes actually streamed (the sum of the
-input payload sizes), which is why it beats the fold's accounting for
-N >= 3: the fold also re-charges every intermediate.
+:func:`multiway_logical` and :func:`multiway_threshold` are adapters
+that build the ``Or``/``And``/``Xor``/``Threshold`` expression over
+opened streams and hand it to :func:`repro.expr.evaluate`.
 """
 
 from __future__ import annotations
@@ -36,23 +26,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro import obs as _obs
 from repro.bitmap import BitVector
-from repro.compress.streams import BlockStream, VectorStream, open_stream
+from repro.compress.streams import BlockStream, open_stream
 from repro.errors import BitmapError
 
-#: Words per lockstep window (16 KiB): a window of every input of a
-#: wide merge plus the counter slices stays in L1/L2.
-DEFAULT_BLOCK_WORDS = 2048
-
-_ONE = np.uint64(1)
 _FULL = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
-
-_REDUCERS = {
-    "and": np.bitwise_and,
-    "or": np.bitwise_or,
-    "xor": np.bitwise_xor,
-}
 
 
 def counter_width(n: int) -> int:
@@ -125,157 +103,49 @@ class ThresholdCounter:
         np.bitwise_or(gt[:n], eq[:n], out=gt[:n])
 
 
-def _check_streams(streams: Sequence[BlockStream], length: int) -> None:
-    if not streams:
+def _streams(codec_name: str | Sequence[str], payloads: Sequence, length: int):
+    """One block stream per payload; ``codec_name`` is one name for
+    every payload or one per payload, and an opened
+    :class:`~repro.compress.streams.BlockStream` is used as-is."""
+    if not payloads:
         raise BitmapError("multiway operation needs at least one input")
-    for stream in streams:
-        if stream.length != length:
-            raise BitmapError(
-                f"multiway input has length {stream.length}, "
-                f"expected {length}"
-            )
-
-
-def _mask_tail(words: np.ndarray, length: int) -> None:
-    tail = length % 64
-    if tail and len(words):
-        words[-1] &= (_ONE << np.uint64(tail)) - _ONE
-
-
-def threshold_streams(
-    k: int,
-    streams: Sequence[BlockStream],
-    length: int,
-    block_words: int = DEFAULT_BLOCK_WORDS,
-) -> np.ndarray:
-    """Decoded words of "at least ``k`` of ``streams``", one lockstep pass.
-
-    ``k <= 0`` yields all ones, ``k > len(streams)`` all zeros; padding
-    bits beyond ``length`` are masked off.  Emits the
-    ``expr.threshold.*`` counters when observability is installed.
-    """
-    _check_streams(streams, length)
-    num_words = (length + 63) // 64
-    out = np.empty(num_words, dtype=np.uint64)
-    n = len(streams)
-    o = _obs.active()
-    if o is not None:
-        o.count("expr.threshold.evals", 1)
-        o.count("expr.threshold.children", n)
-    if k <= 0:
-        out[:] = _FULL
-        _mask_tail(out, length)
-        return out
-    if k > n:
-        out[:] = 0
-        return out
-    block_words = max(1, int(block_words))
-    counter = ThresholdCounter(n, min(block_words, max(1, num_words)))
-    for lo in range(0, num_words, block_words):
-        hi = min(lo + block_words, num_words)
-        counter.reset(hi - lo)
-        for stream in streams:
-            counter.add(stream.block(lo, hi))
-        counter.compare_ge(k, out[lo:hi])
-    _mask_tail(out, length)
-    return out
-
-
-def threshold_vectors(k: int, vectors: Sequence[BitVector]) -> BitVector:
-    """"At least ``k`` of ``vectors``" over decoded bit vectors.
-
-    The vectors are wrapped in zero-copy streams and counted blockwise,
-    so the only full-length allocation is the answer — the compressed
-    engine's Threshold node over decoded words goes through here.
-    """
-    if not vectors:
-        raise BitmapError("threshold needs at least one input vector")
-    length = len(vectors[0])
-    streams = [VectorStream(v) for v in vectors]
-    return BitVector(length, threshold_streams(k, streams, length))
-
-
-def _open_streams(
-    codec_names: str | Sequence[str],
-    payloads: Sequence,
-    length: int,
-) -> list[BlockStream]:
-    """One block stream per input of a multiway kernel.
-
-    ``codec_names`` is one codec name for every payload or one name per
-    payload.  An input that already is a
-    :class:`~repro.compress.streams.BlockStream` is used as-is (a caller
-    that keeps opened streams skips re-parsing the payload); any other
-    input is an encoded payload opened through
-    :func:`~repro.compress.streams.open_stream`.
-    """
-    if isinstance(codec_names, str):
-        codec_names = [codec_names] * len(payloads)
-    elif len(codec_names) != len(payloads):
+    names = [codec_name] * len(payloads) if isinstance(codec_name, str) else codec_name
+    if len(names) != len(payloads):
         raise BitmapError(
-            f"multiway operation got {len(codec_names)} codec names "
-            f"for {len(payloads)} payloads"
+            f"multiway operation got {len(names)} codec names for {len(payloads)} payloads"
         )
     return [
         p if isinstance(p, BlockStream) else open_stream(name, p, length)
-        for name, p in zip(codec_names, payloads)
+        for name, p in zip(names, payloads)
     ]
 
 
+# Deprecated: delete with perfbench's wrappers (ROADMAP item 2).
 def multiway_threshold(
-    k: int,
-    codec_name: str | Sequence[str],
-    payloads: Sequence,
-    length: int,
-    block_words: int = DEFAULT_BLOCK_WORDS,
+    k: int, codec_name: str | Sequence[str], payloads: Sequence, length: int
 ) -> BitVector:
-    """"At least ``k`` of ``payloads``" streamed straight off the codec.
+    """"At least ``k`` of ``payloads``" (``k <= 0`` all ones, ``k > N``
+    all zeros) in one :func:`repro.expr.evaluate` walk over their
+    block streams; inputs as in :func:`multiway_logical`."""
+    from repro.expr import Leaf, at_least, evaluate
 
-    Each payload decodes incrementally through its
-    :class:`~repro.compress.streams.BlockStream` (runs for WAH/EWAH/BBC,
-    containers for roaring), so N encoded bitmaps are combined without
-    decoding any of them whole.  ``codec_name`` is one name for every
-    payload or one name per payload, and any input may be an
-    already-opened :class:`~repro.compress.streams.BlockStream` — so
-    payloads of different codecs, decoded ``raw`` words and cached
-    streams mix freely.
-    """
-    streams = _open_streams(codec_name, payloads, length)
-    return BitVector(
-        length, threshold_streams(k, streams, length, block_words)
-    )
+    streams = _streams(codec_name, payloads, length)
+    expr = at_least(k, [Leaf(i) for i in range(len(streams))])
+    return evaluate(expr, streams.__getitem__, length)
 
 
+# Deprecated: delete with perfbench's wrappers (ROADMAP item 2).
 def multiway_logical(
-    op: str,
-    codec_name: str | Sequence[str],
-    payloads: Sequence,
-    length: int,
-    block_words: int = DEFAULT_BLOCK_WORDS,
+    op: str, codec_name: str | Sequence[str], payloads: Sequence, length: int
 ) -> BitVector:
-    """N-way ``and``/``or``/``xor`` over encoded payloads in one pass.
+    """N-way ``and``/``or``/``xor`` of encoded payloads in one
+    :func:`repro.expr.evaluate` walk over their block streams, so
+    payloads of different codecs, ``raw`` words and opened streams mix."""
+    from repro.expr import And, Leaf, Or, Xor, evaluate
 
-    Equivalent to the left-fold of pairwise compressed-domain ops but
-    with zero intermediate payloads: every input block is combined into
-    the output accumulator the moment it is decoded.  Inputs are
-    resolved as in :func:`multiway_threshold`.
-    """
-    if op not in _REDUCERS:
-        raise BitmapError(
-            f"unknown multiway operator {op!r}; expected one of "
-            f"{sorted(_REDUCERS)}"
-        )
-    reducer = _REDUCERS[op]
-    streams = _open_streams(codec_name, payloads, length)
-    _check_streams(streams, length)
-    num_words = (length + 63) // 64
-    out = np.empty(num_words, dtype=np.uint64)
-    block_words = max(1, int(block_words))
-    for lo in range(0, num_words, block_words):
-        hi = min(lo + block_words, num_words)
-        acc = out[lo:hi]
-        acc[:] = streams[0].block(lo, hi)
-        for stream in streams[1:]:
-            reducer(acc, stream.block(lo, hi), out=acc)
-    _mask_tail(out, length)
-    return BitVector(length, out)
+    node = {"and": And, "or": Or, "xor": Xor}.get(op)
+    if node is None:
+        raise BitmapError(f"unknown multiway operator {op!r}; expected and, or or xor")
+    streams = _streams(codec_name, payloads, length)
+    expr = node(tuple(Leaf(i) for i in range(len(streams))))
+    return evaluate(expr, streams.__getitem__, length)

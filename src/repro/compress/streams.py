@@ -1,9 +1,9 @@
 """Block-at-a-time decode streams over encoded bitmap payloads.
 
-The multiway kernels (:mod:`repro.compress.multiway`) and the
-compressed engine's streamed nodes walk their inputs in word blocks
-small enough to stay in L1/L2, so an encoded leaf is never decoded
-whole.  For that they need leaf decode to be *incremental*: given an
+:func:`repro.expr.evaluate` walks an expression one word range at a
+time, and a leaf it reads straight from its encoded payload (a leaf
+the compressed convention's pool holds no decoded copy of) is never
+decoded whole.  For that, leaf decode must be *incremental*: given an
 encoded payload, produce any word window ``[start, stop)`` of the
 decoded vector without materializing the rest.
 
@@ -29,14 +29,15 @@ Every stream validates its payload against the declared length at
 construction time, raising the same :class:`~repro.errors.CodecError`
 conditions as the codec's whole-vector ``decode``.  The arrays returned
 by :meth:`BlockStream.block` may be read-only views or a scratch buffer
-reused by the next call — callers must copy or combine, never hold.
+reused by the next call — callers must copy or combine, never hold, and
+read each window once (the evaluator materializes one window per leaf
+and range).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.bitmap import BitVector
 from repro.compress import kernels
 from repro.compress.bbc import _FULL_BYTE, runs_from_bbc
 from repro.compress.ewah import _FULL, runs_from_ewah
@@ -85,18 +86,6 @@ class BlockStream:
 
     def block(self, start: int, stop: int) -> np.ndarray:
         raise NotImplementedError
-
-
-class VectorStream(BlockStream):
-    """Zero-copy window view over an already-decoded vector."""
-
-    def __init__(self, vector: BitVector):
-        super().__init__(len(vector))
-        self._words = vector.words
-        self.nbytes = self._words.nbytes
-
-    def block(self, start: int, stop: int) -> np.ndarray:
-        return self._words[start:stop]
 
 
 class RawStream(BlockStream):
@@ -289,8 +278,8 @@ def register_stream(codec_name: str, factory) -> None:
 
     ``factory`` is called as ``factory(payload, length)`` and must
     return a :class:`BlockStream`; a class or a plain function both
-    work.  Everything block-oriented (the compressed engine's streamed
-    nodes, multiway thresholds, blockwise decode) dispatches through
+    work.  Everything block-oriented (the stream leaves of
+    :func:`repro.expr.evaluate`) dispatches through
     :func:`open_stream`, so registration is all a new codec needs.
     """
     if not codec_name:
@@ -313,23 +302,3 @@ def open_stream(codec_name: str, payload, length: int) -> BlockStream:
     stream = cls(payload, length)
     stream.nbytes = len(payload)
     return stream
-
-
-def decode_blockwise(
-    codec_name: str, payload, length: int, block_words: int = 2048
-) -> BitVector:
-    """Materialize a full vector through its block stream.
-
-    Used by the compressed engine's final answer decode: identical
-    output to ``codec.decode`` but the decode scratch stays block-sized
-    (the output array is the answer, not an intermediate).
-    """
-    stream = open_stream(codec_name, payload, length)
-    words = np.empty(stream.num_words, dtype=np.uint64)
-    for lo in range(0, stream.num_words, block_words):
-        hi = min(lo + block_words, stream.num_words)
-        words[lo:hi] = stream.block(lo, hi)
-    tail = length % 64
-    if tail and words.shape[0]:
-        words[-1] &= (_ONE << np.uint64(tail)) - _ONE
-    return BitVector(length, words)

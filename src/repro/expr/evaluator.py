@@ -13,9 +13,13 @@ logical word operations performed (the CPU side of the time model).
 Physically, :func:`evaluate` is a destination-passing walk over word
 ranges.  It fetches the leaves once, in depth-first first-touch order,
 then walks the tree once per range of :data:`BLOCK_WORDS` words and
-writes every node straight into a destination slice:
+writes every node straight into a destination slice.  A leaf is a
+*range source*: resident words (a :class:`~repro.bitmap.BitVector`),
+sliced in place, or a :class:`~repro.compress.streams.BlockStream`
+over its encoded payload, whose window the walk materializes once per
+range however often the tree reads it.  Then:
 
-* a node over leaves reads the leaf slices directly — ``A AND NOT B``
+* a node over leaves reads the leaf windows directly — ``A AND NOT B``
   is ``bitwise_not(B, out); bitwise_and(out, A, out)``;
 * any other child is written into per-depth scratch from a per-thread
   arena and folded into the destination in place;
@@ -24,9 +28,10 @@ writes every node straight into a destination slice:
   :class:`~repro.compress.multiway.ThresholdCounter`, range by range.
 
 The only full-length allocation is the answer, whose tail word is
-masked once at the end (intermediates may carry padding garbage).  A
-range is 256 KiB, so the few live slices of one range stay in L2 even
-for 64M-row vectors, while a 4M-row vector is just two ranges.
+masked once at the end (intermediates and stream windows may carry
+padding garbage).  A range is 256 KiB, so the few live slices of one
+range stay in L2 even for 64M-row vectors, while a 4M-row vector is
+just two ranges.
 """
 
 from __future__ import annotations
@@ -40,11 +45,14 @@ import numpy as np
 from repro import obs as _obs
 from repro.bitmap import BitVector
 from repro.compress.multiway import ThresholdCounter, counter_width
+from repro.compress.streams import BlockStream
 from repro.errors import BitmapError
 from repro.expr.nodes import And, Const, Expr, Leaf, Not, Or, Xor
 from repro.expr.threshold import Threshold
 
-FetchFn = Callable[[Hashable], BitVector]
+#: What a leaf evaluates from: resident words or a block stream.
+Source = BitVector | BlockStream
+FetchFn = Callable[[Hashable], Source]
 
 #: Words per evaluation range (256 KiB).
 BLOCK_WORDS = 32768
@@ -91,23 +99,25 @@ def expression_operation_count(expr: Expr) -> int:
     """
     seen: set[Expr] = set()
 
-    def walk(node: Expr) -> int:
-        kind = type(node)
-        # Leaves and constants cost nothing; skip hashing them.
-        if kind is Leaf or kind is Const or node in seen:
-            return 0
-        seen.add(node)
-        children = node.children()
+    def walk(kind, children) -> int:
         ops = 0
         for child in children:
-            ops += walk(child)
+            # Leaves and constants cost nothing; skip hashing them.
+            child_kind = type(child)
+            if child_kind is Leaf or child_kind is Const:
+                continue
+            size = len(seen)
+            seen.add(child)  # one hash: a repeat leaves the set's size
+            if len(seen) > size:
+                ops += walk(child_kind, child.children())
         if kind is Not:
             return ops + 1
         if kind is Threshold:
             return ops + len(children)
         return ops + len(children) - 1
 
-    return walk(expr)
+    kind = type(expr)
+    return 0 if kind is Leaf or kind is Const else walk(kind, expr.children())
 
 
 class _Arena(threading.local):
@@ -143,7 +153,7 @@ def evaluate(
     fetch: FetchFn,
     length: int,
     stats: EvalStats | None = None,
-    cache: dict[Hashable, BitVector] | None = None,
+    cache: dict[Hashable, Source] | None = None,
     operations: int | None = None,
 ) -> BitVector:
     """Evaluate ``expr`` into a bit vector of ``length`` bits.
@@ -153,42 +163,60 @@ def evaluate(
     expr:
         The expression to evaluate.
     fetch:
-        Callback mapping a leaf key to its stored bitmap.
+        Callback mapping a leaf key to its range source: the stored
+        bitmap's words, or a block stream over its payload.
     length:
         Length of the result (the relation cardinality); needed for
-        constants and validated against every fetched bitmap.
+        constants and validated against every fetched source.
     stats:
         Optional accumulator for scan/operation counts.
     cache:
-        Optional bitmap cache shared across several evaluations of the
+        Optional source cache shared across several evaluations of the
         same query (the component-wise strategy passes one per query so
         that no bitmap is fetched twice).
     operations:
         Bulk operations to charge to ``stats``; defaults to
         :func:`expression_operation_count` of ``expr``.
 
-    A bare :class:`Leaf` evaluates to the fetched vector itself (which
-    may be a read-only view); any other expression to a fresh vector.
+    A bare :class:`Leaf` over resident words evaluates to the fetched
+    vector itself (which may be a read-only view); any other expression,
+    a bare stream leaf included, to a fresh vector.
     """
     if stats is None:
         stats = EvalStats()
     if cache is None:
         cache = {}
-    words: dict[Hashable, np.ndarray] = {}
-    for node in expr.leaves():
-        if node.key not in words:
-            words[node.key] = _fetch_leaf(node.key, fetch, length, stats, cache).words
+    resident: dict[Hashable, np.ndarray] = {}
+    streamed: dict[Hashable, BlockStream] = {}
+    for key in dict.fromkeys([node.key for node in expr.leaves()]):
+        source = cache.get(key)
+        if source is None:
+            source = _fetch_leaf(key, fetch, length, stats, cache)
+        if isinstance(source, BlockStream):
+            streamed[key] = source
+        else:
+            resident[key] = source.words
     stats.operations += (
         expression_operation_count(expr) if operations is None else operations
     )
-    if type(expr) is Leaf:
+    if type(expr) is Leaf and not streamed:
         return cache[expr.key]
 
     num_words = (length + 63) // 64
     out = np.empty(num_words, dtype=np.uint64)
     for lo in range(0, num_words, BLOCK_WORDS):
         hi = min(lo + BLOCK_WORDS, num_words)
-        _write(expr, lo, hi, out[lo:hi], 0, words, _ARENA)
+        # One window per leaf and range (one range reads whole vectors):
+        # a stream may reuse its block buffer on its next call, so a
+        # leaf the tree reads twice (``A AND NOT A``) is still
+        # materialized once.
+        if hi - lo == num_words:
+            leaves = dict(resident) if streamed else resident
+        else:
+            leaves = {key: words[lo:hi] for key, words in resident.items()}
+        for key, stream in streamed.items():
+            leaves[key] = stream.block(lo, hi)
+        _write(expr, out[lo:hi], 0, leaves, _ARENA)
     if length % 64:
         out[-1] &= np.uint64((1 << length % 64) - 1)
     o = _obs.active()
@@ -208,34 +236,33 @@ def _fetch_leaf(
     fetch: FetchFn,
     length: int,
     stats: EvalStats,
-    cache: dict[Hashable, BitVector],
-) -> BitVector:
-    if key in cache:
-        return cache[key]
-    vector = fetch(key)
-    if len(vector) != length:
+    cache: dict[Hashable, Source],
+) -> Source:
+    source = fetch(key)
+    # ``len()`` of a stream is its encoded size, not its bit length.
+    bits = source.length if isinstance(source, BlockStream) else len(source)
+    if bits != length:
         raise BitmapError(
-            f"bitmap {key!r} has length {len(vector)}, expected {length}"
+            f"bitmap {key!r} has length {bits}, expected {length}"
         )
-    cache[key] = vector
+    cache[key] = source
     stats.scans += 1
     stats.fetched_keys.append(key)
-    return vector
+    return source
 
 
 def _write(
     node: Expr,
-    lo: int,
-    hi: int,
     dst: np.ndarray,
     depth: int,
-    words: dict[Hashable, np.ndarray],
+    leaves: dict[Hashable, np.ndarray],
     arena: _Arena,
 ) -> None:
-    """Write words ``[lo, hi)`` of ``node`` into ``dst``.
+    """Write ``node``'s words of the current range into ``dst``.
 
-    ``node`` is never a leaf: a parent reads its leaf children's slices
-    in place.  Other children are staged in ``arena`` scratch at
+    ``leaves`` holds every leaf's window of the range.  A parent reads
+    its leaf children's windows in place, so ``node`` is a leaf only at
+    the root.  Other children are staged in ``arena`` scratch at
     ``depth`` (their own children go one level deeper); the first
     non-leaf operand of an n-ary node is written into ``dst`` directly.
     """
@@ -243,40 +270,42 @@ def _write(
     if kind is Not:
         child = node.child
         if type(child) is Leaf:
-            np.bitwise_not(words[child.key][lo:hi], out=dst)
+            np.bitwise_not(leaves[child.key], out=dst)
         else:
-            _write(child, lo, hi, dst, depth, words, arena)
+            _write(child, dst, depth, leaves, arena)
             np.bitwise_not(dst, out=dst)
     elif kind in _OPS:
         op = _OPS[kind]
-        leaves = [words[c.key][lo:hi] for c in node.operands if type(c) is Leaf]
+        sources = [leaves[c.key] for c in node.operands if type(c) is Leaf]
         inner = [c for c in node.operands if type(c) is not Leaf]
         if inner:
-            _write(inner[0], lo, hi, dst, depth, words, arena)
+            _write(inner[0], dst, depth, leaves, arena)
             for child in inner[1:]:
-                scratch = arena.buffer(depth, hi - lo)
-                _write(child, lo, hi, scratch, depth + 1, words, arena)
+                scratch = arena.buffer(depth, len(dst))
+                _write(child, scratch, depth + 1, leaves, arena)
                 op(dst, scratch, out=dst)
-        elif len(leaves) == 1:
-            np.copyto(dst, leaves.pop())
+        elif len(sources) == 1:
+            np.copyto(dst, sources.pop())
         else:
-            op(leaves.pop(), leaves.pop(), out=dst)
-        for source in leaves:
+            op(sources.pop(), sources.pop(), out=dst)
+        for source in sources:
             op(dst, source, out=dst)
     elif kind is Threshold:
         if node.k > len(node.operands):
             dst.fill(_ZERO)
             return
         counter = arena.counter(depth, len(node.operands))
-        counter.reset(hi - lo)
+        counter.reset(len(dst))
         for child in node.operands:
             if type(child) is Leaf:
-                counter.add(words[child.key][lo:hi])
+                counter.add(leaves[child.key])
             else:
-                scratch = arena.buffer(depth, hi - lo)
-                _write(child, lo, hi, scratch, depth + 1, words, arena)
+                scratch = arena.buffer(depth, len(dst))
+                _write(child, scratch, depth + 1, leaves, arena)
                 counter.add(scratch)
         counter.compare_ge(node.k, dst)
+    elif kind is Leaf:
+        np.copyto(dst, leaves[node.key])
     elif kind is Const:
         dst.fill(_FULL if node.value else _ZERO)
     else:

@@ -24,16 +24,14 @@ Helpers:
   equal-cost children into ``Threshold(1, ...)`` so wide membership
   unions evaluate as a single multi-way counting pass.
 
-Evaluation lives with the other node types: the decoded evaluator
+Evaluation lives with the other node types: :func:`repro.expr.evaluate`
 counts each word range through a
 :class:`~repro.compress.multiway.ThresholdCounter` from its per-thread
-arena, and the compressed engine streams payloads through
-:func:`repro.compress.multiway.multiway_threshold` (or counts decoded
-words with :func:`repro.compress.multiway.threshold_vectors`).  A threshold over
+arena, whether a child's window comes from resident words, a block
+stream over an encoded payload or a staged inner node.  A threshold over
 ``n`` children charges ``n`` bulk operations to the cost model
 (``n`` counter additions; the compare is folded into the last), keeping
-:func:`repro.expr.evaluator.expression_operation_count` exact across
-every physical plan.
+:func:`repro.expr.evaluator.expression_operation_count` exact.
 """
 
 from __future__ import annotations

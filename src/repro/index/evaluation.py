@@ -26,6 +26,24 @@ future work; this module adds one:
 
 All strategies produce identical answers; they differ only in their
 fetch schedules, which the buffer/clock statistics expose.
+
+:class:`QueryEngine` runs under one of two cost conventions, and both
+evaluate through the same range walk, :func:`~repro.expr.evaluate`:
+
+* ``engine="decoded"`` — the paper's: a :class:`~repro.storage.BufferPool`
+  of decoded bitmaps, a miss charged its read pages plus decompression,
+  and every bulk operation charged the index's word count (Figure 9
+  needs this decompression charge);
+* ``engine="compressed"`` — a :class:`~repro.storage.PayloadPool` of
+  encoded payloads, a miss charged its read pages only, each operator
+  node charged the bytes its operands occupy (encoded bytes of a leaf,
+  word bytes of an inner node; a shared subtree once) and a bare-leaf
+  answer its decompression.  Each leaf is read from its decoded copy
+  when the pool has room for one and from its block stream otherwise
+  (the ``compress.physical{path=}`` counter, one per leaf source), so
+  the choice never moves a simulated number.  Any codec in
+  :data:`~repro.compress.COMPRESSED_DOMAIN_CODECS` qualifies, and it
+  runs component-wise in row space.
 """
 
 from __future__ import annotations
@@ -36,13 +54,18 @@ from functools import cache as _memo
 
 from repro import obs as _obs
 from repro.bitmap import BitVector
+from repro.compress import COMPRESSED_DOMAIN_CODECS
 from repro.errors import QueryError
 from repro.expr import EvalStats, Expr, evaluate, expression_operation_count
-from repro.expr.nodes import Or
+from repro.expr.nodes import Const, Leaf, Not, Or
+from repro.expr.threshold import Threshold
 from repro.queries.model import IntervalQuery, MembershipQuery, ThresholdQuery
-from repro.storage import BufferPool, BufferStats, CostClock
+from repro.storage import BufferPool, BufferStats, CostClock, PayloadPool
+from repro.storage.payload_pool import decoded_pages
 
 STRATEGIES = ("component-wise", "query-wise", "scheduled")
+#: Cost conventions (and pools) a :class:`QueryEngine` runs under.
+ENGINES = ("decoded", "compressed")
 
 # The engine looks ``evaluate`` up as this module's global at each call,
 # so a wrapper patched onto the name sees every evaluation.
@@ -164,10 +187,16 @@ class QueryEngine:
     """Evaluates queries against one :class:`~repro.index.BitmapIndex`.
 
     An index sorted on its one column (:meth:`BitmapIndex.value_probe`)
-    is evaluated in *value space*: the pool reads each bitmap only at
-    one stored row per value, the expression runs unchanged over those
-    short vectors, and the answer is rebuilt from the codes.  Every
-    scan, operation, page and pool counter is what row space counts.
+    is evaluated in *value space* under the decoded convention: the pool
+    reads each bitmap only at one stored row per value, the expression
+    runs unchanged over those short vectors, and the answer is rebuilt
+    from the codes.  Every scan, operation, page and pool counter is
+    what row space counts.
+
+    ``engine="compressed"`` selects the compressed convention (module
+    docstring); its results report the strategy ``"compressed-domain"``.
+    ``buffer_pages`` then bounds encoded payloads and decoded copies
+    together, and the default holds every bitmap in both forms.
     """
 
     def __init__(
@@ -176,22 +205,42 @@ class QueryEngine:
         buffer_pages: int | None = None,
         clock: CostClock | None = None,
         strategy: str = "component-wise",
+        engine: str = "decoded",
     ):
         if strategy not in STRATEGIES:
             raise QueryError(
                 f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
             )
+        if engine not in ENGINES:
+            raise QueryError(f"unknown engine {engine!r}; expected one of {ENGINES}")
         self.index = index
+        self.engine = engine
         self.strategy = strategy
         self.clock = clock if clock is not None else CostClock()
+        page_size = index.store.page_size
+        self._compressed = engine == "compressed"
+        if self._compressed:
+            codec = index.store.codec.name
+            if codec not in COMPRESSED_DOMAIN_CODECS:
+                raise QueryError(
+                    "compressed-domain evaluation requires a codec with "
+                    f"compressed-domain operations "
+                    f"({sorted(COMPRESSED_DOMAIN_CODECS)}), index uses {codec!r}"
+                )
+            if strategy != "component-wise":
+                raise QueryError("the compressed engine runs component-wise only")
+            self.strategy = "compressed-domain"
+            if buffer_pages is None:
+                decoded = decoded_pages(index.num_records, page_size)
+                buffer_pages = index.size_pages() + decoded * index.num_bitmaps() + 2
+            self._by_value = False
+            self.pool = PayloadPool(index.store, buffer_pages, self.clock)
+            return
         if buffer_pages is None:
             # Default: the whole decoded index fits (the paper's 11 MB
             # pool was "adequate"), with a floor of one page.
-            words = -(-index.num_records // 64)
-            decoded_pages_per_bitmap = max(
-                1, -(-words * 8 // index.store.page_size)
-            )
-            buffer_pages = max(1, decoded_pages_per_bitmap * (index.num_bitmaps() + 2))
+            decoded = decoded_pages(index.num_records, page_size)
+            buffer_pages = decoded * (index.num_bitmaps() + 2)
         self._by_value = index.value_probe() is not None
         self.pool = BufferPool(
             index.store,
@@ -227,7 +276,7 @@ class QueryEngine:
             scheme=scheme,
             strategy=self.strategy,
             klass=klass,
-            engine="decoded",
+            engine=self.engine,
         ):
             result = self._rewrite_and_execute(query)
         o.observe("query.simulated_ms", result.simulated_ms,
@@ -251,12 +300,12 @@ class QueryEngine:
     def _execute_constituents(self, constituents: list[Expr]) -> EvaluationResult:
         start_ms = self.clock.total_ms
         stats = EvalStats()
-        if self.strategy == "component-wise":
-            answer = self._component_wise(constituents, stats)
-        elif self.strategy == "scheduled":
+        if self.strategy == "scheduled":
             answer = self._query_wise(schedule_constituents(constituents), stats)
-        else:
+        elif self.strategy == "query-wise":
             answer = self._query_wise(constituents, stats)
+        else:
+            answer = self._component_wise(constituents, stats)
         bitmap = self._finish(answer, stats.operations)
         return EvaluationResult(
             bitmap=bitmap,
@@ -280,7 +329,8 @@ class QueryEngine:
         bitmap crosses the buffer pool at most once per batch.  Word
         operations are charged to the engine's clock as in
         :meth:`execute`.  ``plan`` is :func:`plan_or` of the
-        constituents, when the caller already has it.
+        constituents, when the caller already has it.  A key missing
+        from ``cache`` is fetched and counted as a scan.
         """
         before = stats.operations
         answer = self._evaluate_or(constituents, stats, cache, plan)
@@ -297,16 +347,19 @@ class QueryEngine:
 
     def _finish(self, answer: BitVector, operations: int) -> BitVector:
         """Charge ``operations`` bulk word operations over the index's
-        rows; the answer in original row order, owned by the caller."""
-        self.clock.charge_word_ops(
-            operations, max(1, -(-self.index.num_records // 64))
-        )
+        rows (the compressed convention charged its nodes already); the
+        answer in original row order, owned by the caller."""
+        if not self._compressed:
+            self.clock.charge_word_ops(
+                operations, max(1, -(-self.index.num_records // 64))
+            )
         if self._by_value:
             return self.index.restore_row_order(answer, by_value=True)
         # A bare-leaf answer can be the pool-resident vector itself,
-        # which may view read-only (store/mmap) memory — callers own
-        # their results, so hand out a writable copy instead.  Pure
-        # allocation traffic: no scans or operations to charge.
+        # which may view read-only (store/mmap) memory or be a pooled
+        # decoded copy — callers own their results, so hand out a
+        # writable copy instead.  Pure allocation traffic: no scans or
+        # operations to charge.
         if not answer.words.flags.writeable:
             answer = answer.copy()
         return self.index.restore_row_order(answer)
@@ -315,15 +368,85 @@ class QueryEngine:
         self,
         constituents: list[Expr],
         stats: EvalStats,
-        cache: dict[Hashable, BitVector],
+        cache: dict[Hashable, object],
         plan: tuple[Expr, int] | None = None,
     ) -> BitVector:
         """OR a query's constituents into its answer in one range walk
         (:func:`plan_or`)."""
         expr, operations = plan_or(constituents) if plan is None else plan
+        if not self._compressed:
+            return evaluate(
+                expr, self.pool.fetch, self._length(), stats, cache, operations
+            )
+        keys = list(dict.fromkeys(leaf.key for leaf in expr.leaves()))
+        for key in keys:  # first-touch order, as evaluate fetches
+            if key not in cache:
+                cache[key] = self.pool.fetch(key)
+                stats.scans += 1
+                stats.fetched_keys.append(key)
+        sources = dict(zip(keys, self.pool.sources([cache[key] for key in keys])))
+        o = _obs.active()
+        if o is not None:
+            for source in sources.values():
+                path = "words" if isinstance(source, BitVector) else "stream"
+                o.count("compress.physical", 1, path=path)
+        operations = self._charge_encoded(constituents, cache)
         return evaluate(
-            expr, self.pool.fetch, self._length(), stats, cache, operations
+            expr, sources.__getitem__, self.index.num_records, stats, sources,
+            operations,
         )
+
+    def _charge_encoded(
+        self, constituents: list[Expr], pooled: dict[Hashable, object]
+    ) -> int:
+        """Charge the compressed convention for OR-ing ``constituents``;
+        returns the bulk operations it counts.
+
+        Each operator node is charged once, a subtree shared across
+        constituents too, for the bytes its operands occupy: a leaf's
+        encoded bytes, an inner node's or a constant's decoded words.  An
+        n-ary node over one operand passes it through uncharged.  The
+        constituents are OR-ed the same way, and a bare-leaf answer is
+        charged its decompression.
+        """
+        word_bytes = 8 * -(-self.index.num_records // 64)
+        memo: dict[Expr, list] = {}
+        operations = 0
+
+        def charge(kind, children, shared: bool = True) -> tuple[int, bool]:
+            """(bytes the node's value occupies, whether it is a leaf);
+            ``shared`` is False where no child can repeat."""
+            nonlocal operations
+            touched = 0
+            for child in children:
+                child_kind = type(child)
+                if child_kind is Leaf:
+                    value = len(pooled[child.key].payload), True
+                elif child_kind is Const:
+                    value = word_bytes, False
+                elif not shared:
+                    value = charge(child_kind, child.children())
+                else:
+                    slot = memo.setdefault(child, [])  # one hash per node
+                    if not slot:
+                        slot.append(charge(child_kind, child.children()))
+                    value = slot[0]
+                touched += value[0]
+            if len(children) == 1 and kind is not Not and kind is not Threshold:
+                return value
+            if kind is Not:
+                operations += 1
+            elif kind is Threshold:
+                operations += len(children)
+            else:
+                operations += len(children) - 1
+            self.clock.charge_word_ops(1, max(1, touched // 8))
+            return word_bytes, False
+
+        nbytes, is_leaf = charge(Or, constituents, len(constituents) > 1)
+        if is_leaf:
+            self.clock.charge_decompress(nbytes)
+        return operations
 
     def _component_wise(
         self, constituents: list[Expr], stats: EvalStats

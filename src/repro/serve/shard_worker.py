@@ -37,7 +37,6 @@ from repro.encoding import get_scheme
 from repro.errors import QueryError
 from repro.expr import EvalStats, Expr, Leaf
 from repro.index.bitmap_index import BitmapIndex, IndexSpec
-from repro.index.compressed_engine import CompressedQueryEngine
 from repro.index.evaluation import QueryEngine, component_order, plan_or
 from repro.index.rewrite import QueryRewriter
 from repro.index.segmented import DEFAULT_SEGMENT_SIZE, SegmentedBitmapIndex
@@ -318,7 +317,10 @@ class ShardEngine:
         for segment in self.segments():
             engine = self._engines.pop(segment, None)
             if engine is None:
-                engine = self._new_engine(segment)
+                engine = QueryEngine(
+                    segment, buffer_pages=self.buffer_pages, clock=self.clock,
+                    engine=self.engine_kind,
+                )
             current[segment] = engine
         for engine in self._engines.values():
             stats = engine.pool.stats
@@ -327,15 +329,6 @@ class ShardEngine:
             self._retired_pool[2] += stats.evictions
         self._engines = current
         return list(current.values())
-
-    def _new_engine(self, segment):
-        if self.engine_kind == "compressed":
-            return CompressedQueryEngine(
-                segment, buffer_pages=self.buffer_pages, clock=self.clock
-            )
-        return QueryEngine(
-            segment, buffer_pages=self.buffer_pages, clock=self.clock
-        )
 
     def _shared_scan(
         self,
@@ -356,7 +349,7 @@ class ShardEngine:
             stats = EvalStats()
             constituents = list(expressions[i])
             # One plan per query, shared by every segment's engine.
-            plan = plan_or(constituents) if self.engine_kind == "decoded" else None
+            plan = plan_or(constituents)
             pieces = [
                 engine.evaluate_shared(constituents, shared[k], stats, plan)
                 for k, engine in enumerate(engines)

@@ -136,11 +136,13 @@ class ServiceConfig:
     #: Result-cache capacity in entries, per shard (0 disables).
     cache_entries: int = 256
     #: Buffer-pool capacity in pages, per segment; None uses the
-    #: engine's default sizing.  Under the compressed engine it covers
-    #: encoded payloads plus the leaves' decoded copies.
+    #: engine's default sizing.  Under the compressed convention it
+    #: bounds encoded payloads and the leaves' decoded copies together.
     buffer_pages: int | None = None
-    #: ``"decoded"`` (BufferPool + BitVector ops) or ``"compressed"``
-    #: (payload pool + compressed-domain ops).
+    #: The :class:`~repro.index.evaluation.QueryEngine` cost convention:
+    #: ``"decoded"`` (a pool of decoded bitmaps, decompression charged
+    #: per miss) or ``"compressed"`` (a pool of encoded payloads; each
+    #: leaf read from its decoded copy or its block stream).
     engine: str = "decoded"
     #: Deprecated no-op, still validated: the decoded engine has one
     #: physical path (``docs/zero_copy.md``).  Accepts ``"auto"``,

@@ -3,7 +3,8 @@
 The paper measured wall-clock time on a 1999 disk; this reproduction
 substitutes an exactly-accounted simulation (see DESIGN.md §1): bitmaps
 are stored page-granular through a codec, reads go through an LRU
-buffer pool, and a :class:`~repro.storage.iomodel.CostClock` converts
+buffer pool (or, under the compressed convention, an LRU pool of
+encoded payloads), and a :class:`~repro.storage.iomodel.CostClock` converts
 page reads, decompressed bytes and word operations into simulated time
 using a :class:`~repro.storage.iomodel.DiskModel`.
 """
@@ -19,6 +20,7 @@ from repro.storage.iomodel import (
 )
 from repro.storage.mmap_store import MappedDirectoryStore
 from repro.storage.pages import DEFAULT_PAGE_SIZE, pages_for, validate_page_size
+from repro.storage.payload_pool import PayloadPool
 from repro.storage.store import (
     BitmapStore,
     DirectoryStore,
@@ -34,6 +36,7 @@ __all__ = [
     "StoredBitmapInfo",
     "BufferPool",
     "BufferStats",
+    "PayloadPool",
     "DiskModel",
     "CostClock",
     "DEFAULT_DISK_MODEL",

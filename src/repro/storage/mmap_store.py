@@ -180,16 +180,15 @@ class MappedDirectoryStore(DirectoryStore):
 
     # ------------------------------------------------------------------
 
-    def put_payload(self, key, payload, length) -> StoredBitmapInfo:
+    def _put(self, key, payload, length) -> None:
         """Write the blob durably, then serve it from a fresh mapping."""
-        info = super().put_payload(key, payload, length)
-        if faults.active() is not None:
-            return info  # fault runs stay on the copying path
-        return self.attach_mapped(key, length)
+        super()._put(key, payload, length)
+        if faults.active() is None:  # fault runs stay on the copying path
+            self.attach_mapped(key, length)
 
-    def attach_payload(self, key, payload, length) -> StoredBitmapInfo:
+    def _attach(self, key, payload, length) -> None:
         self._drop_mapping(key)
-        return super().attach_payload(key, payload, length)
+        super()._attach(key, payload, length)
 
     def payload_view(self, key: Hashable) -> np.ndarray:
         view = self._maps.get(key)

@@ -169,20 +169,16 @@ class BitmapStore:
         payload = self._codec.encode(vector)
         return self.put_payload(key, payload, len(vector))
 
-    def put_many(
-        self, items: Iterable[tuple[Hashable, BitVector]]
-    ) -> list[StoredBitmapInfo]:
+    def put_many(self, items: Iterable[tuple[Hashable, BitVector]]) -> None:
         """Encode and store many ``(key, vector)`` pairs in one codec call.
 
-        Same payloads as one :meth:`put` per pair; each still goes
-        through :meth:`put_payload`, so a persistent store writes it.
+        Same payloads as one :meth:`put` per pair, and a persistent store
+        still writes each one; no :class:`StoredBitmapInfo` is built.
         """
         items = list(items)
         payloads = self._codec.encode_many(vector for _, vector in items)
-        return [
-            self.put_payload(key, payload, len(vector))
-            for (key, vector), payload in zip(items, payloads)
-        ]
+        for (key, vector), payload in zip(items, payloads):
+            self._put(key, payload, len(vector))
 
     def put_payload(
         self, key: Hashable, payload: bytes, length: int
@@ -192,8 +188,8 @@ class BitmapStore:
         Used by persistence, which moves encoded blobs byte-identically
         between stores without a decode/re-encode roundtrip.
         """
-        self._store_payload(key, payload)
-        return self.attach_payload(key, payload, length)
+        self._put(key, payload, length)
+        return self.info(key)
 
     def attach_payload(
         self, key: Hashable, payload: bytes, length: int
@@ -204,10 +200,18 @@ class BitmapStore:
         disk; writing them back out again would turn every load into a
         rewrite of the whole directory.
         """
+        self._attach(key, payload, length)
+        return self.info(key)
+
+    def _put(self, key: Hashable, payload: bytes, length: int) -> None:
+        """Persist (in a subclass) and register ``payload``."""
+        self._store_payload(key, payload)
+        self._attach(key, payload, length)
+
+    def _attach(self, key: Hashable, payload: bytes, length: int) -> None:
         self._blobs[key] = bytes(payload)
         self._lengths[key] = int(length)
         self._versions[key] = self._versions.get(key, 0) + 1
-        return self.info(key)
 
     def _store_payload(self, key: Hashable, payload: bytes) -> None:
         """Hook for persistent subclasses."""

@@ -77,9 +77,9 @@ def test_put_many_equals_put(name, rng, tmp_path):
     for key, vector in items:
         one_by_one.put(key, vector)
     batched = DirectoryStore(tmp_path, name)
-    infos = batched.put_many(items)
-    assert [info.key for info in infos] == [key for key, _ in items]
+    assert batched.put_many(items) is None  # no StoredBitmapInfo is built
     for key, vector in items:
+        assert batched.info(key) == one_by_one.info(key)
         assert batched.get_payload(key) == one_by_one.get_payload(key)
         # A persistent store still writes every payload.
         assert batched.path_for(key).read_bytes() == one_by_one.get_payload(key)[0]

@@ -1,14 +1,15 @@
-"""Tests for :mod:`repro.compress.multiway` — N-way merges and counters.
+"""Tests for :mod:`repro.compress.multiway` — N-way adapters and counters.
 
-Equivalence: the one-pass N-way OR/AND/XOR must be bit-identical to
-the left-fold of pairwise compressed-domain ops for every codec, and
-the threshold kernel to the naive per-row count.  Accounting: on the
-compressed engine, the multi-way plan must charge *strictly fewer*
-``words_operated`` than the pairwise fold for N >= 3 (the fold
-re-charges every intermediate it materializes; the merge streams each
-input once).  Plus the bit-sliced counter in isolation, the degenerate
-``k`` bounds, the error paths, and the ``expr.threshold.*`` obs
-counters.
+Equivalence: the one-pass N-way OR/AND/XOR (the adapters evaluate it
+through :func:`repro.expr.evaluate` over block streams) must be
+bit-identical to the left-fold of pairwise compressed-domain ops for
+every codec, and a threshold to the naive per-row count.  Accounting:
+under the compressed convention, an n-ary node must charge *strictly
+fewer* ``words_operated`` than the pairwise fold for N >= 3 (the fold
+re-charges every intermediate it materializes; the n-ary node reads
+each input once).  Plus the bit-sliced counter in isolation, the
+degenerate ``k`` bounds, the error paths, and the ``expr.threshold.*``
+obs counters.
 """
 
 from functools import reduce
@@ -22,18 +23,15 @@ from repro.bitmap import BitVector
 from repro.compress import COMPRESSED_DOMAIN_CODECS
 from repro.compress.compressed_ops import CompressedBitmap
 from repro.compress.multiway import (
-    DEFAULT_BLOCK_WORDS,
     ThresholdCounter,
     counter_width,
     multiway_logical,
     multiway_threshold,
-    threshold_streams,
-    threshold_vectors,
 )
-from repro.compress.streams import VectorStream
+from repro.compress.streams import open_stream
 from repro.errors import BitmapError
-from repro.expr import EvalStats, Threshold
-from repro.index import BitmapIndex, CompressedQueryEngine, IndexSpec
+from repro.expr import BLOCK_WORDS, EvalStats, Threshold, evaluate, leaf
+from repro.index import BitmapIndex, IndexSpec, QueryEngine
 from repro.queries import IntervalQuery
 from repro.storage import CostClock
 from repro.workload import zipf_column
@@ -48,6 +46,15 @@ NUMPY_OPS = {
     "or": np.logical_or,
     "xor": np.logical_xor,
 }
+
+
+def stream_of(vector):
+    """An opened ``raw`` stream over ``vector``'s words."""
+    return open_stream("raw", vector.words.view(np.uint8), len(vector))
+
+
+def streams_of(vectors):
+    return [stream_of(v) for v in vectors]
 
 
 def random_vectors(n, length, density, seed):
@@ -73,9 +80,7 @@ class TestMultiwayLogical:
         """One-pass N-way == left-fold of pairwise compressed ops."""
         vectors = random_vectors(n, length, density, seed)
         encoded = [CompressedBitmap.from_vector(v, codec) for v in vectors]
-        merged = multiway_logical(
-            op, codec, [e.payload for e in encoded], length, block_words=16
-        )
+        merged = multiway_logical(op, codec, [e.payload for e in encoded], length)
         pairwise_op = {
             "and": lambda a, b: a & b,
             "or": lambda a, b: a | b,
@@ -116,31 +121,33 @@ class TestThresholdKernels:
         counts = np.zeros(length, dtype=np.int64)
         for vector in vectors:
             counts += vector.to_bools()
-        result = threshold_vectors(k, vectors)
+        leaves = tuple(leaf(i) for i in range(n))
+        result = evaluate(Threshold(k, leaves), vectors.__getitem__, length)
         assert result.to_bools().tolist() == (counts >= k).tolist()
 
     def test_k_at_most_zero_is_all_ones_masked(self):
         vectors = random_vectors(2, 70, 0.5, 3)
-        result = threshold_vectors(0, vectors)
+        result = multiway_threshold(0, "raw", streams_of(vectors), 70)
         assert result.to_bools().all()
         # Padding bits above length 70 must be masked off.
         assert int(result.words[-1]) >> 6 == 0
 
     def test_k_above_n_is_all_zeros(self):
         vectors = random_vectors(2, 70, 1.0, 3)
-        assert not threshold_vectors(3, vectors).to_bools().any()
+        result = multiway_threshold(3, "raw", streams_of(vectors), 70)
+        assert not result.to_bools().any()
 
     def test_empty_vectors_rejected(self):
         with pytest.raises(BitmapError, match="at least one input"):
-            threshold_vectors(1, [])
+            multiway_threshold(1, "raw", [], 10)
 
     def test_stream_length_mismatch_rejected(self):
         streams = [
-            VectorStream(BitVector.zeros(64)),
-            VectorStream(BitVector.zeros(128)),
+            stream_of(BitVector.zeros(64)),
+            stream_of(BitVector.zeros(128)),
         ]
         with pytest.raises(BitmapError, match="length"):
-            threshold_streams(1, streams, 64)
+            multiway_threshold(1, "raw", streams, 64)
 
     @pytest.mark.parametrize("codec", COMPRESSED_CODECS)
     def test_multiway_threshold_roundtrip(self, codec):
@@ -158,7 +165,7 @@ class TestThresholdKernels:
     def test_emits_obs_counters(self):
         vectors = random_vectors(4, 256, 0.5, 7)
         with obs.observed() as o:
-            threshold_vectors(2, vectors)
+            multiway_threshold(2, "raw", streams_of(vectors), 256)
         assert o.counter_total("expr.threshold.evals") == 1
         assert o.counter_total("expr.threshold.children") == 4
 
@@ -216,7 +223,7 @@ class TestThresholdCounter:
 
 
 class TestEngineAccounting:
-    """Multi-way plans vs pairwise folds on the compressed engine."""
+    """N-ary nodes vs pairwise folds under the compressed convention."""
 
     FANIN = 6
 
@@ -240,7 +247,7 @@ class TestEngineAccounting:
 
     def run(self, index, expr):
         clock = CostClock()
-        engine = CompressedQueryEngine(index, clock=clock)
+        engine = QueryEngine(index, clock=clock, engine="compressed")
         bitmap = engine.evaluate_shared([expr], {}, EvalStats())
         return bitmap, clock.words_operated
 
@@ -278,4 +285,4 @@ class TestEngineAccounting:
         assert threshold_words < chain_words
 
     def test_default_block_words_is_power_of_two(self):
-        assert DEFAULT_BLOCK_WORDS & (DEFAULT_BLOCK_WORDS - 1) == 0
+        assert BLOCK_WORDS & (BLOCK_WORDS - 1) == 0

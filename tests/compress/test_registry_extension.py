@@ -100,14 +100,14 @@ def test_open_stream_and_multiway_dispatch_registered_codec(fake_codec, rng):
 
 def test_compressed_engine_accepts_registered_codec(fake_codec, rng):
     from repro.index import BitmapIndex, IndexSpec
-    from repro.index.compressed_engine import CompressedQueryEngine
+    from repro.index.evaluation import QueryEngine
     from repro.queries import IntervalQuery
 
     values = rng.integers(0, 12, size=400)
     index = BitmapIndex.build(
         values, IndexSpec(cardinality=12, scheme="E", codec="fake64")
     )
-    engine = CompressedQueryEngine(index)
+    engine = QueryEngine(index, engine="compressed")
     query = IntervalQuery(2, 9, 12)
     want = np.flatnonzero((values >= 2) & (values <= 9))
     got = engine.execute(query).bitmap.to_indices()

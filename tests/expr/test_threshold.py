@@ -2,17 +2,18 @@
 
 Three independent answers must agree bit-for-bit:
 
-* ``Threshold(k, ...)`` through the real evaluators — the decoded
-  evaluator, compressed-domain multiway kernel per codec, and the
-  index engines;
+* ``Threshold(k, ...)`` through the real evaluator — the range walk
+  over decoded words, over each codec's block streams, and inside the
+  index engine under both cost conventions;
 * the **naive count scan** — numpy integer counts per row, no bitmaps;
 * the **OR/AND-chain expansion** — ``k = 1`` as a pairwise OR fold,
   ``k = N`` as a pairwise AND fold, and general ``k`` (small N) as the
   full OR-of-AND-subsets blowup the threshold node exists to avoid.
 
 The sweeps cover every registered codec x 7 schemes, ``k in {1, 2, N-1, N}``
-with N up to 32, and lengths straddling the counting-block and roaring
-container boundaries (block +/- 1 word, 2^16 +/- 1).  The suite also
+with N up to 32, and lengths straddling word, 2048-bit and roaring
+container boundaries (2^16 +/- 1); the evaluator's range edges are
+covered by ``tests/expr/test_stream_sources.py``.  The suite also
 pins the helper algebra (``at_least``/``exactly``/``majority``,
 ``lower_wide_ors``) and the two deliberate ``simplify`` non-rewrites:
 no child deduplication (multiset semantics) and no rewriting of
@@ -28,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bitmap import BitVector
 from repro.compress import COMPRESSED_DOMAIN_CODECS, available_codecs, get_codec
-from repro.compress.multiway import multiway_threshold, threshold_vectors
+from repro.compress.multiway import multiway_threshold
 from repro.encoding import ALL_SCHEME_NAMES
 from repro.errors import BitmapError, QueryError
 from repro.expr import (
@@ -42,18 +43,15 @@ from repro.expr import (
     simplify,
 )
 from repro.expr.nodes import And, Const, Leaf, Not, Or, leaf, one, zero
-from repro.index import BitmapIndex, CompressedQueryEngine, IndexSpec
+from repro.index import BitmapIndex, IndexSpec, QueryEngine
 from repro.queries import IntervalQuery, MembershipQuery, ThresholdQuery
 
 #: Every registered codec / every one with compressed-domain operations.
 CODEC_NAMES = available_codecs()
 COMPRESSED_CODECS = sorted(COMPRESSED_DOMAIN_CODECS)
 
-#: Counting-block edges (the multiway kernel runs at ``block_words``
-#: words per window; 32 words = 2048 bits here), roaring container
-#: edges, and word edges.
-TEST_BLOCK_WORDS = 32
-BLOCK_BITS = TEST_BLOCK_WORDS * 64
+#: Word edges, multiples of 2048 bits, and roaring container edges.
+BLOCK_BITS = 32 * 64
 BOUNDARY_LENGTHS = sorted(
     {1, 63, 64, 65, 1000}
     | {BLOCK_BITS - 1, BLOCK_BITS, BLOCK_BITS + 1}
@@ -111,9 +109,7 @@ class TestKernelDifferential:
         vectors = random_vectors(n, length, density, seed)
         payloads = [get_codec(codec).encode(v) for v in vectors]
         for k in interesting_ks(n):
-            result = multiway_threshold(
-                k, codec, payloads, length, block_words=TEST_BLOCK_WORDS
-            )
+            result = multiway_threshold(k, codec, payloads, length)
             oracle = naive_count_scan(k, vectors)
             assert result.to_bools().tolist() == oracle.tolist(), (codec, k)
 
@@ -127,7 +123,8 @@ class TestKernelDifferential:
     def test_threshold_vectors_matches_naive(self, n, length, density, seed):
         vectors = random_vectors(n, length, density, seed)
         for k in interesting_ks(n):
-            result = threshold_vectors(k, vectors)
+            leaves = tuple(leaf(i) for i in range(n))
+            result = evaluate(Threshold(k, leaves), vectors.__getitem__, length)
             oracle = naive_count_scan(k, vectors)
             assert result.to_bools().tolist() == oracle.tolist(), k
 
@@ -235,7 +232,7 @@ def test_threshold_queries_all_schemes_and_codecs(
     assert decoded.row_count == int(oracle.sum())
 
     if codec in COMPRESSED_DOMAIN_CODECS:
-        compressed = CompressedQueryEngine(index).execute(query)
+        compressed = QueryEngine(index, engine="compressed").execute(query)
         assert compressed.bitmap == expected, (scheme, codec, str(query))
 
 

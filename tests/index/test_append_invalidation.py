@@ -18,7 +18,6 @@ from repro.compress import streams
 from repro.compress.base import Codec
 from repro.expr.nodes import Or
 from repro.index import BitmapIndex, IndexSpec
-from repro.index.compressed_engine import CompressedQueryEngine
 from repro.index.evaluation import QueryEngine
 from repro.index.segmented import SegmentedBitmapIndex
 from repro.queries import IntervalQuery, MembershipQuery
@@ -137,7 +136,7 @@ class TestEnginesSurviveAppend:
         "make_engine,codec",
         [
             (lambda ix: QueryEngine(ix, buffer_pages=8), "raw"),
-            (lambda ix: CompressedQueryEngine(ix, buffer_pages=8), "wah"),
+            (lambda ix: QueryEngine(ix, engine="compressed", buffer_pages=8), "wah"),
         ],
         ids=["decoded", "compressed"],
     )
@@ -177,9 +176,9 @@ class TestEnginesSurviveAppend:
 
 class TestCompressedEngineStreamCache:
     """On the stream path (a pool with no room for decoded copies),
-    multi-way results are never re-encoded, and a pooled leaf's block
-    stream is parsed once per residency — until an append replaces the
-    payload (the store-version path)."""
+    results are never re-encoded, and a pooled leaf's block stream is
+    parsed once per residency — until an append replaces the payload
+    (the store-version path)."""
 
     QUERY = IntervalQuery(3, 11, CARDINALITY)
 
@@ -222,7 +221,9 @@ class TestCompressedEngineStreamCache:
         # Exactly the leaves' encoded pages: every leaf stays resident
         # and no page is left for a decoded copy.
         leaf_pages = sum(index.store.info(key).pages for key in expr.leaf_keys())
-        engine = CompressedQueryEngine(index, buffer_pages=leaf_pages, clock=clock)
+        engine = QueryEngine(
+            index, buffer_pages=leaf_pages, clock=clock, engine="compressed"
+        )
         encodes.clear()  # the build encoded every stored bitmap
 
         with obs.observed() as o:
@@ -230,10 +231,11 @@ class TestCompressedEngineStreamCache:
         assert first.bitmap == BitVector.from_bools(self.QUERY.matches(base))
         assert encodes == []
         assert "compress.auto.selected" not in o.metrics.to_dict()
+        # One count per leaf source.
         assert o.metrics.to_dict()["compress.physical"] == {
-            "path=stream": {"type": "counter", "value": 1.0}
+            "path=stream": {"type": "counter", "value": float(num_leaves)}
         }
-        assert clock.bytes_decompressed == 0  # the multi-way root is decoded
+        assert clock.bytes_decompressed == 0  # the answer is an OR node
         assert len(opened) == num_leaves
 
         opened.clear()
@@ -279,14 +281,15 @@ class TestCompressedEngineDecodedResidency:
         num_leaves = len(expr.leaf_keys())
         assert num_leaves >= 3
         clock = CostClock()
-        engine = CompressedQueryEngine(index, clock=clock)
+        engine = QueryEngine(index, engine="compressed", clock=clock)
 
         with obs.observed() as o:
             first = engine.execute(self.QUERY)
         assert first.bitmap == BitVector.from_bools(self.QUERY.matches(base))
         assert decodes == [len(base)] * num_leaves
+        # One count per leaf source.
         assert o.metrics.to_dict()["compress.physical"] == {
-            "path=words": {"type": "counter", "value": 1.0}
+            "path=words": {"type": "counter", "value": float(num_leaves)}
         }
 
         decodes.clear()
@@ -307,7 +310,7 @@ class TestCompressedEngineDecodedResidency:
         index = BitmapIndex.build(
             base, IndexSpec(cardinality=CARDINALITY, scheme="E", codec="auto")
         )
-        engine = CompressedQueryEngine(index)
+        engine = QueryEngine(index, engine="compressed")
         query = IntervalQuery(4, 4, CARDINALITY)
         answer = engine.execute(query).bitmap
         answer.words[:] = 0  # the caller owns its answer

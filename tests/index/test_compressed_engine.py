@@ -13,7 +13,7 @@ from repro.errors import QueryError
 from repro.expr import EvalStats
 from repro.expr.nodes import And, Const, Leaf, Not, Or, Xor
 from repro.expr.threshold import Threshold
-from repro.index import BitmapIndex, CompressedQueryEngine, IndexSpec
+from repro.index import BitmapIndex, IndexSpec, QueryEngine
 from repro.queries import IntervalQuery, MembershipQuery
 from repro.storage import CostClock
 from repro.storage.pages import pages_for
@@ -40,7 +40,7 @@ class TestCorrectness:
             values, IndexSpec(cardinality=10, scheme="I", codec="raw")
         )
         with pytest.raises(QueryError, match="compressed-domain"):
-            CompressedQueryEngine(index)
+            QueryEngine(index, engine="compressed")
 
     @pytest.mark.parametrize("codec", ENGINE_CODECS)
     def test_all_compressed_domain_codecs_agree(self, rng, codec):
@@ -48,7 +48,7 @@ class TestCorrectness:
         index = BitmapIndex.build(
             values, IndexSpec(cardinality=10, scheme="I", codec=codec)
         )
-        engine = CompressedQueryEngine(index)
+        engine = QueryEngine(index, engine="compressed")
         for query in (
             IntervalQuery(2, 7, 10),
             MembershipQuery.of({0, 3, 9}, 10),
@@ -58,7 +58,7 @@ class TestCorrectness:
 
     def test_interval_queries_match_standard_engine(self, index_and_values):
         index, values = index_and_values
-        compressed = CompressedQueryEngine(index)
+        compressed = QueryEngine(index, engine="compressed")
         standard = index.engine()
         for low, high in [(0, 0), (5, 20), (0, 30), (44, 49), (17, 17)]:
             query = IntervalQuery(low, high, 50)
@@ -68,7 +68,7 @@ class TestCorrectness:
 
     def test_membership_queries_match(self, index_and_values):
         index, values = index_and_values
-        engine = CompressedQueryEngine(index)
+        engine = QueryEngine(index, engine="compressed")
         query = MembershipQuery.of({1, 2, 3, 20, 33, 34}, 50)
         result = engine.execute(query)
         assert result.row_count == int(query.matches(values).sum())
@@ -76,7 +76,7 @@ class TestCorrectness:
 
     def test_scan_accounting(self, index_and_values):
         index, _ = index_and_values
-        engine = CompressedQueryEngine(index)
+        engine = QueryEngine(index, engine="compressed")
         result = engine.execute(IntervalQuery(5, 20, 50))
         assert result.stats.scans == len(set(result.stats.fetched_keys))
         assert result.stats.scans >= 1
@@ -86,7 +86,7 @@ class TestAccounting:
     def test_only_final_answer_decoded(self, index_and_values):
         index, _ = index_and_values
         clock = CostClock()
-        engine = CompressedQueryEngine(index, clock=clock)
+        engine = QueryEngine(index, engine="compressed", clock=clock)
         engine.execute(IntervalQuery(5, 20, 50))
         # Operand fetches are never decoded; the standard engine
         # decompresses every fetched bitmap.
@@ -104,14 +104,14 @@ class TestAccounting:
         query = MembershipQuery.of({1, 2, 3, 4, 10, 11}, 50)
 
         compressed_clock = CostClock()
-        CompressedQueryEngine(index, clock=compressed_clock).execute(query)
+        QueryEngine(index, engine="compressed", clock=compressed_clock).execute(query)
         standard_clock = CostClock()
         index.engine(clock=standard_clock).execute(query)
         assert compressed_clock.cpu_ms < standard_clock.cpu_ms
 
     def test_payload_pool_hits(self, index_and_values):
         index, _ = index_and_values
-        engine = CompressedQueryEngine(index)
+        engine = QueryEngine(index, engine="compressed")
         engine.execute(IntervalQuery(5, 20, 50))
         misses = engine.buffer_stats.misses
         engine.execute(IntervalQuery(5, 20, 50))
@@ -120,7 +120,7 @@ class TestAccounting:
 
     def test_tiny_pool_still_correct(self, index_and_values):
         index, values = index_and_values
-        engine = CompressedQueryEngine(index, buffer_pages=1)
+        engine = QueryEngine(index, engine="compressed", buffer_pages=1)
         query = IntervalQuery(3, 40, 50)
         assert engine.execute(query).row_count == int(
             query.matches(values).sum()
@@ -170,10 +170,11 @@ def _diff_index(codec: str, reorder: str, length: int) -> BitmapIndex:
 @lru_cache(maxsize=None)
 def _diff_engine(
     codec: str, reorder: str, length: int, pool: str
-) -> CompressedQueryEngine:
-    return CompressedQueryEngine(
+) -> QueryEngine:
+    return QueryEngine(
         _diff_index(codec, reorder, length),
         buffer_pages=_pool_pages(pool, length),
+        engine="compressed",
     )
 
 
@@ -223,7 +224,7 @@ def _naive(expr, values: np.ndarray) -> np.ndarray:
 
 
 class TestDecodedIntermediates:
-    """Operator nodes yield decoded words on either physical path; every
+    """Inner nodes over leaves read as decoded words or as streams; every
     consumer must agree with a naive scan of the column."""
 
     @pytest.mark.parametrize("pool", POOLS)
@@ -240,11 +241,15 @@ class TestDecodedIntermediates:
         want = np.logical_or.reduce([_naive(c, values) for c in constituents])
         # Word-level equality: padding bits past ``length`` must be clear.
         assert bitmap == BitVector.from_bools(want)
+        # One count per leaf source: none without leaves, decoded
+        # copies in the default pool, streams in one too small for them.
         paths = set(o.metrics.to_dict().get("compress.physical", {}))
-        if pool == "default":
+        if case == "not_of_const":
+            assert paths == set()
+        elif pool == "default":
             assert paths == {"path=words"}
-        elif case != "not_of_const":  # a node over leaves streams them
-            assert "path=stream" in paths
+        else:
+            assert paths == {"path=stream"}
 
     @pytest.mark.parametrize("pool", POOLS)
     @pytest.mark.parametrize("length", DIFF_LENGTHS)
@@ -276,8 +281,9 @@ class TestPhysicalChoice:
         clocks, answers = [], []
         for pool in POOLS:
             clock = CostClock()
-            engine = CompressedQueryEngine(
-                index, buffer_pages=_pool_pages(pool, length), clock=clock
+            engine = QueryEngine(
+                index, buffer_pages=_pool_pages(pool, length), clock=clock,
+                engine="compressed",
             )
             stats = EvalStats()
             answers.append([
@@ -293,7 +299,7 @@ class TestPhysicalChoice:
         length = DIFF_LENGTHS[0]
         index = _diff_index("wah", "none", length)
         capacity = index.size_pages() + 2 * pages_for(8 * -(-length // 64))
-        engine = CompressedQueryEngine(index, buffer_pages=capacity)
+        engine = QueryEngine(index, engine="compressed", buffer_pages=capacity)
         values = _diff_values(length)
         for low in range(DIFF_CARDINALITY - 1):
             for query in (
@@ -321,5 +327,5 @@ def test_compressed_engine_property(seed, scheme, low_frac, width_frac):
     low = int(low_frac * 23)
     high = min(23, low + int(width_frac * (23 - low)))
     query = IntervalQuery(low, high, 24)
-    result = CompressedQueryEngine(index).execute(query)
+    result = QueryEngine(index, engine="compressed").execute(query)
     assert result.row_count == int(query.matches(values).sum())

@@ -20,7 +20,7 @@ from repro.errors import (
     TruncatedBlobError,
 )
 from repro.index import BitmapIndex, IndexSpec
-from repro.index.compressed_engine import CompressedQueryEngine
+from repro.index.evaluation import QueryEngine
 from repro.index.persist import (
     PERMUTATION_NAME,
     load_index,
@@ -86,7 +86,7 @@ class TestEveryCodecAndScheme:
             assert ids(plain.query(query).bitmap) == expected
             assert ids(reordered.query(query).bitmap) == expected
             if codec in COMPRESSED_DOMAIN_CODECS:
-                engine = CompressedQueryEngine(reordered)
+                engine = QueryEngine(reordered, engine="compressed")
                 assert ids(engine.execute(query).bitmap) == expected
 
 
@@ -211,7 +211,7 @@ class TestAppendAfterReorder:
         merged = np.concatenate([values, batch])
         for query in queries():
             assert ids(index.query(query).bitmap) == naive_ids(merged, query)
-            engine = CompressedQueryEngine(index)
+            engine = QueryEngine(index, engine="compressed")
             assert ids(engine.execute(query).bitmap) == naive_ids(
                 merged, query
             )
@@ -329,5 +329,5 @@ class TestCodesRestore:
             assert segmented_ids(index, query) == naive_ids(merged, query)
         flat = BitmapIndex.build(values, spec)
         for query in queries():
-            engine = CompressedQueryEngine(flat)
+            engine = QueryEngine(flat, engine="compressed")
             assert ids(engine.execute(query).bitmap) == naive_ids(values, query)

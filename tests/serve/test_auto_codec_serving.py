@@ -14,7 +14,7 @@ import pytest
 from repro.bitmap import BitVector
 from repro.compress import split_payload
 from repro.index import BitmapIndex, IndexSpec
-from repro.index.compressed_engine import CompressedQueryEngine
+from repro.index.evaluation import QueryEngine
 from repro.queries import IntervalQuery, MembershipQuery, ThresholdQuery
 from repro.serve import (
     QueryService,
@@ -93,6 +93,6 @@ def test_sharded_service_auto(column, engine):
 
 
 def test_compressed_engine_direct_threshold(auto_index, column):
-    engine = CompressedQueryEngine(auto_index)
+    engine = QueryEngine(auto_index, engine="compressed")
     query = QUERIES[3]
     assert engine.execute(query).bitmap == naive(query, column)

@@ -32,6 +32,7 @@ def test_report_only_gates_name_their_reason(quick_results):
     assert "rewrite_cost" in report_only  # never gated, in any mode
     assert "segment_append" in report_only  # gated in full mode only
     assert "segment_probe" in report_only  # timing gated in full mode only
+    assert "compressed_stream_path" in report_only  # never gated, in any mode
     for name, entry in report_only.items():
         assert entry.get("gate_skip_reason"), name
 
@@ -49,7 +50,13 @@ def test_wall_clock_entries_record_n_iqr_and_machine(quick_results):
         "rewrite_cost",
         "segment_append",
         "segment_probe",
+        "compressed_stream_path",
     } <= set(current)
+    stream = current["compressed_stream_path"]
+    assert stream["answers_equal"]
+    assert set(stream["leaf_sources"]) == {"path=stream"}  # no decoded copy fits
+    for cell in stream["cells"].values():
+        assert cell["n"] >= 1 and cell["iqr_s"] >= 0.0
     assert current["segment_append"]["merge"]["n"] >= 1
     probe = current["segment_probe"]
     assert probe["answers_equal"]

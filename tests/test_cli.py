@@ -279,3 +279,35 @@ class TestVerifyIndex:
         (tmp_path / "manifest.json").write_text("{broken")
         assert main(["verify-index", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestServeBenchEngines:
+    """``serve-bench --engine``: both cost conventions answer alike."""
+
+    @staticmethod
+    def answers(monkeypatch, codec: str, engine: str) -> list[bytes]:
+        from repro.serve import QueryService
+        from repro.serve.sharded import _FrontEnd
+
+        recorded = []
+        execute_many = _FrontEnd.execute_many
+
+        def recording(self, queries, *args, **kwargs):
+            results = execute_many(self, queries, *args, **kwargs)
+            recorded.extend(result.bitmap.words.tobytes() for result in results)
+            return results
+
+        monkeypatch.setattr(QueryService, "execute_many", recording)
+        assert main([
+            "serve-bench", "--num-records", "3000", "--num-queries", "40",
+            "--cardinality", "20", "--codec", codec, "--engine", engine,
+            "--concurrency", "4", "--workers", "1", "--no-cache",
+        ]) == 0
+        return recorded
+
+    @pytest.mark.parametrize("codec", ["wah", "auto"])
+    def test_compressed_and_decoded_answer_alike(self, monkeypatch, codec, capsys):
+        decoded = self.answers(monkeypatch, codec, "decoded")
+        compressed = self.answers(monkeypatch, codec, "compressed")
+        assert len(decoded) >= 40
+        assert compressed == decoded
