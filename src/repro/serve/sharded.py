@@ -88,15 +88,13 @@ from repro.errors import (
     WorkerUnresponsive,
 )
 from repro.index.bitmap_index import IndexSpec
+from repro.index.evaluation import ENGINES
 from repro.index.segmented import DEFAULT_SEGMENT_SIZE, code_dtype
 from repro.parallel import ProcessWorker, WorkerFault
 from repro.queries.model import IntervalQuery, MembershipQuery, ThresholdQuery
 from repro.serve.shard_worker import ShardEngine, build_shard_engine
 
 Query = IntervalQuery | MembershipQuery | ThresholdQuery
-
-#: Evaluation engines a service can run on.
-ENGINES = ("decoded", "compressed")
 
 TRANSPORTS = ("inline", "process")
 #: Values the deprecated :attr:`ServiceConfig.fused` field accepts.

@@ -103,6 +103,11 @@ class TestMultiwayLogical:
         with pytest.raises(BitmapError, match="at least one input"):
             multiway_logical("or", "wah", [], 10)
 
+    def test_codec_name_count_mismatch_rejected(self):
+        payload = CompressedBitmap.from_vector(BitVector.zeros(8), "wah").payload
+        with pytest.raises(BitmapError, match="codec names"):
+            multiway_logical("or", ["wah"], [payload, payload], 8)
+
 
 class TestThresholdKernels:
     @given(

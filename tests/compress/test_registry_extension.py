@@ -3,8 +3,9 @@
 The adaptive PR replaced the last codec-name conditionals with registry
 lookups: :func:`register_codec` + :func:`register_compressed_ops` +
 :func:`register_stream` must be *all* a new codec needs for stats
-tables, :class:`CompressedBitmap`, the compressed query engine, the
-multiway kernels and the block streams to pick it up.  A fake
+tables, :class:`CompressedBitmap`, the compressed convention of the
+query engine and the block streams its range walk reads to pick it
+up.  A fake
 codec (trivial raw clone under a new name) proves it end to end.
 """
 

@@ -118,6 +118,18 @@ class TestAccounting:
         assert engine.buffer_stats.misses == misses
         assert engine.buffer_stats.hits > 0
 
+    def test_clear_drops_payloads_and_copies(self, index_and_values):
+        index, _ = index_and_values
+        engine = QueryEngine(index, engine="compressed")
+        query = IntervalQuery(5, 20, 50)
+        engine.execute(query)
+        assert engine.pool.used_pages > 0
+        engine.pool.clear()
+        assert engine.pool.used_pages == 0
+        misses = engine.buffer_stats.misses
+        engine.execute(query)
+        assert engine.buffer_stats.misses > misses
+
     def test_tiny_pool_still_correct(self, index_and_values):
         index, values = index_and_values
         engine = QueryEngine(index, engine="compressed", buffer_pages=1)

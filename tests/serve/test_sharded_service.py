@@ -157,6 +157,18 @@ class TestCorrectness:
             for query in sample_queries():
                 assert s.execute(query).bitmap == naive(query, values)
 
+    @pytest.mark.parametrize("reorder", ["none", "lexicographic"])
+    @pytest.mark.parametrize("codec", ["wah", "auto"])
+    def test_compressed_stream_pool_matches_naive_scan(self, values, codec, reorder):
+        """A one-page pool has no room for a decoded copy beside a
+        payload, so every leaf is read through its block stream."""
+        spec = IndexSpec(cardinality=CARDINALITY, scheme="E", codec=codec, reorder=reorder)
+        config = inline_config(engine="compressed", buffer_pages=1)
+        with obs.observed() as o, ShardedQueryService(values, spec, config) as s:
+            for query in sample_queries():
+                assert s.execute(query).bitmap == naive(query, values)
+        assert set(o.metrics.to_dict()["compress.physical"]) == {"path=stream"}
+
     def test_domain_mismatch_rejected(self, values):
         with ShardedQueryService(values, make_spec(), inline_config()) as s:
             with pytest.raises(QueryError):
