@@ -1,9 +1,10 @@
 #!/usr/bin/env python
-"""Benchmark-regression driver: codec kernels, compressed ops, one e2e run.
+"""Benchmark-regression driver: codec kernels, encoded AND/OR, one e2e run.
 
-Times encode/decode for every codec, compressed-domain AND/OR, the
-decoded expression evaluator against inline numpy, and one end-to-end
-figure regeneration, then writes ``BENCH_PR10.json`` at the repo root.
+Times encode/decode for every codec, AND/OR over encoded payloads (the
+range walk over two block streams), the decoded expression evaluator
+against inline numpy, and one end-to-end figure regeneration, then
+writes ``BENCH_PR10.json`` at the repo root.
 Prior recorded numbers are merged in under prefixed names — ``seed:``
 for the pre-vectorization baseline (``benchmarks/results/
 seed_baseline.json``) and ``pr<n>:`` for every recorded
@@ -55,10 +56,13 @@ Gates that can fail the run (exit 1):
   row-reordering pass (sizes and answers are deterministic, so this
   gate runs in ``--quick`` mode too; the ``reorder_skew_benefit``
   entry carries the full skew-vs-benefit curve per codec);
-* roaring's compressed-domain AND slower than WAH's at the measured
-  configuration — the speed of per-container dispatch over matching
-  chunks is the point of the roaring extension, so losing to a
-  word-aligned run-length codec is a regression;
+* roaring's AND slower than WAH's at the measured configuration, both
+  timed on the path the engine runs: :func:`repro.expr.evaluate` of
+  ``And(Leaf 0, Leaf 1)`` over two freshly opened block streams
+  (``"path": "stream"`` in the entries' params).  A roaring stream
+  gathers only the containers a word window overlaps, so losing to a
+  word-aligned run-length codec's run rematerialization is a
+  regression (enforced in every mode, ``--quick`` included);
 * the decoded evaluator (:func:`repro.expr.evaluate`) slower on the
   six-leaf, five-NOT tree than the same expression written inline as
   whole-vector numpy ops, or allocating any full-length intermediate
@@ -124,12 +128,8 @@ import numpy as np
 
 from repro import obs
 from repro.bitmap import BitVector
-from repro.compress import get_codec
-from repro.expr import evaluate, leaf
-from repro.compress.bbc_ops import bbc_logical
-from repro.compress.compressed_ops import ewah_logical
-from repro.compress.roaring_ops import roaring_logical
-from repro.compress.wah_ops import wah_logical
+from repro.compress import get_codec, open_stream
+from repro.expr import And, Leaf, Or, evaluate, leaf
 from repro.experiments import ExperimentConfig, run_experiment
 
 from benchmarks.bench_hardware import six_leaf_tree
@@ -207,23 +207,26 @@ def run_benchmarks(
             "params": codec_params,
         }
 
-    wah_a, wah_b = payloads["wah"]
-    ewah_a, ewah_b = payloads["ewah"]
-    bbc_a, bbc_b = payloads["bbc"]
-    roar_a, roar_b = payloads["roaring"]
-    op_benches = {
-        "wah_and": lambda: wah_logical("and", wah_a, wah_b),
-        "ewah_and": lambda: ewah_logical("and", ewah_a, ewah_b),
-        "ewah_or": lambda: ewah_logical("or", ewah_a, ewah_b),
-        "bbc_and": lambda: bbc_logical("and", bbc_a, bbc_b, n_bits),
-        "roaring_and": lambda: roaring_logical("and", roar_a, roar_b, n_bits),
-        "roaring_or": lambda: roaring_logical("or", roar_a, roar_b, n_bits),
-    }
-    for bench_name, fn in op_benches.items():
-        results[bench_name] = {
-            **timeit(fn, iters),
+    # AND/OR on the path the engine runs: the range walk over two
+    # freshly opened block streams.
+    nodes = {"and": And((Leaf(0), Leaf(1))), "or": Or((Leaf(0), Leaf(1)))}
+
+    def walk(name: str, op: str):
+        streams = [open_stream(name, p, n_bits) for p in payloads[name]]
+        return evaluate(nodes[op], streams.__getitem__, n_bits)
+
+    for name, op in (
+        ("wah", "and"),
+        ("ewah", "and"),
+        ("ewah", "or"),
+        ("bbc", "and"),
+        ("roaring", "and"),
+        ("roaring", "or"),
+    ):
+        results[f"{name}_{op}"] = {
+            **timeit(lambda name=name, op=op: walk(name, op), iters),
             "iterations": iters,
-            "params": codec_params,
+            "params": {**codec_params, "path": "stream"},
         }
 
     config = ExperimentConfig(num_records=num_records, workers=workers)
@@ -305,12 +308,14 @@ def run_reorder_bench(
     cardinality: int = 64,
     skews: tuple[float, ...] = (0.0, 1.0, 2.0),
 ) -> dict:
-    """Index size and compressed AND/OR time, unordered vs reordered.
+    """Index size and encoded AND/OR time, unordered vs reordered.
 
     For every codec and Zipf skew the same column is indexed twice —
     arrival order and `reorder="lexicographic"` — and the entry records
-    both stored sizes, the shrink factor, median compressed-domain
-    AND/OR wall time over the two largest equality bitmaps, and whether
+    both stored sizes, the shrink factor, median AND/OR wall time over
+    the two largest equality bitmaps (``CompressedBitmap`` operators:
+    the range walk over both payloads' block streams plus encoding the
+    result with the codec), and whether
     a mixed query workload answered bit-identically after permutation
     mapping.  The skew axis is the Kaser/Lemire skew-vs-benefit curve.
     """

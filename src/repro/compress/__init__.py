@@ -20,32 +20,21 @@ with "a byte-aligned run-length encoding scheme proposed by Antoshenkov"
   measures each bitmap's shape at encode time and tags the payload with
   the cheapest concrete codec (see ``docs/adaptive.md``).
 
-Codecs are looked up by name via :func:`get_codec`.  Every codec except
-``raw`` supports compressed-domain AND/OR/XOR/NOT and popcount
-(``raw`` gets the same payload-level entry points, which are simply the
-plain word operations); :class:`CompressedBitmap` wraps any codec in
-:data:`COMPRESSED_DOMAIN_CODECS` behind the ``BitVector`` operator
-protocol.
+Codecs are looked up by name via :func:`get_codec`.  Logical
+operations on encoded bitmaps run through :func:`repro.expr.evaluate`'s
+range walk over each codec's block stream (:mod:`repro.compress.streams`);
+:class:`CompressedBitmap` puts that walk behind the ``BitVector``
+operator protocol for any codec in :data:`COMPRESSED_DOMAIN_CODECS`
+(every codec with a registered stream except ``raw``).  A new codec
+needs :func:`register_codec` and :func:`register_stream`, nothing else.
 """
 
 from repro.compress.base import Codec, available_codecs, get_codec, register_codec
 from repro.compress.bbc import BbcCodec
-from repro.compress.bbc_ops import bbc_count, bbc_logical, bbc_not
-from repro.compress.compressed_ops import (
-    COMPRESSED_DOMAIN_CODECS,
-    COUNT_OPS,
-    LOGICAL_OPS,
-    NOT_OPS,
-    CompressedBitmap,
-    ewah_count,
-    ewah_logical,
-    ewah_not,
-    register_compressed_ops,
-)
+from repro.compress.compressed_ops import COMPRESSED_DOMAIN_CODECS, CompressedBitmap
 from repro.compress.ewah import EwahCodec
-from repro.compress.raw import RawCodec, raw_count, raw_logical, raw_not
+from repro.compress.raw import RawCodec
 from repro.compress.roaring import RoaringCodec
-from repro.compress.roaring_ops import roaring_count, roaring_logical, roaring_not
 from repro.compress.stats import CompressionStats, measure_all_codecs, measure_codec
 from repro.compress.streams import (
     BlockStream,
@@ -53,30 +42,16 @@ from repro.compress.streams import (
     register_stream,
 )
 from repro.compress.wah import WahCodec
-from repro.compress.wah_ops import wah_count, wah_logical, wah_not
 
 # Self-registering codecs: importing these modules adds them to the
-# codec registry, the compressed-domain op tables and the stream table,
-# so they must come after the registries they extend.
-from repro.compress.position_list import (  # noqa: E402
-    PositionListCodec,
-    position_list_count,
-    position_list_logical,
-    position_list_not,
-)
-from repro.compress.range_list import (  # noqa: E402
-    RangeListCodec,
-    range_list_count,
-    range_list_logical,
-    range_list_not,
-)
+# codec registry and the stream table, so they must come after the
+# registries they extend.
+from repro.compress.position_list import PositionListCodec  # noqa: E402
+from repro.compress.range_list import RangeListCodec  # noqa: E402
 from repro.compress.adaptive import (  # noqa: E402
     CODEC_IDS,
     AutoCodec,
     ShapeStats,
-    auto_count,
-    auto_logical,
-    auto_not,
     measure,
     payload_codec_name,
     select_codec,
@@ -98,32 +73,8 @@ __all__ = [
     "measure_all_codecs",
     "CompressedBitmap",
     "COMPRESSED_DOMAIN_CODECS",
-    "LOGICAL_OPS",
-    "NOT_OPS",
-    "COUNT_OPS",
-    "ewah_logical",
-    "ewah_not",
-    "ewah_count",
-    "wah_logical",
-    "wah_not",
-    "wah_count",
-    "bbc_logical",
-    "bbc_not",
-    "bbc_count",
-    "roaring_logical",
-    "roaring_not",
-    "roaring_count",
-    "raw_logical",
-    "raw_not",
-    "raw_count",
     "PositionListCodec",
-    "position_list_logical",
-    "position_list_not",
-    "position_list_count",
     "RangeListCodec",
-    "range_list_logical",
-    "range_list_not",
-    "range_list_count",
     "AutoCodec",
     "ShapeStats",
     "CODEC_IDS",
@@ -131,10 +82,6 @@ __all__ = [
     "select_codec",
     "split_payload",
     "payload_codec_name",
-    "auto_logical",
-    "auto_not",
-    "auto_count",
-    "register_compressed_ops",
     "register_stream",
     "BlockStream",
     "open_stream",

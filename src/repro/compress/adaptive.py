@@ -7,8 +7,8 @@ Roaring applies that lesson *inside* one bitmap, classifying every
 (:func:`repro.compress.roaring._classify`).  This module lifts the same
 rule to whole bitmaps: ``auto`` measures each vector's shape at encode
 time, picks the cheapest concrete codec for *that bitmap*, and records
-the choice in a one-byte tag so decode, compressed-domain operations,
-block streams and persistence all dispatch transparently.
+the choice in a one-byte tag so decode, block streams (and so every
+logical operation) and persistence all dispatch transparently.
 
 Payload layout: ``tag byte (CODEC_IDS) + inner payload``.  The tag ids
 are part of the on-disk format (the v2 manifest's per-bitmap ``codec``
@@ -43,12 +43,10 @@ wins.  Ties break toward the earlier entry of :data:`PREFERENCE`
 Every selection reports ``compress.auto.selected{codec=...}`` to the
 installed :mod:`repro.obs` instance.
 
-Operations: same inner codec -> the inner codec's own
-compressed-domain op, re-tagged (``raw`` inner uses the raw payload
-ops).  Mixed inner codecs -> the two block streams are combined
-block-at-a-time and the result re-encoded through selection, so a
-mixed-codec index never materializes more than one block of scratch.
-NOT and popcount always stay inside the inner codec.
+Operations: an ``auto`` stream peels the tag and opens the inner
+codec's stream, so the range walk combines operands whatever their
+inner codecs, and :class:`~repro.compress.compressed_ops.CompressedBitmap`
+re-encodes a result through selection.
 """
 
 from __future__ import annotations
@@ -59,15 +57,7 @@ import numpy as np
 
 from repro import obs as _obs
 from repro.bitmap import BitVector
-from repro.compress import kernels
 from repro.compress.base import Codec, get_codec, register_codec
-from repro.compress.compressed_ops import (
-    COUNT_OPS,
-    LOGICAL_OPS,
-    NOT_OPS,
-    register_compressed_ops,
-)
-from repro.compress.raw import raw_count, raw_logical, raw_not
 from repro.compress.roaring import CHUNK_WORDS
 from repro.compress.streams import open_stream, register_stream
 from repro.errors import CodecError
@@ -236,78 +226,6 @@ def _tagged(name: str, inner_payload: bytes) -> bytes:
     return bytes([CODEC_IDS[name]]) + inner_payload
 
 
-def _inner_ops(name: str):
-    """(logical, not_, count) payload ops for an inner codec.
-
-    ``raw`` is not a compressed-domain codec (``engine="compressed"``
-    rejects a raw *store*), but as an ``auto`` inner codec its payload
-    ops are the plain word operations from :mod:`repro.compress.raw`.
-    """
-    if name == "raw":
-        return raw_logical, raw_not, raw_count
-    try:
-        return LOGICAL_OPS[name], NOT_OPS[name], COUNT_OPS[name]
-    except KeyError:
-        raise CodecError(
-            f"auto inner codec {name!r} has no compressed-domain ops"
-        ) from None
-
-
-def _combine_blockwise(
-    op: str,
-    name_a: str,
-    body_a,
-    name_b: str,
-    body_b,
-    length: int,
-    block_words: int = 2048,
-) -> BitVector:
-    """Mixed-codec combine: stream both operands block-at-a-time."""
-    try:
-        op_fn = kernels._NP_OPS[op]
-    except KeyError:
-        raise CodecError(f"unknown compressed operation {op!r}") from None
-    stream_a = open_stream(name_a, body_a, length)
-    stream_b = open_stream(name_b, body_b, length)
-    words = np.empty(stream_a.num_words, dtype=np.uint64)
-    for lo in range(0, stream_a.num_words, block_words):
-        hi = min(lo + block_words, stream_a.num_words)
-        words[lo:hi] = op_fn(stream_a.block(lo, hi), stream_b.block(lo, hi))
-    tail = length % 64
-    if tail and words.shape[0]:
-        words[-1] &= (_ONE << np.uint64(tail)) - _ONE
-    return BitVector(length, words)
-
-
-def auto_logical(op: str, payload_a, payload_b, length: int) -> bytes:
-    """AND/OR/XOR over two ``auto`` payloads.
-
-    Matching inner codecs stay in that codec's compressed domain; a
-    mixed pair is combined blockwise and re-encoded through selection.
-    """
-    name_a, body_a = split_payload(payload_a)
-    name_b, body_b = split_payload(payload_b)
-    if name_a == name_b:
-        logical, _, _ = _inner_ops(name_a)
-        return _tagged(name_a, logical(op, body_a, body_b, length))
-    result = _combine_blockwise(op, name_a, body_a, name_b, body_b, length)
-    return AUTO_CODEC._encode(result)
-
-
-def auto_not(payload, length: int) -> bytes:
-    """Complement of an ``auto`` payload, staying in the inner codec."""
-    name, body = split_payload(payload)
-    _, not_, _ = _inner_ops(name)
-    return _tagged(name, not_(body, length))
-
-
-def auto_count(payload) -> int:
-    """Popcount of an ``auto`` payload via the inner codec's counter."""
-    name, body = split_payload(payload)
-    _, _, count = _inner_ops(name)
-    return count(body)
-
-
 def _open_auto_stream(payload, length: int):
     """Block stream over an ``auto`` payload: peel the tag, open inner."""
     name, body = split_payload(payload)
@@ -335,7 +253,5 @@ class AutoCodec(Codec):
         return get_codec(name)._decode_view(body, length)
 
 
-AUTO_CODEC = AutoCodec()
-register_codec(AUTO_CODEC)
-register_compressed_ops("auto", auto_logical, auto_not, auto_count)
+register_codec(AutoCodec())
 register_stream("auto", _open_auto_stream)

@@ -1,147 +1,63 @@
-"""Logical operations directly on EWAH-compressed bitmaps.
+"""Logical operations on encoded bitmaps, through the one range walk.
 
-The paper charges decompression CPU for every compressed bitmap a
-query touches; the codecs that later superseded BBC (WAH/EWAH) owe
-their popularity to *compressed-domain* logical operations, which skip
-that cost for the clean (all-0/all-1) runs that dominate compressible
-bitmaps.  This module implements AND/OR/XOR/NOT over EWAH payloads
-without materializing uncompressed bit vectors.
+:func:`repro.expr.evaluate` is the only implementation of AND/OR/XOR/NOT
+over encoded bitmaps: it reads each operand one word range at a time
+from its :class:`~repro.compress.streams.BlockStream`, so an operation
+never decodes a whole operand.  :class:`CompressedBitmap` puts that
+walk behind the :class:`~repro.bitmap.BitVector` operator protocol: an
+operator opens a stream per operand, evaluates the ``And``/``Or``/
+``Xor``/``Not`` node over them and re-encodes the result with the
+operands' codec, so a result payload is exactly ``codec.encode`` of
+the result.
 
-Both input streams are parsed into run arrays
-(:func:`repro.compress.ewah.runs_from_ewah`) and combined by the
-vectorized kernels in :mod:`repro.compress.kernels`:
-
-* run alignment is a ``searchsorted`` merge over the union of both
-  streams' run boundaries — no Python cursor loop;
-* clean x clean overlaps combine fill bits in O(1) per overlap;
-* every overlap touching dirty words — including dirty x dirty — is
-  computed by a single numpy op over the whole stretch;
-* clean words produced by the operation (e.g. complemented all-ones)
-  are re-detected in bulk so outputs stay canonically compressed.
-
-The evaluation engine uses these through
-:class:`~repro.compress.compressed_ops.CompressedBitmap`, which since
-the roaring extension dispatches per codec: the module-level
-``LOGICAL_OPS`` / ``NOT_OPS`` / ``COUNT_OPS`` tables give every
-compressed-domain codec (BBC, WAH, EWAH, roaring) one payload-level
-signature, and ``COMPRESSED_DOMAIN_CODECS`` names the codecs the
-compressed query engine accepts.  The ``bench_compressed_ops``
-benchmark quantifies the saving against decompress-then-operate.
+:data:`COMPRESSED_DOMAIN_CODECS` names the codecs the compressed
+convention of the query engine (``engine="compressed"``) accepts:
+every codec with a registered block stream except ``raw``, whose
+payload already is the decoded words.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from collections.abc import Set
 
 from repro.bitmap import BitVector
-from repro.compress import kernels
 from repro.compress.base import get_codec
-from repro.compress.bbc_ops import bbc_count, bbc_logical, bbc_not
-from repro.compress.ewah import _FULL, ewah_from_runs, runs_from_ewah
-from repro.compress.roaring_ops import roaring_count, roaring_logical, roaring_not
-from repro.compress.wah_ops import wah_count, wah_logical, wah_not
+from repro.compress.streams import _STREAMS, open_stream
 from repro.errors import CodecError
+from repro.expr.nodes import And, Leaf, Not, Or, Xor
 
 
-def ewah_logical(op: str, payload_a: bytes, payload_b: bytes) -> bytes:
-    """``op`` in {"and", "or", "xor"} over two equal-length EWAH payloads.
+class _StreamCodecs(Set):
+    """Live view of the codecs with a registered block stream, minus raw.
 
-    Both payloads must decode to the same number of 64-bit words (the
-    codec guarantees that for vectors of equal bit length).
+    A view rather than a copy: a codec registered later through
+    :func:`~repro.compress.streams.register_stream` joins it, and
+    by-name importers (the query engine) see the addition.
     """
-    if op not in kernels._NP_OPS:
-        raise CodecError(f"unknown compressed operation {op!r}")
-    runs_a = runs_from_ewah(payload_a)
-    runs_b = runs_from_ewah(payload_b)
-    if runs_a.total != runs_b.total:
-        raise CodecError("EWAH operands have different word counts")
-    result = kernels.combine(op, runs_a, runs_b, _FULL, np.uint64)
-    return ewah_from_runs(result)
+
+    def __contains__(self, name: object) -> bool:
+        return name != "raw" and name in _STREAMS
+
+    def __iter__(self):
+        return (name for name in list(_STREAMS) if name != "raw")
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
-def ewah_not(payload: bytes, length: int) -> bytes:
-    """Complement of an EWAH payload for a vector of ``length`` bits.
+#: Codecs a :class:`CompressedBitmap` and ``engine="compressed"`` take.
+COMPRESSED_DOMAIN_CODECS = _StreamCodecs()
 
-    The final word's padding bits must stay zero, so the last word is
-    masked explicitly when the length is not word-aligned.
-    """
-    tail_bits = length % 64
-    tail_mask = (1 << tail_bits) - 1 if tail_bits else None
-    runs = runs_from_ewah(payload)
-    result = kernels.complement(runs, _FULL, np.uint64, tail_mask)
-    return ewah_from_runs(result)
-
-
-def ewah_count(payload: bytes) -> int:
-    """Population count of an EWAH payload without decompression."""
-    return kernels.runs_popcount(runs_from_ewah(payload), 64)
-
-
-# ---------------------------------------------------------------------------
-# Per-codec compressed-domain dispatch
-# ---------------------------------------------------------------------------
-
-#: ``(op, payload_a, payload_b, length) -> payload`` per codec.
-LOGICAL_OPS = {
-    "bbc": bbc_logical,
-    "wah": lambda op, a, b, length: wah_logical(op, a, b),
-    "ewah": lambda op, a, b, length: ewah_logical(op, a, b),
-    "roaring": roaring_logical,
-}
-
-#: ``(payload, length) -> payload`` per codec.
-NOT_OPS = {
-    "bbc": bbc_not,
-    "wah": wah_not,
-    "ewah": ewah_not,
-    "roaring": roaring_not,
-}
-
-#: ``(payload) -> int`` per codec.
-COUNT_OPS = {
-    "bbc": bbc_count,
-    "wah": wah_count,
-    "ewah": ewah_count,
-    "roaring": roaring_count,
-}
-
-#: Codecs whose payloads support the full compressed-domain protocol.
-#: A plain (mutable) set: modules that add codecs extend it through
-#: :func:`register_compressed_ops`, and by-name importers (the
-#: compressed query engine) observe the additions because the set
-#: object itself is shared.
-COMPRESSED_DOMAIN_CODECS = set(LOGICAL_OPS)
-
-
-def register_compressed_ops(name: str, logical, not_, count) -> None:
-    """Register a codec's payload-level compressed-domain operations.
-
-    ``logical`` is ``(op, payload_a, payload_b, length) -> payload``,
-    ``not_`` is ``(payload, length) -> payload`` and ``count`` is
-    ``(payload) -> int``.  Registration adds ``name`` to
-    :data:`COMPRESSED_DOMAIN_CODECS`, which is all
-    :class:`CompressedBitmap` and the compressed query engine consult —
-    no per-codec conditionals anywhere downstream.
-    """
-    if not name:
-        raise CodecError("compressed-domain ops need a codec name")
-    LOGICAL_OPS[name] = logical
-    NOT_OPS[name] = not_
-    COUNT_OPS[name] = count
-    COMPRESSED_DOMAIN_CODECS.add(name)
-
-
-# ---------------------------------------------------------------------------
-# Convenience wrapper
-# ---------------------------------------------------------------------------
+#: The operator nodes, over leaves 0 and 1 (``(self, other)``).
+_AND, _OR, _XOR = (node((Leaf(0), Leaf(1))) for node in (And, Or, Xor))
+_NOT = Not(Leaf(0))
 
 
 class CompressedBitmap:
-    """A compressed bitmap supporting compressed-domain logic.
+    """An encoded bitmap behind the ``BitVector`` operator protocol.
 
-    Mirrors the :class:`~repro.bitmap.BitVector` operator protocol but
-    keeps the payload compressed throughout; :meth:`decode` gives the
-    plain vector when record ids are finally needed.  Any codec in
+    Holds the payload, its bit length and its codec; :meth:`decode`
+    gives the plain vector.  Any codec in
     :data:`COMPRESSED_DOMAIN_CODECS` works (EWAH remains the default);
     operands must share both length and codec.
     """
@@ -164,42 +80,38 @@ class CompressedBitmap:
         """Materialize the plain bit vector."""
         return get_codec(self.codec).decode(self.payload, self.length)
 
-    def _check(self, other: "CompressedBitmap") -> None:
-        if self.length != other.length:
-            raise CodecError(
-                f"length mismatch: {self.length} vs {other.length}"
-            )
-        if self.codec != other.codec:
-            raise CodecError(
-                f"codec mismatch: {self.codec!r} vs {other.codec!r}"
-            )
+    def _apply(self, expr, *others: "CompressedBitmap") -> "CompressedBitmap":
+        """Evaluate ``expr`` over ``(self, *others)`` as leaves 0, 1, ...
+        and re-encode the result with the operands' codec."""
+        # Imported here: the evaluator imports this package's streams.
+        from repro.expr.evaluator import evaluate
 
-    def _logical(self, other: "CompressedBitmap", op: str) -> "CompressedBitmap":
-        self._check(other)
-        payload = LOGICAL_OPS[self.codec](
-            op, self.payload, other.payload, self.length
+        for other in others:
+            if self.length != other.length:
+                raise CodecError(f"length mismatch: {self.length} vs {other.length}")
+            if self.codec != other.codec:
+                raise CodecError(f"codec mismatch: {self.codec!r} vs {other.codec!r}")
+        streams = [open_stream(b.codec, b.payload, b.length) for b in (self, *others)]
+        result = evaluate(expr, streams.__getitem__, self.length)
+        return CompressedBitmap(
+            get_codec(self.codec).encode(result), self.length, self.codec
         )
-        return CompressedBitmap(payload, self.length, self.codec)
 
     def __and__(self, other: "CompressedBitmap") -> "CompressedBitmap":
-        return self._logical(other, "and")
+        return self._apply(_AND, other)
 
     def __or__(self, other: "CompressedBitmap") -> "CompressedBitmap":
-        return self._logical(other, "or")
+        return self._apply(_OR, other)
 
     def __xor__(self, other: "CompressedBitmap") -> "CompressedBitmap":
-        return self._logical(other, "xor")
+        return self._apply(_XOR, other)
 
     def __invert__(self) -> "CompressedBitmap":
-        return CompressedBitmap(
-            NOT_OPS[self.codec](self.payload, self.length),
-            self.length,
-            self.codec,
-        )
+        return self._apply(_NOT)
 
     def count(self) -> int:
-        """Set-bit count, computed in the compressed domain."""
-        return COUNT_OPS[self.codec](self.payload)
+        """Set-bit count."""
+        return self.decode().count()
 
     def compressed_size(self) -> int:
         """Payload size in bytes."""

@@ -6,8 +6,8 @@ sequence of fixed-width *elements* partitioned into maximal runs that
 are either a *fill* (every element all-zero or all-one) or *dirty*
 (verbatim elements).  This module gives that object a columnar
 representation — :class:`Runs` — and implements the hot operations on
-it as whole-array numpy expressions, so encode, decode, and
-compressed-domain logic never touch elements one at a time from Python:
+it as whole-array numpy expressions, so encode, decode and the block
+streams never touch elements one at a time from Python:
 
 * :func:`runs_from_element_rows` segments every row of an element
   matrix into runs with a single ``flatnonzero`` over value-change and
@@ -15,13 +15,11 @@ compressed-domain logic never touch elements one at a time from Python:
   batch of bitmaps encodes in one pass;
 * :func:`elements_from_runs` re-materializes elements with one
   ``np.repeat`` plus a bulk scatter of the dirty elements;
-* :func:`combine` aligns two run sequences on the union of their run
-  boundaries (``searchsorted``-based merging — no Python cursor loop)
-  and applies a logical op; every dirty stretch is computed by one numpy
-  op over the whole overlap;
-* :func:`normalize` re-detects fills inside dirty output and merges
-  adjacent runs, keeping results canonically compressed;
-* :func:`complement` and :func:`runs_popcount` cover NOT and COUNT.
+* :func:`normalize` re-detects fills inside dirty pieces and merges
+  adjacent runs, keeping streams canonically compressed;
+* :class:`RunSlicer` cuts any element window out of a run sequence,
+  which the block streams (:mod:`repro.compress.streams`) rematerialize
+  one word range at a time.
 
 The codec modules layer their stream formats (markers, fill words, BBC
 atoms) on top of these kernels; the element width and the all-ones
@@ -34,18 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import CodecError
-
 #: Run type tags.
 FILL_ZERO = 0
 FILL_ONE = 1
 DIRTY = 2
-
-_NP_OPS = {
-    "and": np.bitwise_and,
-    "or": np.bitwise_or,
-    "xor": np.bitwise_xor,
-}
 
 
 @dataclass
@@ -155,8 +145,8 @@ def normalize(types, lengths, values: np.ndarray, full) -> Runs:
     """Canonicalize piecewise run output.
 
     Accepts runs that may be empty, adjacent-equal, or dirty-but-clean
-    (dirty pieces whose elements happen to be all-zero/all-one — the
-    typical product of a logical op).  Fills are re-detected inside the
+    (dirty pieces whose elements happen to be all-zero/all-one, as a
+    non-canonical stream parses).  Fills are re-detected inside the
     dirty pieces with one vectorized classification over the
     concatenated ``values`` and adjacent equal-typed runs are merged, so
     outputs stay canonically compressed without a per-element loop.
@@ -206,115 +196,6 @@ def normalize(types, lengths, values: np.ndarray, full) -> Runs:
     return Runs(g_types[starts], np.add.reduceat(g_lengths, starts), g_values)
 
 
-def _gather_operand(
-    runs: Runs, ends, seg, t, d_starts, d_lens, full, dtype
-) -> np.ndarray:
-    """Element values one operand contributes to the dirty intervals.
-
-    Clean intervals broadcast their fill pattern; dirty intervals gather
-    the overlapping slice of ``runs.values`` — both as bulk array ops.
-    """
-    fill_vals = np.where(t == FILL_ONE, dtype(full), dtype(0)).astype(dtype)
-    elems = np.repeat(fill_vals, d_lens)
-    is_dirty = t == DIRTY
-    if is_dirty.any():
-        dirty_lens = runs.lengths * (runs.types == DIRTY)
-        val_off = np.cumsum(dirty_lens) - dirty_lens
-        run_start = ends[seg] - runs.lengths[seg]
-        src = val_off[seg[is_dirty]] + (d_starts[is_dirty] - run_start[is_dirty])
-        mask = np.repeat(is_dirty, d_lens)
-        elems[mask] = runs.values[expand_ranges(src, d_lens[is_dirty])]
-    return elems
-
-
-def combine(op: str, a: Runs, b: Runs, full, dtype) -> Runs:
-    """``op`` in {"and", "or", "xor"} over two equal-length run sequences.
-
-    Both sequences are aligned on the union of their run boundaries via
-    ``searchsorted``; clean x clean intervals combine fill bits without
-    touching elements, and every interval with a dirty side is computed
-    by one vectorized op over the gathered overlap.  The result is
-    canonical (see :func:`normalize`).
-    """
-    try:
-        op_fn = _NP_OPS[op]
-    except KeyError:
-        raise CodecError(f"unknown compressed operation {op!r}") from None
-    total_a, total_b = a.total, b.total
-    if total_a != total_b:
-        raise CodecError(
-            f"compressed operands cover different element counts: "
-            f"{total_a} vs {total_b}"
-        )
-    if total_a == 0:
-        return empty_runs(dtype)
-
-    ends_a = np.cumsum(a.lengths)
-    ends_b = np.cumsum(b.lengths)
-    bounds = np.union1d(ends_a, ends_b)
-    istarts = np.concatenate(([0], bounds[:-1]))
-    ilens = bounds - istarts
-    seg_a = np.searchsorted(ends_a, istarts, side="right")
-    seg_b = np.searchsorted(ends_b, istarts, side="right")
-    t_a = a.types[seg_a]
-    t_b = b.types[seg_b]
-
-    both_clean = (t_a != DIRTY) & (t_b != DIRTY)
-    out_types = np.full(istarts.shape[0], DIRTY, dtype=np.int8)
-    out_types[both_clean] = op_fn(t_a[both_clean], t_b[both_clean])
-
-    has_dirty = ~both_clean
-    if has_dirty.any():
-        d_starts = istarts[has_dirty]
-        d_lens = ilens[has_dirty]
-        elems_a = _gather_operand(
-            a, ends_a, seg_a[has_dirty], t_a[has_dirty], d_starts, d_lens, full, dtype
-        )
-        elems_b = _gather_operand(
-            b, ends_b, seg_b[has_dirty], t_b[has_dirty], d_starts, d_lens, full, dtype
-        )
-        out_values = op_fn(elems_a, elems_b)
-    else:
-        out_values = np.empty(0, dtype=dtype)
-    return normalize(out_types, ilens, out_values, full)
-
-
-def complement(runs: Runs, full, dtype, tail_mask: int | None = None) -> Runs:
-    """Complement every element; optionally mask the final element.
-
-    ``tail_mask`` clears padding bits in the last element when the
-    logical length is not element-aligned (the codecs' padding
-    invariant); pass ``None`` for aligned lengths.
-    """
-    types = runs.types.copy()
-    types[runs.types == FILL_ZERO] = FILL_ONE
-    types[runs.types == FILL_ONE] = FILL_ZERO
-    lengths = runs.lengths.copy()
-    values = np.bitwise_and(np.bitwise_not(runs.values), dtype(full))
-    if tail_mask is not None and types.shape[0]:
-        last_type = int(types[-1])
-        if last_type == DIRTY:
-            last_val = int(values[-1])
-            values = values[:-1]
-        else:
-            last_val = int(full) if last_type == FILL_ONE else 0
-        lengths[-1] -= 1
-        types = np.concatenate((types, [DIRTY])).astype(np.int8)
-        lengths = np.concatenate((lengths, [1])).astype(np.int64)
-        values = np.concatenate(
-            (values, np.asarray([last_val & int(tail_mask)], dtype=dtype))
-        )
-    return normalize(types, lengths, values, full)
-
-
-def runs_popcount(runs: Runs, bits_per_element: int) -> int:
-    """Total set bits without materializing elements."""
-    total = int(runs.lengths[runs.types == FILL_ONE].sum()) * bits_per_element
-    if runs.values.size:
-        total += int(np.bitwise_count(runs.values).sum())
-    return total
-
-
 class RunSlicer:
     """Random-access element-range slices of one :class:`Runs` sequence.
 
@@ -361,8 +242,3 @@ class RunSlicer:
         else:
             values = runs.values[:0]
         return Runs(types.copy(), out_lens.astype(np.int64), values)
-
-
-def slice_runs(runs: Runs, start: int, stop: int) -> Runs:
-    """One-shot element-range slice (see :class:`RunSlicer`)."""
-    return RunSlicer(runs).slice(start, stop)

@@ -13,12 +13,9 @@ Payload layout: the set-bit positions as little-endian ``uint32``,
 strictly ascending, no header (the cardinality is ``len(payload) // 4``).
 Vectors longer than 2^32 - 1 bits are rejected at encode time.
 
-Compressed-domain AND/OR/XOR are sorted-set operations
-(``intersect1d``/``union1d``/``setxor1d``); NOT materializes the
-complement mask (the complement of a sparse set is dense — ``auto``
-steers bitmaps with cheap complements elsewhere).  The
-:class:`PositionListStream` block kernel is a ``searchsorted`` window
-plus a bit scatter, the same shape as roaring's array-container path.
+The :class:`PositionListStream` block kernel is a ``searchsorted``
+window plus a bit scatter, the same shape as roaring's array-container
+path; logical operations read the payload through it.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ import numpy as np
 
 from repro.bitmap import BitVector
 from repro.compress.base import Codec, register_codec
-from repro.compress.compressed_ops import register_compressed_ops
 from repro.compress.streams import BlockStream, register_stream
 from repro.errors import CodecError
 
@@ -59,40 +55,6 @@ def positions_from_payload(payload, length: int) -> np.ndarray:
 
 def _positions_to_payload(positions: np.ndarray) -> bytes:
     return positions.astype("<u4").tobytes()
-
-
-def position_list_logical(op: str, payload_a, payload_b, length: int) -> bytes:
-    """``op`` in {"and", "or", "xor"} over two position-list payloads."""
-    pos_a = positions_from_payload(payload_a, length)
-    pos_b = positions_from_payload(payload_b, length)
-    if op == "and":
-        out = np.intersect1d(pos_a, pos_b, assume_unique=True)
-    elif op == "or":
-        out = np.union1d(pos_a, pos_b)
-    elif op == "xor":
-        out = np.setxor1d(pos_a, pos_b, assume_unique=True)
-    else:
-        raise CodecError(f"unknown compressed operation {op!r}")
-    return _positions_to_payload(out)
-
-
-def position_list_not(payload, length: int) -> bytes:
-    """Complement of a position-list payload over ``[0, length)``."""
-    positions = positions_from_payload(payload, length)
-    mask = np.ones(length, dtype=bool)
-    mask[positions] = False
-    return _positions_to_payload(np.flatnonzero(mask))
-
-
-def position_list_count(payload) -> int:
-    """Set-bit count: the number of stored positions."""
-    size = len(payload)
-    if size % 4:
-        raise CodecError(
-            f"position-list payload of {size} bytes is not a whole number "
-            f"of uint32 positions"
-        )
-    return size // 4
 
 
 class PositionListStream(BlockStream):
@@ -141,10 +103,4 @@ class PositionListCodec(Codec):
 
 
 register_codec(PositionListCodec())
-register_compressed_ops(
-    "position_list",
-    position_list_logical,
-    position_list_not,
-    position_list_count,
-)
 register_stream("position_list", PositionListStream)

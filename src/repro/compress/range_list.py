@@ -15,13 +15,9 @@ Payload layout: interleaved little-endian ``uint32`` pairs
 is canonical).  ``run_length`` is at least 1; vectors longer than
 2^32 - 1 bits are rejected at encode time.
 
-Compressed-domain AND/OR/XOR use interval algebra over the runs'
-boundary arrays: membership of a point ``x`` in a run set with sorted
-boundary array ``flat`` is ``searchsorted(flat, x, "right") % 2``, so
-an operation evaluates both operands at the union of their boundaries
-and re-extracts maximal runs from the result's transitions — no
-per-bit work, cost proportional to the run counts.  NOT toggles the
-presence of ``0`` and ``length`` in the boundary array.
+The :class:`RangeListStream` block kernel clips the runs to the
+window and scatters their bits; logical operations read the payload
+through it.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ import numpy as np
 from repro.bitmap import BitVector
 from repro.compress import kernels
 from repro.compress.base import Codec, register_codec
-from repro.compress.compressed_ops import register_compressed_ops
 from repro.compress.streams import BlockStream, register_stream
 from repro.errors import CodecError
 
@@ -74,68 +69,6 @@ def _runs_to_payload(starts: np.ndarray, run_lengths: np.ndarray) -> bytes:
     pairs[:, 0] = starts
     pairs[:, 1] = run_lengths
     return pairs.tobytes()
-
-
-def _boundaries(starts: np.ndarray, run_lengths: np.ndarray) -> np.ndarray:
-    """Strictly ascending boundary array [s0, e0, s1, e1, ...]."""
-    flat = np.empty(starts.size * 2, dtype=np.int64)
-    flat[0::2] = starts
-    flat[1::2] = starts + run_lengths
-    return flat
-
-
-def _runs_from_marks(points: np.ndarray, inside: np.ndarray) -> bytes:
-    """Runs from elementary-interval membership: ``inside[i]`` says
-    whether ``[points[i], points[i+1])`` (or past the last point) is set."""
-    change = np.diff(np.concatenate((np.zeros(1, dtype=np.int64), inside)))
-    starts = points[change == 1]
-    ends = points[change == -1]
-    return _runs_to_payload(starts, ends - starts)
-
-
-def range_list_logical(op: str, payload_a, payload_b, length: int) -> bytes:
-    """``op`` in {"and", "or", "xor"} over two range-list payloads."""
-    flat_a = _boundaries(*runs_from_payload(payload_a, length))
-    flat_b = _boundaries(*runs_from_payload(payload_b, length))
-    points = np.union1d(flat_a, flat_b)
-    in_a = np.searchsorted(flat_a, points, side="right") % 2
-    in_b = np.searchsorted(flat_b, points, side="right") % 2
-    if op == "and":
-        inside = in_a & in_b
-    elif op == "or":
-        inside = in_a | in_b
-    elif op == "xor":
-        inside = in_a ^ in_b
-    else:
-        raise CodecError(f"unknown compressed operation {op!r}")
-    return _runs_from_marks(points, inside.astype(np.int64))
-
-
-def range_list_not(payload, length: int) -> bytes:
-    """Complement over ``[0, length)``: toggle the 0/length boundaries."""
-    flat = _boundaries(*runs_from_payload(payload, length))
-    if flat.size and flat[0] == 0:
-        flat = flat[1:]
-    else:
-        flat = np.concatenate((np.zeros(1, dtype=np.int64), flat))
-    if flat.size and flat[-1] == length:
-        flat = flat[:-1]
-    else:
-        flat = np.concatenate((flat, np.asarray([length], dtype=np.int64)))
-    starts = flat[0::2]
-    return _runs_to_payload(starts, flat[1::2] - starts)
-
-
-def range_list_count(payload) -> int:
-    """Set-bit count: the sum of the run lengths."""
-    size = len(payload)
-    if size % 8:
-        raise CodecError(
-            f"range-list payload of {size} bytes is not a whole number of "
-            f"(start, length) uint32 pairs"
-        )
-    pairs = np.frombuffer(payload, dtype="<u4").reshape(-1, 2)
-    return int(pairs[:, 1].astype(np.int64).sum())
 
 
 class RangeListStream(BlockStream):
@@ -193,7 +126,4 @@ class RangeListCodec(Codec):
 
 
 register_codec(RangeListCodec())
-register_compressed_ops(
-    "range_list", range_list_logical, range_list_not, range_list_count
-)
 register_stream("range_list", RangeListStream)

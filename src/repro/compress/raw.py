@@ -1,57 +1,11 @@
-"""Identity codec: uncompressed bitmap storage.
-
-Besides the codec itself this module provides :func:`raw_logical`,
-:func:`raw_not` and :func:`raw_count` — "compressed-domain" operations
-on raw payloads, which are simply vectorized word operations on the
-buffers.  They exist so the differential test suite has an independent
-implementation with the same payload-level signature as the real
-compressed-domain codecs (BBC/WAH/EWAH/roaring) to pit them against.
-"""
+"""Identity codec: uncompressed bitmap storage."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.bitmap import BitVector
-from repro.compress import kernels
 from repro.compress.base import Codec, register_codec
-from repro.errors import CodecError
-
-
-def _payload_words(payload: bytes, length: int) -> np.ndarray:
-    expected = (length + 63) // 64 * 8
-    if len(payload) != expected:
-        raise CodecError(
-            f"raw payload has {len(payload)} bytes; length {length} "
-            f"needs {expected}"
-        )
-    return np.frombuffer(payload, dtype=np.uint64)
-
-
-def raw_logical(op: str, payload_a: bytes, payload_b: bytes, length: int) -> bytes:
-    """``op`` in {"and", "or", "xor"} over two raw payloads of ``length`` bits."""
-    try:
-        op_fn = kernels._NP_OPS[op]
-    except KeyError:
-        raise CodecError(f"unknown compressed operation {op!r}") from None
-    words_a = _payload_words(payload_a, length)
-    words_b = _payload_words(payload_b, length)
-    return op_fn(words_a, words_b).tobytes()
-
-
-def raw_not(payload: bytes, length: int) -> bytes:
-    """Complement of a raw payload, preserving the padding invariant."""
-    words = np.bitwise_not(_payload_words(payload, length))
-    tail = length % 64
-    if tail and words.shape[0]:
-        words[-1] &= (np.uint64(1) << np.uint64(tail)) - np.uint64(1)
-    return words.tobytes()
-
-
-def raw_count(payload: bytes) -> int:
-    """Population count of a raw payload."""
-    words = np.frombuffer(payload, dtype=np.uint64)
-    return int(np.bitwise_count(words).astype(np.int64).sum())
 
 
 class RawCodec(Codec):

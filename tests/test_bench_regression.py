@@ -70,6 +70,12 @@ def test_wall_clock_entries_record_n_iqr_and_machine(quick_results):
         assert entry["machine"]["cpu_model"], name
 
 
+def test_and_or_entries_time_the_stream_walk(quick_results):
+    """The roaring-vs-WAH gate's entries time the range walk over streams."""
+    for name in ("wah_and", "ewah_and", "ewah_or", "bbc_and", "roaring_and", "roaring_or"):
+        assert quick_results[name]["params"]["path"] == "stream", name
+
+
 def test_baselines_with_retired_benches_merge(tmp_path, monkeypatch):
     sys.path.insert(0, str(ROOT))
     try:
