@@ -128,7 +128,7 @@ import numpy as np
 
 from repro import obs
 from repro.bitmap import BitVector
-from repro.compress import get_codec, open_stream
+from repro.compress import available_codecs, get_codec, open_stream
 from repro.expr import And, Leaf, Or, evaluate, leaf
 from repro.experiments import ExperimentConfig, run_experiment
 
@@ -190,7 +190,8 @@ def run_benchmarks(
     vec2 = make_vector(n_bits, density, 1)
 
     payloads = {}
-    for name in ("wah", "ewah", "bbc", "roaring"):
+    # Every codec but raw, whose decode is a copy of its payload.
+    for name in (name for name in available_codecs() if name != "raw"):
         codec = get_codec(name)
         payloads[name] = (codec.encode(vec), codec.encode(vec2))
         results[f"{name}_encode"] = {
@@ -437,7 +438,6 @@ def run_adaptive_bench(n_bits: int) -> dict:
     encode wall time for the full ``auto`` pass rides along for the
     record but is not gated.
     """
-    from repro.compress import available_codecs
     from repro.workload import markov_bitmap
 
     fixed = [name for name in available_codecs() if name != "auto"]

@@ -20,35 +20,19 @@ with "a byte-aligned run-length encoding scheme proposed by Antoshenkov"
   measures each bitmap's shape at encode time and tags the payload with
   the cheapest concrete codec (see ``docs/adaptive.md``).
 
-Codecs are looked up by name via :func:`get_codec`.  Logical
+Codecs are looked up by name via :func:`get_codec`.  Each format has
+one module and one reader: a :class:`BlockStream`
+(:mod:`repro.compress.streams`) defined beside the codec and opened by
+its ``_stream`` method.  Decode is the stream's full window; logical
 operations on encoded bitmaps run through :func:`repro.expr.evaluate`'s
-range walk over each codec's block stream (:mod:`repro.compress.streams`);
-:class:`CompressedBitmap` puts that walk behind the ``BitVector``
-operator protocol for any codec in :data:`COMPRESSED_DOMAIN_CODECS`
-(every codec with a registered stream except ``raw``).  A new codec
-needs :func:`register_codec` and :func:`register_stream`, nothing else.
+range walk over the streams, and :class:`CompressedBitmap` puts that
+walk behind the ``BitVector`` operator protocol for any codec in
+:data:`COMPRESSED_DOMAIN_CODECS` (every registered codec except
+``raw``).  A new codec needs one :func:`register_codec` call, nothing
+else.
 """
 
-from repro.compress.base import Codec, available_codecs, get_codec, register_codec
-from repro.compress.bbc import BbcCodec
-from repro.compress.compressed_ops import COMPRESSED_DOMAIN_CODECS, CompressedBitmap
-from repro.compress.ewah import EwahCodec
-from repro.compress.raw import RawCodec
-from repro.compress.roaring import RoaringCodec
-from repro.compress.stats import CompressionStats, measure_all_codecs, measure_codec
-from repro.compress.streams import (
-    BlockStream,
-    open_stream,
-    register_stream,
-)
-from repro.compress.wah import WahCodec
-
-# Self-registering codecs: importing these modules adds them to the
-# codec registry and the stream table, so they must come after the
-# registries they extend.
-from repro.compress.position_list import PositionListCodec  # noqa: E402
-from repro.compress.range_list import RangeListCodec  # noqa: E402
-from repro.compress.adaptive import (  # noqa: E402
+from repro.compress.adaptive import (
     CODEC_IDS,
     AutoCodec,
     ShapeStats,
@@ -57,6 +41,17 @@ from repro.compress.adaptive import (  # noqa: E402
     select_codec,
     split_payload,
 )
+from repro.compress.base import Codec, available_codecs, get_codec, register_codec
+from repro.compress.bbc import BbcCodec
+from repro.compress.compressed_ops import COMPRESSED_DOMAIN_CODECS, CompressedBitmap
+from repro.compress.ewah import EwahCodec
+from repro.compress.position_list import PositionListCodec
+from repro.compress.range_list import RangeListCodec
+from repro.compress.raw import RawCodec
+from repro.compress.roaring import RoaringCodec
+from repro.compress.stats import CompressionStats, measure_all_codecs, measure_codec
+from repro.compress.streams import BlockStream, open_stream
+from repro.compress.wah import WahCodec
 
 __all__ = [
     "Codec",
@@ -82,7 +77,6 @@ __all__ = [
     "select_codec",
     "split_payload",
     "payload_codec_name",
-    "register_stream",
     "BlockStream",
     "open_stream",
 ]

@@ -43,10 +43,11 @@ wins.  Ties break toward the earlier entry of :data:`PREFERENCE`
 Every selection reports ``compress.auto.selected{codec=...}`` to the
 installed :mod:`repro.obs` instance.
 
-Operations: an ``auto`` stream peels the tag and opens the inner
-codec's stream, so the range walk combines operands whatever their
-inner codecs, and :class:`~repro.compress.compressed_ops.CompressedBitmap`
-re-encodes a result through selection.
+Reading: ``auto``'s reader peels the tag and opens the inner codec's
+reader, so decode, probes and the range walk (which combines operands
+whatever their inner codecs) all dispatch through it, and
+:class:`~repro.compress.compressed_ops.CompressedBitmap` re-encodes a
+result through selection.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from repro import obs as _obs
 from repro.bitmap import BitVector
 from repro.compress.base import Codec, get_codec, register_codec
 from repro.compress.roaring import CHUNK_WORDS
-from repro.compress.streams import open_stream, register_stream
 from repro.errors import CodecError
 
 #: Stable one-byte payload tags (on-disk format; never renumber).
@@ -226,12 +226,6 @@ def _tagged(name: str, inner_payload: bytes) -> bytes:
     return bytes([CODEC_IDS[name]]) + inner_payload
 
 
-def _open_auto_stream(payload, length: int):
-    """Block stream over an ``auto`` payload: peel the tag, open inner."""
-    name, body = split_payload(payload)
-    return open_stream(name, body, length)
-
-
 class AutoCodec(Codec):
     """Meta-codec: per-bitmap selection with a one-byte dispatch tag."""
 
@@ -244,14 +238,10 @@ class AutoCodec(Codec):
             o.count("compress.auto.selected", 1, codec=inner)
         return _tagged(inner, get_codec(inner)._encode(vector))
 
-    def _decode(self, payload, length: int) -> BitVector:
+    def _stream(self, payload, length: int):
+        """The tagged inner codec's reader over the inner payload."""
         name, body = split_payload(payload)
-        return get_codec(name)._decode(body, length)
-
-    def _decode_view(self, payload, length: int) -> BitVector | None:
-        name, body = split_payload(payload)
-        return get_codec(name)._decode_view(body, length)
+        return get_codec(name)._stream(body, length)
 
 
 register_codec(AutoCodec())
-register_stream("auto", _open_auto_stream)

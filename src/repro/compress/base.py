@@ -9,6 +9,7 @@ can refer to codecs by name.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -16,14 +17,18 @@ from repro import obs as _obs
 from repro.bitmap import BitVector
 from repro.errors import CodecError
 
+if TYPE_CHECKING:  # streams imports this module's registry
+    from repro.compress.streams import BlockStream
+
 
 class Codec(ABC):
     """Stateless bitmap compressor/decompressor.
 
-    Subclasses implement :meth:`_encode` / :meth:`_decode` (and may
-    batch :meth:`_encode_many` or read bits straight from payloads in
-    :meth:`_probe_many`); the public :meth:`encode` / :meth:`encode_many`
-    / :meth:`decode` / :meth:`probe_many` wrappers additionally report
+    Subclasses implement :meth:`_encode` and one reader, :meth:`_stream`
+    (and may batch :meth:`_encode_many` or read bits straight from
+    payloads in :meth:`_probe_many`); every decode is the reader's full
+    window.  The public :meth:`encode` / :meth:`encode_many` /
+    :meth:`decode` / :meth:`probe_many` wrappers additionally report
     ``codec.encode.*`` / ``codec.decode.*`` / ``codec.probe.*`` counters
     to the installed :mod:`repro.obs` instance (tagged by codec name), so
     every byte that crosses the codec boundary is attributable to the
@@ -48,28 +53,35 @@ class Codec(ABC):
         return [self._encode(vector) for vector in vectors]
 
     @abstractmethod
-    def _decode(self, payload: bytes, length: int) -> BitVector:
-        """Decompress ``payload`` back into a vector of ``length`` bits."""
+    def _stream(self, payload, length: int) -> BlockStream:
+        """The codec's one reader: a :class:`BlockStream` over ``payload``
+        that has validated it against ``length`` bits."""
 
-    def _decode_view(self, payload, length: int) -> BitVector | None:
-        """Zero-copy decode over ``payload``'s buffer, or None.
+    def _window(self, payload, length: int, copy: bool) -> BitVector:
+        """The reader's full window ``block(0, num_words)`` as a vector.
 
-        Subclasses whose decoded form can alias the payload (raw)
-        return a vector whose words *view* the payload memory; the
-        default says no such form exists and :meth:`decode_view` falls
-        back to a copying decode.
+        A window with dirty padding bits is masked, and so copied first
+        unless the window owns its memory; with ``copy``, a read-only or
+        aliasing window is copied too.  Otherwise the window is returned
+        as it is (raw's zero-copy view of the payload).
         """
-        return None
+        stream = self._stream(payload, length)
+        words = stream.block(0, stream.num_words)
+        tail = length % 64
+        dirty = bool(tail and words.shape[0] and int(words[-1]) >> tail)
+        if (copy or dirty) and not (words.flags.owndata and words.flags.writeable):
+            words = words.copy()
+        vector = BitVector(length, words)
+        if dirty:
+            vector._mask_padding()
+        return vector
 
     def _probe_many(self, payloads: list, length: int, positions: np.ndarray) -> np.ndarray:
-        """Bits at ``positions`` of each payload; the default decodes
-        each one (zero-copy where the codec can) and gathers."""
+        """Bits at ``positions`` of each payload; the default reads each
+        one's full window (zero-copy where the codec can) and gathers."""
         bits = np.empty((len(payloads), positions.size), dtype=bool)
         for row, payload in enumerate(payloads):
-            vector = self._decode_view(payload, length)
-            if vector is None:
-                vector = self._decode(payload, length)
-            bits[row] = vector.take(positions)
+            bits[row] = self._window(payload, length, copy=False).take(positions)
         return bits
 
     def _counters(self, o):
@@ -124,9 +136,7 @@ class Codec(ABC):
             tracer.attribute("codec.encode.bytes_out", size)
         return payloads
 
-    def decode(self, payload: bytes, length: int) -> BitVector:
-        """Decompress ``payload``, reporting to the installed obs sink."""
-        vector = self._decode(payload, length)
+    def _report_decode(self, payload) -> None:
         o = _obs.active()
         if o is not None:
             _, _, _, calls, bytes_in, *_ = self._counters(o)
@@ -135,29 +145,29 @@ class Codec(ABC):
             tracer = o.tracer
             tracer.attribute("codec.decode.calls", 1)
             tracer.attribute("codec.decode.bytes_in", len(payload))
+
+    def decode(self, payload: bytes, length: int) -> BitVector:
+        """Decompress ``payload``, reporting to the installed obs sink.
+
+        The result owns its words: a window that aliases the payload is
+        copied."""
+        vector = self._window(payload, length, copy=True)
+        self._report_decode(payload)
         return vector
 
     def decode_view(self, payload, length: int) -> BitVector:
         """Like :meth:`decode`, zero-copy when the codec supports it.
 
         ``payload`` may be any byte buffer (``bytes`` or a read-only
-        ``numpy`` view of an mmap).  When the codec has a zero-copy
-        decoded form the returned vector's words alias the payload
-        memory — treat it as read-only.  Reports the *same*
+        ``numpy`` view of an mmap).  The reader's full window is returned
+        as it is when its padding is clean, so where the window views
+        the payload (raw) the vector's words alias the payload memory —
+        treat it as read-only.  Reports the *same*
         ``codec.decode.*`` counters as :meth:`decode`, so zero-copy and
         copying fetch paths stay byte-for-byte identical in obs.
         """
-        vector = self._decode_view(payload, length)
-        if vector is None:
-            vector = self._decode(payload, length)
-        o = _obs.active()
-        if o is not None:
-            _, _, _, calls, bytes_in, *_ = self._counters(o)
-            calls.inc(1)
-            bytes_in.inc(len(payload))
-            tracer = o.tracer
-            tracer.attribute("codec.decode.calls", 1)
-            tracer.attribute("codec.decode.bytes_in", len(payload))
+        vector = self._window(payload, length, copy=False)
+        self._report_decode(payload)
         return vector
 
     def probe_many(self, payloads, length: int, positions: np.ndarray) -> np.ndarray:

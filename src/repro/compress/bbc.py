@@ -27,7 +27,9 @@ Encode and decode run on the vectorized kernels in
 :mod:`repro.compress.kernels`: byte runs are segmented with one
 ``np.flatnonzero`` pass and atoms (headers, LEB128 extensions, literal
 tails) are emitted by bulk scatter; only the atom *walk* on decode is
-sequential, and that loop is per-atom, not per-byte.
+sequential, and that loop is per-atom, not per-byte.  The reader,
+:class:`BbcStream`, rematerializes the byte window under any word
+window and re-pads the trailing zero bytes the encoder trimmed.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from repro.bitmap import BitVector
 from repro.compress import kernels
 from repro.compress.base import Codec, register_codec
 from repro.compress.kernels import DIRTY, FILL_ONE, FILL_ZERO, Runs
+from repro.compress.streams import BlockStream
 from repro.errors import CodecError
 
 _FILL_INLINE_MAX = 6  # 3-bit field, 7 = extended
@@ -47,20 +50,6 @@ _FULL_BYTE = 0xFF
 #: rather than folded into a literal tail.  A run of one fill byte
 #: saves nothing over a literal, so the threshold is two.
 _MIN_FILL_RUN = 2
-
-
-def _write_varint(out: bytearray, value: int) -> None:
-    """Append an unsigned LEB128 integer."""
-    if value < 0:
-        raise CodecError(f"varint value must be >= 0, got {value}")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
 
 
 def _read_varint(payload: bytes, pos: int) -> tuple[int, int]:
@@ -254,6 +243,33 @@ def bbc_from_runs(runs: Runs) -> bytes:
     return out.tobytes()
 
 
+class BbcStream(BlockStream):
+    """Byte-run window rematerialization of a BBC atom stream.
+
+    The encoder trims trailing zero bytes, so a window past the stream
+    end is padded with zeros; windows also extend past the logical byte
+    length up to the word boundary (those padding bytes are zero too).
+    """
+
+    def __init__(self, payload, length: int):
+        super().__init__(length)
+        logical_bytes = (length + 7) // 8
+        self._slicer = kernels.RunSlicer(runs_from_bbc(payload))
+        if self._slicer.total > logical_bytes:
+            raise CodecError(
+                f"BBC stream decodes to {self._slicer.total} bytes but length "
+                f"{length} allows only {logical_bytes}"
+            )
+
+    def block(self, start: int, stop: int) -> np.ndarray:
+        out = np.zeros(stop - start, dtype=np.uint64)
+        body = kernels.elements_from_runs(
+            self._slicer.slice(start * 8, stop * 8), _FULL_BYTE, np.uint8
+        )
+        out.view(np.uint8)[: body.shape[0]] = body
+        return out
+
+
 class BbcCodec(Codec):
     """Byte-aligned run-length codec in the style of Antoshenkov's BBC."""
 
@@ -270,21 +286,8 @@ class BbcCodec(Codec):
         data = data[:logical_bytes]
         return bbc_from_runs(kernels.runs_from_elements(data, _FULL_BYTE))
 
-    def _decode(self, payload: bytes, length: int) -> BitVector:
-        logical_bytes = (length + 7) // 8
-        runs = runs_from_bbc(payload)
-        produced = runs.total
-        if produced > logical_bytes:
-            raise CodecError(
-                f"BBC stream decodes to {produced} bytes but length {length} "
-                f"allows only {logical_bytes}"
-            )
-        body = kernels.elements_from_runs(runs, _FULL_BYTE, np.uint8).tobytes()
-        # Trailing zero bytes may have been trimmed at encode time.
-        body += b"\x00" * (logical_bytes - produced)
-        # Pad out to whole 64-bit words for BitVector.from_bytes.
-        word_bytes = ((length + 63) // 64) * 8
-        return BitVector.from_bytes(length, body + b"\x00" * (word_bytes - logical_bytes))
+    def _stream(self, payload, length: int) -> BbcStream:
+        return BbcStream(payload, length)
 
 
 register_codec(BbcCodec())

@@ -12,8 +12,8 @@ the result.
 
 :data:`COMPRESSED_DOMAIN_CODECS` names the codecs the compressed
 convention of the query engine (``engine="compressed"``) accepts:
-every codec with a registered block stream except ``raw``, whose
-payload already is the decoded words.
+every registered codec (each has a block stream, its one reader)
+except ``raw``, whose payload already is the decoded words.
 """
 
 from __future__ import annotations
@@ -21,32 +21,32 @@ from __future__ import annotations
 from collections.abc import Set
 
 from repro.bitmap import BitVector
-from repro.compress.base import get_codec
-from repro.compress.streams import _STREAMS, open_stream
+from repro.compress.base import _REGISTRY, get_codec
+from repro.compress.streams import open_stream
 from repro.errors import CodecError
 from repro.expr.nodes import And, Leaf, Not, Or, Xor
 
 
-class _StreamCodecs(Set):
-    """Live view of the codecs with a registered block stream, minus raw.
+class _RegisteredCodecs(Set):
+    """Live view of the registered codecs, minus raw.
 
     A view rather than a copy: a codec registered later through
-    :func:`~repro.compress.streams.register_stream` joins it, and
-    by-name importers (the query engine) see the addition.
+    :func:`~repro.compress.base.register_codec` joins it, and by-name
+    importers (the query engine) see the addition.
     """
 
     def __contains__(self, name: object) -> bool:
-        return name != "raw" and name in _STREAMS
+        return name != "raw" and name in _REGISTRY
 
     def __iter__(self):
-        return (name for name in list(_STREAMS) if name != "raw")
+        return (name for name in list(_REGISTRY) if name != "raw")
 
     def __len__(self) -> int:
         return sum(1 for _ in self)
 
 
 #: Codecs a :class:`CompressedBitmap` and ``engine="compressed"`` take.
-COMPRESSED_DOMAIN_CODECS = _StreamCodecs()
+COMPRESSED_DOMAIN_CODECS = _RegisteredCodecs()
 
 #: The operator nodes, over leaves 0 and 1 (``(self, other)``).
 _AND, _OR, _XOR = (node((Leaf(0), Leaf(1))) for node in (And, Or, Xor))

@@ -19,7 +19,9 @@ Encode and decode run on the vectorized kernels in
 :mod:`repro.compress.kernels`: word runs are segmented and markers
 emitted with whole-array arithmetic; only the marker *walk* on decode
 is sequential (each marker's position depends on the previous dirty
-count), and that loop is per-marker, not per-word.
+count), and that loop is per-marker, not per-word.  The reader,
+:class:`EwahStream`, rematerializes exactly the requested words of any
+window through a :class:`~repro.compress.kernels.RunSlicer`.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.bitmap import BitVector
 from repro.compress import kernels
 from repro.compress.base import Codec, register_codec
 from repro.compress.kernels import DIRTY, FILL_ONE, FILL_ZERO, Runs
+from repro.compress.streams import BlockStream
 from repro.errors import CodecError
 
 _FULL = 0xFFFF_FFFF_FFFF_FFFF
@@ -162,6 +165,25 @@ def _ewah_from_runs_chunked(runs: Runs) -> bytes:
     return np.asarray(out, dtype=np.uint64).tobytes()
 
 
+class EwahStream(BlockStream):
+    """Word-run window rematerialization of an EWAH stream."""
+
+    def __init__(self, payload, length: int):
+        super().__init__(length)
+        self._slicer = kernels.RunSlicer(runs_from_ewah(payload))
+        total = self._slicer.total
+        if total > self.num_words:
+            raise CodecError("EWAH stream overruns the declared length")
+        if total != self.num_words:
+            raise CodecError(
+                f"EWAH stream produced {total} words, expected {self.num_words}"
+            )
+
+    def block(self, start: int, stop: int) -> np.ndarray:
+        window = self._slicer.slice(start, stop)
+        return kernels.elements_from_runs(window, _FULL, np.uint64)
+
+
 class EwahCodec(Codec):
     """64-bit Enhanced Word-Aligned Hybrid codec."""
 
@@ -170,20 +192,8 @@ class EwahCodec(Codec):
     def _encode(self, vector: BitVector) -> bytes:
         return ewah_from_runs(kernels.runs_from_elements(vector.words, _FULL))
 
-    def _decode(self, payload: bytes, length: int) -> BitVector:
-        runs = runs_from_ewah(payload)
-        num_words = (length + 63) // 64
-        total = runs.total
-        if total > num_words:
-            raise CodecError("EWAH stream overruns the declared length")
-        if total != num_words:
-            raise CodecError(
-                f"EWAH stream produced {total} words, expected {num_words}"
-            )
-        words = kernels.elements_from_runs(runs, _FULL, np.uint64)
-        vec = BitVector(length, words)
-        vec._mask_padding()
-        return vec
+    def _stream(self, payload, length: int) -> EwahStream:
+        return EwahStream(payload, length)
 
 
 register_codec(EwahCodec())

@@ -18,8 +18,8 @@ streams never touch elements one at a time from Python:
 * :func:`normalize` re-detects fills inside dirty pieces and merges
   adjacent runs, keeping streams canonically compressed;
 * :class:`RunSlicer` cuts any element window out of a run sequence,
-  which the block streams (:mod:`repro.compress.streams`) rematerialize
-  one word range at a time.
+  which the run-length codecs' readers (their block streams)
+  rematerialize one word range at a time.
 
 The codec modules layer their stream formats (markers, fill words, BBC
 atoms) on top of these kernels; the element width and the all-ones
@@ -29,6 +29,7 @@ pattern are the only parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -199,33 +200,43 @@ def normalize(types, lengths, values: np.ndarray, full) -> Runs:
 class RunSlicer:
     """Random-access element-range slices of one :class:`Runs` sequence.
 
-    The block-streaming decoders (:mod:`repro.compress.streams`) cut a
-    leaf's run sequence into many consecutive element windows; doing
-    that through a per-call ``cumsum`` would make each window O(runs).
-    The slicer builds the run-end and dirty-value-offset prefix sums
-    once, so every :meth:`slice` is two ``searchsorted`` probes plus
-    work proportional to the runs actually overlapped.
+    The block-streaming decoders (the codecs' readers) cut a leaf's run
+    sequence into many consecutive element windows; doing that through
+    a per-call ``cumsum`` would make each window O(runs).  The slicer
+    builds the run-end and dirty-value-offset prefix sums once, on the
+    first partial window, so every :meth:`slice` is two ``searchsorted``
+    probes plus work proportional to the runs actually overlapped.  The
+    full window (a whole-vector decode) is the run sequence itself.
     """
 
     def __init__(self, runs: Runs):
         self.runs = runs
-        self._ends = np.cumsum(runs.lengths)
-        dirty_lens = runs.lengths * (runs.types == DIRTY)
-        self._val_off = np.cumsum(dirty_lens) - dirty_lens
         #: Total elements covered (cached; ``Runs.total`` re-sums).
-        self.total = int(self._ends[-1]) if runs.num_runs else 0
+        self.total = runs.total
+
+    @cached_property
+    def _ends(self) -> np.ndarray:
+        return np.cumsum(self.runs.lengths)
+
+    @cached_property
+    def _val_off(self) -> np.ndarray:
+        dirty_lens = self.runs.lengths * (self.runs.types == DIRTY)
+        return np.cumsum(dirty_lens) - dirty_lens
 
     def slice(self, start: int, stop: int) -> Runs:
         """Elements ``[start, stop)`` as a (possibly non-canonical) Runs.
 
         The window is clamped to ``[0, total)``; a caller asking past
         the end (a stream that trimmed trailing zero elements) gets a
-        shorter sequence back and supplies its own padding.
+        shorter sequence back and supplies its own padding.  The result
+        may share the sliced sequence's arrays: read it, never mutate it.
         """
         start = max(int(start), 0)
         stop = min(int(stop), self.total)
         if stop <= start:
             return empty_runs(self.runs.values.dtype)
+        if start == 0 and stop == self.total:
+            return self.runs
         runs, ends = self.runs, self._ends
         first = int(np.searchsorted(ends, start, side="right"))
         last = int(np.searchsorted(ends, stop, side="left"))

@@ -13,9 +13,9 @@ Payload layout: the set-bit positions as little-endian ``uint32``,
 strictly ascending, no header (the cardinality is ``len(payload) // 4``).
 Vectors longer than 2^32 - 1 bits are rejected at encode time.
 
-The :class:`PositionListStream` block kernel is a ``searchsorted``
-window plus a bit scatter, the same shape as roaring's array-container
-path; logical operations read the payload through it.
+The reader, :class:`PositionListStream`, is a ``searchsorted`` window
+plus a bit scatter, the same shape as roaring's array-container path;
+decode and logical operations read the payload through it.
 """
 
 from __future__ import annotations
@@ -24,14 +24,11 @@ import numpy as np
 
 from repro.bitmap import BitVector
 from repro.compress.base import Codec, register_codec
-from repro.compress.streams import BlockStream, register_stream
+from repro.compress.streams import BlockStream, scatter_bits
 from repro.errors import CodecError
 
 #: Longest encodable vector: positions must fit in uint32.
 MAX_LENGTH = (1 << 32) - 1
-
-_ONE = np.uint64(1)
-
 
 def positions_from_payload(payload, length: int) -> np.ndarray:
     """Parse and validate a position-list payload into int64 positions."""
@@ -68,10 +65,9 @@ class PositionListStream(BlockStream):
         out = np.zeros(stop - start, dtype=np.uint64)
         lo = int(np.searchsorted(self._positions, start * 64, side="left"))
         hi = int(np.searchsorted(self._positions, stop * 64, side="left"))
-        rel = self._positions[lo:hi] - start * 64
-        if rel.size:
-            np.bitwise_or.at(out, rel >> 6, _ONE << (rel & 63).astype(np.uint64))
-        return out
+        rel = self._positions[lo:hi]
+        # The full window (a decode) needs no shift: skip the pass.
+        return scatter_bits(out, rel - start * 64 if start else rel)
 
 
 class PositionListCodec(Codec):
@@ -87,20 +83,11 @@ class PositionListCodec(Codec):
             )
         return _positions_to_payload(vector.to_indices())
 
-    def _decode(self, payload, length: int) -> BitVector:
-        positions = positions_from_payload(payload, length)
-        vector = BitVector(length)
-        if positions.size:
-            np.bitwise_or.at(
-                vector.words,
-                positions >> 6,
-                _ONE << (positions & 63).astype(np.uint64),
-            )
-        return vector
+    def _stream(self, payload, length: int) -> PositionListStream:
+        return PositionListStream(payload, length)
 
     def encoded_size(self, vector: BitVector) -> int:
         return 4 * vector.count()
 
 
 register_codec(PositionListCodec())
-register_stream("position_list", PositionListStream)

@@ -15,8 +15,8 @@ Payload layout: interleaved little-endian ``uint32`` pairs
 is canonical).  ``run_length`` is at least 1; vectors longer than
 2^32 - 1 bits are rejected at encode time.
 
-The :class:`RangeListStream` block kernel clips the runs to the
-window and scatters their bits; logical operations read the payload
+The reader, :class:`RangeListStream`, clips the runs to the window and
+scatters their bits; decode and logical operations read the payload
 through it.
 """
 
@@ -27,14 +27,11 @@ import numpy as np
 from repro.bitmap import BitVector
 from repro.compress import kernels
 from repro.compress.base import Codec, register_codec
-from repro.compress.streams import BlockStream, register_stream
+from repro.compress.streams import BlockStream, scatter_bits
 from repro.errors import CodecError
 
 #: Longest encodable vector: starts and run lengths must fit in uint32.
 MAX_LENGTH = (1 << 32) - 1
-
-_ONE = np.uint64(1)
-
 
 def runs_from_payload(payload, length: int) -> tuple[np.ndarray, np.ndarray]:
     """Parse and validate a range-list payload into (starts, run_lengths)."""
@@ -72,25 +69,26 @@ def _runs_to_payload(starts: np.ndarray, run_lengths: np.ndarray) -> bytes:
 
 
 class RangeListStream(BlockStream):
-    """Window-clipped run expansion + bit scatter."""
+    """Run expansion of the runs overlapping the window + bit scatter."""
 
     def __init__(self, payload, length: int):
         super().__init__(length)
-        starts, run_lengths = runs_from_payload(payload, length)
-        self._starts = starts
-        self._ends = starts + run_lengths
+        self._starts, self._run_lengths = runs_from_payload(payload, length)
 
     def block(self, start: int, stop: int) -> np.ndarray:
         out = np.zeros(stop - start, dtype=np.uint64)
-        bit_lo, bit_hi = start * 64, stop * 64
-        lo = int(np.searchsorted(self._ends, bit_lo, side="right"))
-        hi = int(np.searchsorted(self._starts, bit_hi, side="left"))
-        starts = np.maximum(self._starts[lo:hi], bit_lo) - bit_lo
-        ends = np.minimum(self._ends[lo:hi], bit_hi) - bit_lo
-        rel = kernels.expand_ranges(starts, ends - starts)
-        if rel.size:
-            np.bitwise_or.at(out, rel >> 6, _ONE << (rel & 63).astype(np.uint64))
-        return out
+        bit_lo, bits = start * 64, (stop - start) * 64
+        # From the last run starting at or before the window to the last
+        # starting inside it.
+        lo = max(int(np.searchsorted(self._starts, bit_lo, side="right")) - 1, 0)
+        hi = int(np.searchsorted(self._starts, bit_lo + bits, side="left"))
+        rel = kernels.expand_ranges(
+            self._starts[lo:hi] - bit_lo, self._run_lengths[lo:hi]
+        )
+        if rel.size and (rel[0] < 0 or rel[-1] >= bits):
+            # Ascending, and only the edge runs cross the window's edges.
+            rel = rel[np.searchsorted(rel, 0) : np.searchsorted(rel, bits)]
+        return scatter_bits(out, rel)
 
 
 class RangeListCodec(Codec):
@@ -112,18 +110,8 @@ class RangeListCodec(Codec):
         ends = positions[np.concatenate((breaks, [positions.size - 1]))] + 1
         return _runs_to_payload(starts, ends - starts)
 
-    def _decode(self, payload, length: int) -> BitVector:
-        starts, run_lengths = runs_from_payload(payload, length)
-        positions = kernels.expand_ranges(starts, run_lengths)
-        vector = BitVector(length)
-        if positions.size:
-            np.bitwise_or.at(
-                vector.words,
-                positions >> 6,
-                _ONE << (positions & 63).astype(np.uint64),
-            )
-        return vector
+    def _stream(self, payload, length: int) -> RangeListStream:
+        return RangeListStream(payload, length)
 
 
 register_codec(RangeListCodec())
-register_stream("range_list", RangeListStream)

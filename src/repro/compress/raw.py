@@ -6,6 +6,26 @@ import numpy as np
 
 from repro.bitmap import BitVector
 from repro.compress.base import Codec, register_codec
+from repro.compress.streams import BlockStream
+from repro.errors import CodecError
+
+
+class RawStream(BlockStream):
+    """Zero-copy window view over a raw word payload (and over the mmap
+    when the payload is a mapped store view)."""
+
+    def __init__(self, payload, length: int):
+        super().__init__(length)
+        expected = self.num_words * 8
+        if len(payload) != expected:
+            raise CodecError(
+                f"raw payload has {len(payload)} bytes; length {length} "
+                f"needs {expected}"
+            )
+        self._words = np.frombuffer(payload, dtype=np.uint64)
+
+    def block(self, start: int, stop: int) -> np.ndarray:
+        return self._words[start:stop]
 
 
 class RawCodec(Codec):
@@ -21,24 +41,8 @@ class RawCodec(Codec):
     def _encode(self, vector: BitVector) -> bytes:
         return vector.to_bytes()
 
-    def _decode(self, payload: bytes, length: int) -> BitVector:
-        return BitVector.from_bytes(length, payload)
-
-    def _decode_view(self, payload, length: int) -> BitVector | None:
-        """Zero-copy decode: the words alias the payload buffer.
-
-        Falls back (returns None) when the payload is malformed or its
-        padding bits are dirty — those cases need the copying decode's
-        error reporting and masking.
-        """
-        expected = (length + 63) // 64 * 8
-        if len(payload) != expected:
-            return None
-        words = np.frombuffer(payload, dtype=np.uint64)
-        tail = length % 64
-        if tail and words.shape[0] and int(words[-1]) >> tail:
-            return None
-        return BitVector(length, words)
+    def _stream(self, payload, length: int) -> RawStream:
+        return RawStream(payload, length)
 
     def encoded_size(self, vector: BitVector) -> int:
         return vector.num_words * 8

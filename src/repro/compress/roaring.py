@@ -17,9 +17,9 @@ smallest:
 
 Unlike the word-aligned RLE codecs (WAH/EWAH) the compressed form is
 *indexed*: the container directory maps high bits to containers, so a
-block stream (:class:`repro.compress.streams.RoaringStream`) gathers
+block stream (:class:`RoaringStream`, the codec's one reader) gathers
 only the containers overlapping a word window without scanning a run
-stream.
+stream; a whole-vector decode is its full window.
 
 Stream layout (all little-endian)::
 
@@ -39,6 +39,7 @@ is canonical.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,7 @@ import numpy as np
 from repro.bitmap import BitVector
 from repro.compress import kernels
 from repro.compress.base import Codec, register_codec
+from repro.compress.streams import BlockStream, scatter_bits
 from repro.errors import CodecError
 
 #: Bits per chunk (the container partition size).
@@ -126,7 +128,7 @@ def container_from_words(
 
 
 # ---------------------------------------------------------------------------
-# Vector <-> containers
+# Vector -> containers
 # ---------------------------------------------------------------------------
 
 
@@ -147,52 +149,6 @@ def containers_from_vector(vector: BitVector) -> list[Container]:
             container_from_words(key, words[start : start + chunk_words], chunk_bits)
         )
     return out
-
-
-def vector_from_containers(containers: list[Container], length: int) -> BitVector:
-    """Materialize the ``length``-bit vector the containers describe."""
-    num_chunks = (length + CHUNK_BITS - 1) // CHUNK_BITS
-    words = np.zeros((length + 63) // 64, dtype=np.uint64)
-    position_parts: list[np.ndarray] = []
-    for container in containers:
-        if container.key >= num_chunks:
-            raise CodecError(
-                f"roaring container key {container.key} overruns the "
-                f"declared length {length}"
-            )
-        chunk_bits, chunk_words = chunk_geometry(container.key, length)
-        base = container.key * CHUNK_BITS
-        if container.kind == BITMAP:
-            if container.data.shape[0] != chunk_words:
-                raise CodecError(
-                    f"roaring bitmap container has {container.data.shape[0]} "
-                    f"words, chunk {container.key} holds {chunk_words}"
-                )
-            word_base = container.key * CHUNK_WORDS
-            words[word_base : word_base + chunk_words] = container.data
-        elif container.kind == ARRAY:
-            rel = container.data.astype(np.int64)
-            if int(rel[-1]) >= chunk_bits:
-                raise CodecError(
-                    "roaring array container overruns the declared length"
-                )
-            position_parts.append(rel + base)
-        else:
-            starts, lengths = container.data
-            ends = starts.astype(np.int64) + lengths
-            if int(ends.max()) > chunk_bits:
-                raise CodecError(
-                    "roaring run container overruns the declared length"
-                )
-            position_parts.append(kernels.expand_ranges(starts, lengths) + base)
-    if position_parts:
-        positions = np.concatenate(position_parts)
-        np.bitwise_or.at(
-            words, positions >> 6, _ONE << (positions & 63).astype(np.uint64)
-        )
-    vector = BitVector(length, words)
-    vector._mask_padding()
-    return vector
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +180,10 @@ def roaring_bytes(containers: list[Container]) -> bytes:
 
 
 def containers_from_roaring(payload: bytes) -> list[Container]:
-    """Parse a roaring stream back into containers (with validation)."""
+    """Parse a roaring stream back into containers (with validation).
+
+    Container arrays view the payload's memory where its byte order
+    allows: treat them as read-only."""
     size = len(payload)
     if size < 4:
         raise CodecError(f"roaring payload too short ({size} bytes)")
@@ -260,17 +219,19 @@ def containers_from_roaring(payload: bytes) -> list[Container]:
             raise CodecError("truncated roaring container payload")
         if kind == ARRAY:
             data = np.frombuffer(payload, dtype="<u2", count=count, offset=offset)
-            data = data.astype(np.uint16)
+            data = data.astype(np.uint16, copy=False)
             if count > 1 and not bool((data[1:] > data[:-1]).all()):
                 raise CodecError("roaring array container not strictly sorted")
             out.append(Container(int(keys[i]), ARRAY, data))
         elif kind == BITMAP:
             words = np.frombuffer(payload, dtype="<u8", count=count, offset=offset)
-            out.append(Container(int(keys[i]), BITMAP, words.astype(np.uint64)))
+            out.append(
+                Container(int(keys[i]), BITMAP, words.astype(np.uint64, copy=False))
+            )
         else:
             starts = np.frombuffer(
                 payload, dtype="<u2", count=count, offset=offset
-            ).astype(np.uint16)
+            ).astype(np.uint16, copy=False)
             lengths = (
                 np.frombuffer(
                     payload, dtype="<u2", count=count, offset=offset + 2 * count
@@ -291,6 +252,76 @@ def containers_from_roaring(payload: bytes) -> list[Container]:
     return out
 
 
+class RoaringStream(BlockStream):
+    """Container-directory window gather of a roaring stream.
+
+    The directory is already an index over 2^16-bit chunks: a word
+    window touches only the containers whose chunk overlaps it, found
+    by bisecting the (ascending) keys.  Bitmap
+    containers are copied by word slice; array and run containers are
+    scattered as positions, one scatter per window.
+    """
+
+    def __init__(self, payload, length: int):
+        super().__init__(length)
+        containers = containers_from_roaring(payload)
+        num_chunks = (length + CHUNK_BITS - 1) // CHUNK_BITS
+        # Only the final chunk can be shorter than a full one.
+        last_bits, last_words = chunk_geometry(num_chunks - 1, length)
+        for container in containers:
+            key, data = container.key, container.data
+            if key >= num_chunks:
+                raise CodecError(
+                    f"roaring container key {key} overruns the declared "
+                    f"length {length}"
+                )
+            if container.kind == BITMAP:
+                chunk_words = last_words if key == num_chunks - 1 else CHUNK_WORDS
+                if data.shape[0] != chunk_words:
+                    raise CodecError(
+                        f"roaring bitmap container has {data.shape[0]} words, "
+                        f"chunk {key} holds {chunk_words}"
+                    )
+            elif key < num_chunks - 1:
+                continue
+            elif container.kind == ARRAY:
+                if int(data[-1]) >= last_bits:
+                    raise CodecError(
+                        "roaring array container overruns the declared length"
+                    )
+            elif int((data[0].astype(np.int64) + data[1]).max()) > last_bits:
+                raise CodecError("roaring run container overruns the declared length")
+        self._containers = containers
+        self._keys = [container.key for container in containers]
+
+    def block(self, start: int, stop: int) -> np.ndarray:
+        size = stop - start
+        out = np.zeros(size, dtype=np.uint64)
+        lo = bisect_left(self._keys, start // CHUNK_WORDS)
+        hi = bisect_left(self._keys, -(-stop // CHUNK_WORDS))
+        positions: list[np.ndarray] = []
+        for container in self._containers[lo:hi]:
+            # The chunk's first word, relative to the window.
+            base = container.key * CHUNK_WORDS - start
+            if container.kind == BITMAP:
+                src_lo = max(-base, 0)
+                src_hi = min(size - base, container.data.shape[0])
+                out[base + src_lo : base + src_hi] = container.data[src_lo:src_hi]
+                continue
+            if container.kind == ARRAY:
+                rel = container.data.astype(np.int64)
+            else:
+                starts, lengths = container.data
+                rel = kernels.expand_ranges(starts, lengths)
+            pos = rel + base * 64
+            if base < 0 or (base + CHUNK_WORDS > size and stop < self.num_words):
+                pos = pos[(pos >= 0) & (pos < size * 64)]
+            positions.append(pos)
+        if positions:
+            scatter_bits(out, np.concatenate(positions))
+        return out
+
+
 class RoaringCodec(Codec):
     """Roaring container codec (2^16-bit chunks, typed containers)."""
 
@@ -299,8 +330,8 @@ class RoaringCodec(Codec):
     def _encode(self, vector: BitVector) -> bytes:
         return roaring_bytes(containers_from_vector(vector))
 
-    def _decode(self, payload: bytes, length: int) -> BitVector:
-        return vector_from_containers(containers_from_roaring(payload), length)
+    def _stream(self, payload, length: int) -> RoaringStream:
+        return RoaringStream(payload, length)
 
 
 register_codec(RoaringCodec())

@@ -18,7 +18,9 @@ Encode and decode are built on the vectorized run kernels in
 of many equal-length bitmaps come from whole-matrix word shifts, one
 ``np.flatnonzero`` segments every row into runs, and every stream is
 assembled by one bulk scatter — no per-group Python iteration.  A
-single bitmap is the one-row case.  A probe (:meth:`Codec.probe_many`)
+single bitmap is the one-row case.  Decoding is the reader's
+(:class:`WahStream`) word window, realigned from the groups by the
+inverse shifts (:func:`words_from_groups`).  A probe (:meth:`Codec.probe_many`)
 reads the bits at given positions of a batch of streams with one run
 search over their concatenation, never decoding them.
 """
@@ -33,6 +35,7 @@ from repro.bitmap import BitVector
 from repro.compress import kernels
 from repro.compress.base import Codec, register_codec
 from repro.compress.kernels import DIRTY, FILL_ONE, Runs
+from repro.compress.streams import BlockStream
 from repro.errors import CodecError
 
 _GROUP_BITS = 31
@@ -62,13 +65,39 @@ def group_rows(words: np.ndarray, length: int) -> np.ndarray:
     return (groups & np.uint64(_LITERAL_MASK)).astype(np.uint32)
 
 
-def groups_to_bits(values: np.ndarray, length: int) -> BitVector:
-    """Group values (:func:`group_rows`) back to a bitmap."""
-    if values.shape[0] == 0:
-        return BitVector.from_bools(np.empty(0, dtype=bool))
-    raw = np.frombuffer(values.astype("<u4").tobytes(), dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little").reshape(-1, 32)[:, :_GROUP_BITS]
-    return BitVector.from_bools(bits.reshape(-1)[:length])
+def words_from_groups(groups: np.ndarray, bit_offset: int, num_words: int) -> np.ndarray:
+    """The inverse of :func:`group_rows`: ``num_words`` 64-bit words of
+    the bit string that starts ``bit_offset`` bits into ``groups[0]``.
+
+    Word ``w`` starts in group ``g = (bit_offset + 64w) // 31`` at bit
+    ``o < 31`` and takes its bits from groups ``g .. g+3``: whole-array
+    shifts, no per-bit unpacking.  Every word must start inside
+    ``groups``; its bits past the last group read zero.
+    """
+    first_bit = np.arange(num_words, dtype=np.int64) * 64 + bit_offset
+    g, o = np.divmod(first_bit, _GROUP_BITS)
+    o = o.astype(np.uint64)
+    padded = np.zeros(groups.shape[0] + 3, dtype=np.uint64)
+    padded[: groups.shape[0]] = groups
+    # Shifts 1..31 and 32..62; the fourth group lands at 93 - o, which
+    # only fits in a word when o == 30, so it goes through two legal
+    # shifts that push its bits out otherwise.
+    s1 = np.uint64(_GROUP_BITS) - o
+    s2 = np.uint64(2 * _GROUP_BITS) - o
+    out = padded[g] >> o
+    out |= padded[g + 1] << s1
+    out |= padded[g + 2] << s2
+    out |= (padded[g + 3] << s2) << np.uint64(_GROUP_BITS)
+    return out
+
+
+def check_group_count(total: int, num_groups: int) -> None:
+    """Raise the :class:`CodecError` of a stream that does not cover
+    exactly ``num_groups`` groups."""
+    if total > num_groups:
+        raise CodecError("WAH stream overruns the declared length")
+    if total != num_groups:
+        raise CodecError(f"WAH stream produced {total} groups, expected {num_groups}")
 
 
 def runs_from_wah(payload: bytes) -> Runs:
@@ -134,6 +163,32 @@ def wah_from_run_rows(runs: Runs, runs_per_row: np.ndarray) -> list[bytes]:
     return [raw[4 * lo : 4 * hi] for lo, hi in zip(word_bounds, word_bounds[1:])]
 
 
+class WahStream(BlockStream):
+    """Group-window rematerialization of a WAH stream.
+
+    WAH's 31-bit groups straddle 64-bit word boundaries, so a word
+    window maps to a group window plus a bit offset: the overlapped
+    groups are rematerialized and realigned by word shifts
+    (:func:`words_from_groups`).  The scratch arrays are proportional to
+    the block, not the vector.
+    """
+
+    def __init__(self, payload, length: int):
+        super().__init__(length)
+        self._num_groups = (length + _GROUP_BITS - 1) // _GROUP_BITS
+        self._slicer = kernels.RunSlicer(runs_from_wah(payload))
+        check_group_count(self._slicer.total, self._num_groups)
+
+    def block(self, start: int, stop: int) -> np.ndarray:
+        bit_lo = start * 64
+        g_lo = bit_lo // _GROUP_BITS
+        g_hi = min(-(-stop * 64 // _GROUP_BITS), self._num_groups)
+        groups = kernels.elements_from_runs(
+            self._slicer.slice(g_lo, g_hi), _LITERAL_MASK, np.uint32
+        )
+        return words_from_groups(groups, bit_lo - g_lo * _GROUP_BITS, stop - start)
+
+
 class WahCodec(Codec):
     """32-bit Word-Aligned Hybrid run-length codec."""
 
@@ -168,27 +223,18 @@ class WahCodec(Codec):
                     payloads[i] = payload
         return payloads
 
-    def _decode(self, payload: bytes, length: int) -> BitVector:
-        runs = runs_from_wah(payload)
-        num_groups = (length + _GROUP_BITS - 1) // _GROUP_BITS
-        total = runs.total
-        if total > num_groups:
-            raise CodecError("WAH stream overruns the declared length")
-        if total != num_groups:
-            raise CodecError(
-                f"WAH stream produced {total} groups, expected {num_groups}"
-            )
-        values = kernels.elements_from_runs(runs, _LITERAL_MASK, np.uint32)
-        return groups_to_bits(values, length)
+    def _stream(self, payload, length: int) -> WahStream:
+        return WahStream(payload, length)
 
     def _probe_many(self, payloads, length: int, positions: np.ndarray) -> np.ndarray:
         """One run search over the concatenated streams, no decode.
 
         Every stream must cover exactly the groups of ``length`` bits
-        (checked as :meth:`_decode` checks it), so stream ``i``'s group
-        ``g`` is group ``i * groups + g`` of the concatenation; the word
-        covering it is the first whose cumulative group count passes it.
-        A fill word answers with its fill bit, a literal with its own bit.
+        (the reader's check, :func:`check_group_count`), so stream
+        ``i``'s group ``g`` is group ``i * groups + g`` of the
+        concatenation; the word covering it is the first whose cumulative
+        group count passes it.  A fill word answers with its fill bit, a
+        literal with its own bit.
         """
         num_groups = (length + _GROUP_BITS - 1) // _GROUP_BITS
         sizes = [len(payload) for payload in payloads]
@@ -205,13 +251,8 @@ class WahCodec(Codec):
         before = 0
         for end in accumulate(sizes):
             after = int(starts[end // 4])
-            total, before = after - before, after
-            if total > num_groups:
-                raise CodecError("WAH stream overruns the declared length")
-            if total != num_groups:
-                raise CodecError(
-                    f"WAH stream produced {total} groups, expected {num_groups}"
-                )
+            check_group_count(after - before, num_groups)
+            before = after
         groups, bits = np.divmod(positions, _GROUP_BITS)
         offsets = np.arange(len(sizes), dtype=np.int64) * num_groups
         word = words[np.searchsorted(starts[1:], offsets[:, None] + groups, side="right")]

@@ -1,11 +1,11 @@
 """A codec registered at runtime flows through every dispatch layer.
 
-Dispatch is by registry lookup, never by codec name:
-:func:`register_codec` + :func:`register_stream` must be *all* a new
-codec needs for stats tables, :class:`CompressedBitmap`, the compressed
-convention of the query engine and the block streams its range walk
-reads to pick it up.  A fake codec (trivial raw clone under a new name)
-proves it end to end.
+Dispatch is by registry lookup, never by codec name: one
+:func:`register_codec` call must be *all* a new codec needs for decode,
+stats tables, :class:`CompressedBitmap`, the compressed convention of
+the query engine and the block streams its range walk reads to pick it
+up.  A fake codec (trivial raw clone under a new name, whose one reader
+is raw's stream) proves it end to end.
 """
 
 import numpy as np
@@ -21,11 +21,10 @@ from repro.compress import (
     measure_all_codecs,
     open_stream,
     register_codec,
-    register_stream,
 )
 from repro.compress.base import _REGISTRY
 from repro.compress.multiway import multiway_threshold
-from repro.compress.streams import _STREAMS, RawStream
+from repro.compress.raw import RawStream
 from repro.errors import CodecError
 
 
@@ -37,19 +36,17 @@ class FakeCodec(Codec):
     def _encode(self, vector):
         return vector.to_bytes()
 
-    def _decode(self, payload, length):
-        return BitVector.from_bytes(length, payload)
+    def _stream(self, payload, length):
+        return RawStream(payload, length)
 
 
 @pytest.fixture
 def fake_codec():
     codec = register_codec(FakeCodec())
-    register_stream("fake64", RawStream)
     try:
         yield codec
     finally:
         del _REGISTRY["fake64"]
-        del _STREAMS["fake64"]
 
 
 def test_measure_all_codecs_includes_registered_codec(fake_codec, rng):
@@ -115,7 +112,8 @@ def test_unregistered_name_still_rejected():
 
 
 def test_compressed_domain_codecs_are_the_streamed_codecs_but_raw():
-    """The compressed convention takes every streamed codec except raw."""
+    """The compressed convention takes every registered codec (each one
+    streamed by its reader) except raw."""
     assert COMPRESSED_DOMAIN_CODECS == {
         "bbc",
         "wah",
@@ -126,4 +124,4 @@ def test_compressed_domain_codecs_are_the_streamed_codecs_but_raw():
         "auto",
     }
     assert "raw" not in COMPRESSED_DOMAIN_CODECS
-    assert set(_STREAMS) == set(COMPRESSED_DOMAIN_CODECS) | {"raw"}
+    assert set(available_codecs()) == set(COMPRESSED_DOMAIN_CODECS) | {"raw"}

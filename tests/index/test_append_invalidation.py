@@ -14,7 +14,7 @@ import pytest
 
 from repro import obs
 from repro.bitmap import BitVector
-from repro.compress import streams
+from repro.compress import AutoCodec
 from repro.compress.base import Codec
 from repro.expr.nodes import Or
 from repro.index import BitmapIndex, IndexSpec
@@ -184,15 +184,15 @@ class TestCompressedEngineStreamCache:
 
     @pytest.fixture
     def opened(self, monkeypatch):
-        """Counts ``auto`` leaf streams opened through the registry."""
+        """Counts ``auto`` leaf streams opened through the codec's reader."""
         calls = []
-        factory = streams._STREAMS["auto"]
+        reader = AutoCodec._stream
 
-        def counting(payload, length):
+        def counting(self, payload, length):
             calls.append(length)
-            return factory(payload, length)
+            return reader(self, payload, length)
 
-        monkeypatch.setitem(streams._STREAMS, "auto", counting)
+        monkeypatch.setattr(AutoCodec, "_stream", counting)
         return calls
 
     @pytest.fixture

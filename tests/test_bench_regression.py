@@ -76,6 +76,18 @@ def test_and_or_entries_time_the_stream_walk(quick_results):
         assert quick_results[name]["params"]["path"] == "stream", name
 
 
+def test_codec_entries_cover_every_codec_but_raw(quick_results):
+    from repro.compress import available_codecs
+
+    for name in available_codecs():
+        if name == "raw":
+            continue
+        for op in ("encode", "decode"):
+            entry = quick_results[f"{name}_{op}"]
+            assert entry["n"] >= 1 and entry["iqr_s"] >= 0.0, (name, op)
+    assert "raw_decode" not in quick_results
+
+
 def test_baselines_with_retired_benches_merge(tmp_path, monkeypatch):
     sys.path.insert(0, str(ROOT))
     try:
