@@ -884,10 +884,13 @@ def run_segment_probe_bench(repeats: int) -> dict:
     every mode); in full mode the value-space path must also be no
     slower than row space at each size.
     """
+    from dataclasses import replace
+
     from repro.index import BitmapIndex, IndexSpec
     from repro.index.evaluation import component_order, plan_or
     from repro.queries import MembershipQuery
     from repro.storage import BufferPool
+    from repro.storage.buffer import DECODED
     from repro.workload import zipf_column
 
     spec = IndexSpec(**SEGMENT_APPEND_SPEC)
@@ -900,9 +903,8 @@ def run_segment_probe_bench(repeats: int) -> dict:
         keys = component_order(expr.leaf_keys())
 
         def answer(by_value: bool) -> BitVector:
-            pool = BufferPool(
-                segment.store, 1 << 30, probe=segment.value_probe if by_value else None
-            )
+            policy = replace(DECODED, probe=segment.value_probe) if by_value else DECODED
+            pool = BufferPool(segment.store, 1 << 30, policy=policy)
             cache = dict(zip(keys, pool.fetch_many(keys)))
             length = segment.value_probe()[0].size if by_value else rows
             bits = evaluate(expr, pool.fetch, length, None, cache, operations)

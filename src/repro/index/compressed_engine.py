@@ -1,21 +1,21 @@
 """Deprecated names of the folded compressed-domain engine.
 
 ``engine="compressed"`` is a cost convention and pool policy of
-:class:`~repro.index.evaluation.QueryEngine` (see that module), and
-:class:`~repro.storage.PayloadPool` is its pool.  The names below stay
-only because perfbench's per-layer tracer still wraps them where this
-module exposes them; delete them with its wrappers (ROADMAP item 2).
+:class:`~repro.index.evaluation.QueryEngine` (see that module), and its
+pool is the one :class:`~repro.storage.BufferPool`.  The names below
+stay only because perfbench's per-layer tracer still wraps them where
+this module exposes them; delete them with its wrappers (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
 from repro.compress.multiway import multiway_logical, multiway_threshold
 from repro.index.evaluation import QueryEngine
-from repro.storage import CostClock, PayloadPool
+from repro.storage import BufferPool, CostClock
 
 __all__ = ["CompressedQueryEngine", "multiway_logical", "multiway_threshold"]
 
-_PayloadPool = PayloadPool
+_PayloadPool = BufferPool
 
 
 class CompressedQueryEngine(QueryEngine):

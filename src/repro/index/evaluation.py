@@ -27,29 +27,36 @@ future work; this module adds one:
 All strategies produce identical answers; they differ only in their
 fetch schedules, which the buffer/clock statistics expose.
 
-:class:`QueryEngine` runs under one of two cost conventions, and both
-evaluate through the same range walk, :func:`~repro.expr.evaluate`:
+:class:`QueryEngine` runs under one of two cost conventions, each a
+:class:`~repro.storage.buffer.Residency` of the one
+:class:`~repro.storage.BufferPool`, and both evaluate through the same
+range walk, :func:`~repro.expr.evaluate`:
 
-* ``engine="decoded"`` — the paper's: a :class:`~repro.storage.BufferPool`
-  of decoded bitmaps, a miss charged its read pages plus decompression,
-  and every bulk operation charged the index's word count (Figure 9
-  needs this decompression charge);
-* ``engine="compressed"`` — a :class:`~repro.storage.PayloadPool` of
-  encoded payloads, a miss charged its read pages only, each operator
-  node charged the bytes its operands occupy (encoded bytes of a leaf,
-  word bytes of an inner node; a shared subtree once) and a bare-leaf
-  answer its decompression.  Each leaf is read from its decoded copy
-  when the pool has room for one and from its block stream otherwise
-  (the ``compress.physical{path=}`` counter, one per leaf source), so
-  the choice never moves a simulated number.  Any codec in
+* ``engine="decoded"`` — the paper's: the pool keeps decoded bitmaps, a
+  miss is charged its read pages plus decompression, and every bulk
+  operation the index's word count (Figure 9 needs this decompression
+  charge);
+* ``engine="compressed"`` — the pool keeps encoded payloads, a miss is
+  charged its read pages only, each operator node the bytes its
+  operands occupy (encoded bytes of a leaf, word bytes of an inner
+  node; a shared subtree once) and a bare-leaf answer its
+  decompression.  Each leaf is read from its decoded copy when the pool
+  has room for one and from its block stream otherwise (the
+  ``compress.physical{path=}`` counter, one per leaf source), so the
+  choice never moves a simulated number.  Any codec in
   :data:`~repro.compress.COMPRESSED_DOMAIN_CODECS` qualifies, and it
-  runs component-wise in row space.
+  runs component-wise.
+
+An index sorted on its one column is evaluated in value space under
+either convention: the pool reads each bitmap's bits at one stored row
+per value, charged as the decoded bitmap, and every scan, operation,
+page and pool counter is what row space counts.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache as _memo
 
 from repro import obs as _obs
@@ -60,8 +67,9 @@ from repro.expr import EvalStats, Expr, evaluate, expression_operation_count
 from repro.expr.nodes import Const, Leaf, Not, Or
 from repro.expr.threshold import Threshold
 from repro.queries.model import IntervalQuery, MembershipQuery, ThresholdQuery
-from repro.storage import BufferPool, BufferStats, CostClock, PayloadPool
-from repro.storage.payload_pool import decoded_pages
+from repro.storage import BufferPool, BufferStats, CostClock
+from repro.storage.buffer import COMPRESSED, DECODED
+from repro.storage.pages import decoded_pages
 
 STRATEGIES = ("component-wise", "query-wise", "scheduled")
 #: Cost conventions (and pools) a :class:`QueryEngine` runs under.
@@ -186,15 +194,15 @@ def plan_or(constituents: list[Expr]) -> tuple[Expr, int]:
 class QueryEngine:
     """Evaluates queries against one :class:`~repro.index.BitmapIndex`.
 
-    An index sorted on its one column (:meth:`BitmapIndex.value_probe`)
-    is evaluated in *value space* under the decoded convention: the pool
-    reads each bitmap only at one stored row per value, the expression
-    runs unchanged over those short vectors, and the answer is rebuilt
-    from the codes.  Every scan, operation, page and pool counter is
-    what row space counts.
+    The engine picks its pool policy once, from ``engine`` (module
+    docstring) and :meth:`BitmapIndex.value_probe`.  An index sorted on
+    its one column is evaluated in *value space*: the pool reads each
+    bitmap only at one stored row per value, the expression runs
+    unchanged over those short vectors, and the answer is rebuilt from
+    the codes.
 
-    ``engine="compressed"`` selects the compressed convention (module
-    docstring); its results report the strategy ``"compressed-domain"``.
+    ``engine="compressed"`` selects the compressed convention; its
+    results report the strategy ``"compressed-domain"``.
     ``buffer_pages`` then bounds encoded payloads and decoded copies
     together, and the default holds every bitmap in both forms.
     """
@@ -217,9 +225,11 @@ class QueryEngine:
         self.engine = engine
         self.strategy = strategy
         self.clock = clock if clock is not None else CostClock()
-        page_size = index.store.page_size
-        self._compressed = engine == "compressed"
-        if self._compressed:
+        decoded = decoded_pages(index.num_records, index.store.page_size)
+        # ``_charge`` is kept unbound (called with ``self``): a bound
+        # method would make every engine a reference cycle, freed with
+        # its pool only by the cyclic collector.
+        if engine == "compressed":
             codec = index.store.codec.name
             if codec not in COMPRESSED_DOMAIN_CODECS:
                 raise QueryError(
@@ -230,24 +240,26 @@ class QueryEngine:
             if strategy != "component-wise":
                 raise QueryError("the compressed engine runs component-wise only")
             self.strategy = "compressed-domain"
-            if buffer_pages is None:
-                decoded = decoded_pages(index.num_records, page_size)
-                buffer_pages = index.size_pages() + decoded * index.num_bitmaps() + 2
-            self._by_value = False
-            self.pool = PayloadPool(index.store, buffer_pages, self.clock)
-            return
-        if buffer_pages is None:
-            # Default: the whole decoded index fits (the paper's 11 MB
-            # pool was "adequate"), with a floor of one page.
-            decoded = decoded_pages(index.num_records, page_size)
-            buffer_pages = decoded * (index.num_bitmaps() + 2)
-        self._by_value = index.value_probe() is not None
-        self.pool = BufferPool(
-            index.store,
-            buffer_pages,
-            clock=self.clock,
-            probe=index.value_probe if self._by_value else None,
+            policy, self._charge = COMPRESSED, QueryEngine._charge_encoded
+            default_pages = index.size_pages() + decoded * index.num_bitmaps() + 2
+        else:
+            policy, self._charge = DECODED, QueryEngine._charge_words
+            # The whole decoded index fits (the paper's 11 MB pool was
+            # "adequate").
+            default_pages = decoded * (index.num_bitmaps() + 2)
+        by_value = index.value_probe() is not None
+        if by_value:
+            policy = replace(policy, probe=index.value_probe)
+        #: Bits per evaluated vector: one per value, or one per row.
+        self._length = (
+            (lambda: index.value_probe()[0].size) if by_value
+            else (lambda: index.num_records)
         )
+        # Looked up at each call, so a wrapper patched onto the method
+        # sees every restore.
+        self._restore = lambda answer: index.restore_row_order(answer, by_value=by_value)
+        pages = default_pages if buffer_pages is None else buffer_pages
+        self.pool = BufferPool(index.store, pages, self.clock, policy)
 
     @property
     def buffer_stats(self) -> BufferStats:
@@ -306,7 +318,7 @@ class QueryEngine:
             answer = self._query_wise(constituents, stats)
         else:
             answer = self._component_wise(constituents, stats)
-        bitmap = self._finish(answer, stats.operations)
+        bitmap = self._finish(answer)
         return EvaluationResult(
             bitmap=bitmap,
             stats=stats,
@@ -332,37 +344,21 @@ class QueryEngine:
         constituents, when the caller already has it.  A key missing
         from ``cache`` is fetched and counted as a scan.
         """
-        before = stats.operations
-        answer = self._evaluate_or(constituents, stats, cache, plan)
-        return self._finish(answer, stats.operations - before)
+        return self._finish(self._evaluate_or(constituents, stats, cache, plan))
 
     # ------------------------------------------------------------------
 
-    def _length(self) -> int:
-        """Bits per evaluated vector: one per value in value space, one
-        per row otherwise."""
-        if self._by_value:
-            return self.index.value_probe()[0].size
-        return self.index.num_records
+    def _finish(self, answer: BitVector) -> BitVector:
+        """The answer in original row order, owned by the caller.
 
-    def _finish(self, answer: BitVector, operations: int) -> BitVector:
-        """Charge ``operations`` bulk word operations over the index's
-        rows (the compressed convention charged its nodes already); the
-        answer in original row order, owned by the caller."""
-        if not self._compressed:
-            self.clock.charge_word_ops(
-                operations, max(1, -(-self.index.num_records // 64))
-            )
-        if self._by_value:
-            return self.index.restore_row_order(answer, by_value=True)
-        # A bare-leaf answer can be the pool-resident vector itself,
-        # which may view read-only (store/mmap) memory or be a pooled
-        # decoded copy — callers own their results, so hand out a
-        # writable copy instead.  Pure allocation traffic: no scans or
-        # operations to charge.
+        A bare-leaf answer can be the pool-resident vector itself, which
+        may view read-only (store/mmap) memory or be a pooled decoded
+        copy, so a read-only answer is copied first.  Pure allocation
+        traffic: no scans or operations to charge.
+        """
         if not answer.words.flags.writeable:
             answer = answer.copy()
-        return self.index.restore_row_order(answer)
+        return self._restore(answer)
 
     def _evaluate_or(
         self,
@@ -372,35 +368,21 @@ class QueryEngine:
         plan: tuple[Expr, int] | None = None,
     ) -> BitVector:
         """OR a query's constituents into its answer in one range walk
-        (:func:`plan_or`)."""
+        (:func:`plan_or`), charged by the engine's convention."""
         expr, operations = plan_or(constituents) if plan is None else plan
-        if not self._compressed:
-            return evaluate(
-                expr, self.pool.fetch, self._length(), stats, cache, operations
-            )
-        keys = list(dict.fromkeys(leaf.key for leaf in expr.leaves()))
-        for key in keys:  # first-touch order, as evaluate fetches
-            if key not in cache:
-                cache[key] = self.pool.fetch(key)
-                stats.scans += 1
-                stats.fetched_keys.append(key)
-        sources = dict(zip(keys, self.pool.sources([cache[key] for key in keys])))
-        o = _obs.active()
-        if o is not None:
-            for source in sources.values():
-                path = "words" if isinstance(source, BitVector) else "stream"
-                o.count("compress.physical", 1, path=path)
-        operations = self._charge_encoded(constituents, cache)
-        return evaluate(
-            expr, sources.__getitem__, self.index.num_records, stats, sources,
-            operations,
-        )
+        operations = self._charge(self, constituents, operations)
+        return evaluate(expr, self.pool.fetch, self._length(), stats, cache, operations)
 
-    def _charge_encoded(
-        self, constituents: list[Expr], pooled: dict[Hashable, object]
-    ) -> int:
+    def _charge_words(self, constituents: list[Expr], operations: int) -> int:
+        """Charge the decoded convention: each of ``operations`` bulk
+        operations over the index's rows."""
+        self.clock.charge_word_ops(operations, max(1, -(-self.index.num_records // 64)))
+        return operations
+
+    def _charge_encoded(self, constituents: list[Expr], operations: int) -> int:
         """Charge the compressed convention for OR-ing ``constituents``;
-        returns the bulk operations it counts.
+        returns the bulk operations it counts (not the plan's
+        ``operations``: a shared subtree counts once).
 
         Each operator node is charged once, a subtree shared across
         constituents too, for the bytes its operands occupy: a leaf's
@@ -410,6 +392,7 @@ class QueryEngine:
         charged its decompression.
         """
         word_bytes = 8 * -(-self.index.num_records // 64)
+        payload = self.index.store.get_payload
         memo: dict[Expr, list] = {}
         operations = 0
 
@@ -421,7 +404,7 @@ class QueryEngine:
             for child in children:
                 child_kind = type(child)
                 if child_kind is Leaf:
-                    value = len(pooled[child.key].payload), True
+                    value = len(payload(child.key)[0]), True
                 elif child_kind is Const:
                     value = word_bytes, False
                 elif not shared:
@@ -444,6 +427,7 @@ class QueryEngine:
             return word_bytes, False
 
         nbytes, is_leaf = charge(Or, constituents, len(constituents) > 1)
+        del charge  # the recursive closure holds itself, and so the engine
         if is_leaf:
             self.clock.charge_decompress(nbytes)
         return operations
@@ -479,4 +463,5 @@ class QueryEngine:
                 answer |= result
                 stats.operations += 1
         assert answer is not None
+        self._charge_words(constituents, stats.operations)
         return answer

@@ -133,14 +133,14 @@ class ServiceConfig:
     default_timeout_s: float | None = None
     #: Result-cache capacity in entries, per shard (0 disables).
     cache_entries: int = 256
-    #: Buffer-pool capacity in pages, per segment; None uses the
-    #: engine's default sizing.  Under the compressed convention it
-    #: bounds encoded payloads and the leaves' decoded copies together.
+    #: Buffer-pool capacity in pages (at least 1), per segment; None
+    #: uses the engine's default sizing.  Under the compressed convention
+    #: it bounds encoded payloads and the leaves' decoded copies together.
     buffer_pages: int | None = None
     #: The :class:`~repro.index.evaluation.QueryEngine` cost convention:
-    #: ``"decoded"`` (a pool of decoded bitmaps, decompression charged
-    #: per miss) or ``"compressed"`` (a pool of encoded payloads; each
-    #: leaf read from its decoded copy or its block stream).
+    #: ``"decoded"`` (the pool keeps decoded bitmaps, decompression
+    #: charged per miss) or ``"compressed"`` (it keeps encoded payloads;
+    #: each leaf read from its decoded copy or its block stream).
     engine: str = "decoded"
     #: Deprecated no-op, still validated: the decoded engine has one
     #: physical path (``docs/zero_copy.md``).  Accepts ``"auto"``,
@@ -154,6 +154,8 @@ class ServiceConfig:
             raise ServeError(f"workers must be >= 1, got {self.workers}")
         if self.max_batch < 1:
             raise ServeError(f"max_batch must be >= 1, got {self.max_batch}")
+        if self.buffer_pages is not None and self.buffer_pages < 1:
+            raise ServeError(f"buffer_pages must be >= 1, got {self.buffer_pages}")
         if self.engine not in ENGINES:
             raise ServeError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"

@@ -2,9 +2,10 @@
 
 The paper measured wall-clock time on a 1999 disk; this reproduction
 substitutes an exactly-accounted simulation (see DESIGN.md §1): bitmaps
-are stored page-granular through a codec, reads go through an LRU
-buffer pool (or, under the compressed convention, an LRU pool of
-encoded payloads), and a :class:`~repro.storage.iomodel.CostClock` converts
+are stored page-granular through a codec, reads go through one LRU
+buffer pool (whose :class:`~repro.storage.buffer.Residency` keeps
+decoded bitmaps or, under the compressed convention, encoded payloads),
+and a :class:`~repro.storage.iomodel.CostClock` converts
 page reads, decompressed bytes and word operations into simulated time
 using a :class:`~repro.storage.iomodel.DiskModel`.
 """
@@ -20,7 +21,6 @@ from repro.storage.iomodel import (
 )
 from repro.storage.mmap_store import MappedDirectoryStore
 from repro.storage.pages import DEFAULT_PAGE_SIZE, pages_for, validate_page_size
-from repro.storage.payload_pool import PayloadPool
 from repro.storage.store import (
     BitmapStore,
     DirectoryStore,
@@ -36,7 +36,6 @@ __all__ = [
     "StoredBitmapInfo",
     "BufferPool",
     "BufferStats",
-    "PayloadPool",
     "DiskModel",
     "CostClock",
     "DEFAULT_DISK_MODEL",

@@ -33,3 +33,8 @@ def pages_for(num_bytes: int, page_size: int = DEFAULT_PAGE_SIZE) -> int:
         raise StorageError(f"byte count must be >= 0, got {num_bytes}")
     validate_page_size(page_size)
     return max(1, -(-num_bytes // page_size))
+
+
+def decoded_pages(length: int, page_size: int = DEFAULT_PAGE_SIZE) -> int:
+    """Pages one decoded ``length``-bit bitmap occupies (whole words)."""
+    return pages_for(8 * -(-length // 64), page_size)

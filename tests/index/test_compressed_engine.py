@@ -165,7 +165,8 @@ POOLS = ["default", "no_decoded"]
 def _pool_pages(pool: str, length: int) -> int | None:
     if pool == "default":
         return None
-    return pages_for(8 * -(-length // 64)) - 1
+    # One page smaller than a decoded bitmap, and a pool has one page at least.
+    return max(1, pages_for(8 * -(-length // 64)) - 1)
 
 
 @lru_cache(maxsize=None)

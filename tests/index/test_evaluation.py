@@ -1,5 +1,8 @@
 """Tests for the Section 6.3 evaluation strategies and buffer effects."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from repro.errors import QueryError
 from repro.expr import EvalStats, evaluate
 from repro.expr.evaluator import BLOCK_WORDS
 from repro.expr.nodes import Const, Leaf
-from repro.index import BitmapIndex, IndexSpec
+from repro.index import BitmapIndex, IndexSpec, QueryEngine
 from repro.index.evaluation import component_order, schedule_constituents
 from repro.queries import IntervalQuery, MembershipQuery
 from repro.serve import QueryService, ServiceConfig
@@ -104,6 +107,28 @@ class TestBufferEffects:
         r1 = engine.execute(IntervalQuery(3, 3, 50))
         r2 = engine.execute(IntervalQuery(0, 44, 50))
         assert clock.total_ms == pytest.approx(r1.simulated_ms + r2.simulated_ms)
+
+
+@pytest.mark.parametrize("engine", ["decoded", "compressed"])
+@pytest.mark.parametrize("reorder", ["none", "lexicographic"])
+def test_a_dropped_engine_is_freed_with_its_pool(rng, engine, reorder):
+    """A serving shard drops a segment's engine on every append; the
+    engine and its pool must go at once, not wait for the cyclic
+    collector."""
+    values = rng.integers(0, 20, size=2000)
+    idx = BitmapIndex.build(values, IndexSpec(cardinality=20, scheme="E", codec="wah",
+                                              reorder=reorder))
+    query_engine = QueryEngine(idx, engine=engine)
+    query_engine.execute(IntervalQuery(3, 9, 20))
+    freed = weakref.ref(query_engine), weakref.ref(query_engine.pool)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del query_engine
+        assert [ref() for ref in freed] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestAnswerOwnership:

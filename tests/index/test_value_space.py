@@ -4,19 +4,19 @@ An index sorted on its one column keeps its reordering as codes and is
 evaluated value by value (:meth:`BitmapIndex.value_probe`): each bitmap
 is read at one stored row per value and the answer is rebuilt from the
 codes.  The same bitmaps under the permutation form of that reordering
-are evaluated over whole rows.  Answers, ``EvalStats``, ``CostClock``
-and ``BufferStats`` must be identical, and answers must equal a naive
-scan.
+are evaluated over whole rows.  Answers, ``EvalStats``, ``CostClock``,
+``BufferStats`` and pool pages must be identical, under either cost
+convention, and answers must equal a naive scan.
 """
 
 import numpy as np
 import pytest
 
-from repro.compress import available_codecs
+from repro.compress import COMPRESSED_DOMAIN_CODECS, available_codecs
 from repro.encoding import ALL_SCHEME_NAMES, EXTENDED_SCHEME_NAMES
 from repro.expr import EvalStats
 from repro.expr.nodes import And, Const, Not, Or, leaf
-from repro.index import BitmapIndex, IndexSpec
+from repro.index import BitmapIndex, IndexSpec, QueryEngine
 from repro.queries import IntervalQuery, MembershipQuery, ThresholdQuery
 from repro.serve.sharded import ShardedConfig, ShardedQueryService
 from repro.table.reorder import RowReordering
@@ -62,7 +62,7 @@ def query_mix(rng, cardinality, count=10):
 
 
 def assert_engines_agree(index, twin, values, queries, **engine_kwargs):
-    engine, other = index.engine(**engine_kwargs), twin.engine(**engine_kwargs)
+    engine, other = QueryEngine(index, **engine_kwargs), QueryEngine(twin, **engine_kwargs)
     for query in queries:
         got, expected = engine.execute(query), other.execute(query)
         assert got.bitmap == expected.bitmap
@@ -103,6 +103,22 @@ def test_every_codec_probes_like_it_decodes(codec):
     for buffer_pages in POOLS:
         assert_engines_agree(
             index, twin, values, query_mix(rng, 30), buffer_pages=buffer_pages
+        )
+
+
+@pytest.mark.parametrize("scheme", ["E", "R", "I"])
+@pytest.mark.parametrize("codec", sorted(COMPRESSED_DOMAIN_CODECS))
+def test_compressed_convention_probes_like_row_space(codec, scheme):
+    """Each probed entry is charged as the decoded copy it stands in for
+    (or, without room for one, as its uncharged stream), and every node
+    its operands' encoded bytes, as in row space."""
+    rng = np.random.default_rng(8)
+    values = skewed(rng, 30, 2000)
+    index, twin = twins(values, IndexSpec(30, scheme, codec=codec, reorder="lexicographic"))
+    for buffer_pages in POOLS:
+        assert_engines_agree(
+            index, twin, values, query_mix(rng, 30), buffer_pages=buffer_pages,
+            engine="compressed",
         )
 
 

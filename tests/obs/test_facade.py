@@ -5,7 +5,7 @@ import json
 from repro import obs
 from repro.bitmap import BitVector
 from repro.compress import get_codec
-from repro.index import BitmapIndex, IndexSpec
+from repro.index import BitmapIndex, IndexSpec, QueryEngine
 from repro.queries import IntervalQuery
 from repro.storage import BitmapStore, BufferPool
 from repro.workload import zipf_column
@@ -113,6 +113,21 @@ class TestStackIntegration:
         assert o.metrics.find("buffer.misses", pool="decoded").value == 1
         assert o.metrics.find("buffer.hits", pool="decoded").value == 1
         assert o.metrics.find("buffer.used_pages", pool="decoded").value == 3
+
+    def test_buffer_counters_compressed_policy(self):
+        """The gauge follows every change of used pages, the decoded
+        copies a query attaches included."""
+        values = zipf_column(20_000, 12, 1.0, seed=0)
+        index = BitmapIndex.build(values, IndexSpec(cardinality=12, scheme="E", codec="wah"))
+        engine = QueryEngine(index, engine="compressed")
+        with obs.observed() as o:
+            result = engine.execute(IntervalQuery(2, 6, 12))
+        leaves = result.stats.scans
+        assert o.metrics.find("buffer.misses", pool="compressed").value == leaves
+        assert o.metrics.find("compress.physical", path="words").value == leaves
+        used = o.metrics.find("buffer.used_pages", pool="compressed").value
+        payloads = sum(index.store.info(key).pages for key in result.stats.fetched_keys)
+        assert used == engine.pool.used_pages > payloads
 
     def test_query_span_and_histogram(self):
         values = zipf_column(500, 10, 1.0, seed=0)

@@ -448,6 +448,8 @@ class TestConfig:
             {"workers": 0},
             {"max_batch": 0},
             {"engine": "quantum"},
+            {"buffer_pages": 0},
+            {"buffer_pages": -3, "engine": "compressed"},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

@@ -94,6 +94,7 @@ class TestConfig:
             {"max_batch": 0},
             {"call_timeout_s": 0.0},
             {"fused": "sometimes"},  # deprecated no-op, still validated
+            {"buffer_pages": 0, "engine": "compressed"},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -1,25 +1,57 @@
-"""Tests for the LRU buffer pool and its cost accounting."""
+"""Tests for the LRU buffer pool and its cost accounting.
+
+The LRU, clock and stats tests run under both residency policies: each
+``...CompressedPolicy`` class reruns its parent's tests with
+:data:`COMPRESSED`.  Over the raw store below a payload occupies as
+many pages as its decoded bitmap, so every count is the same.
+"""
+
+from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.bitmap import BitVector
+from repro.compress.streams import BlockStream
 from repro.errors import BufferError_, CodecError
-from repro.storage import BitmapStore, BufferPool, CostClock
+from repro.expr import evaluate
+from repro.expr.nodes import leaf
+from repro.storage import BitmapStore, BufferPool, BufferStats, CostClock
+from repro.storage.buffer import COMPRESSED, DECODED
+
+LENGTH = 10_000
 
 
-def make_store(num_bitmaps: int = 8, length: int = 10_000) -> BitmapStore:
+def make_store(num_bitmaps: int = 8, length: int = LENGTH, codec: str = "raw") -> BitmapStore:
     # page_size 512 -> each decoded bitmap is ceil(1256/512) = 3 pages.
-    store = BitmapStore(codec="raw", page_size=512)
+    store = BitmapStore(codec=codec, page_size=512)
     for i in range(num_bitmaps):
         store.put(i, BitVector.from_indices(length, [i]))
     return store
 
 
-class TestLruSemantics:
+def read(pool: BufferPool, key) -> BitVector:
+    """One fetch of ``key``, read as the evaluator reads its handout."""
+    return evaluate(leaf(key), pool.fetch, LENGTH)
+
+
+class PolicyTests:
+    """Tests run under :attr:`POLICY`, rerun by each subclass that
+    overrides it."""
+
+    POLICY = DECODED
+
+    def make_pool(self, capacity_pages, store=None, **kwargs) -> BufferPool:
+        store = make_store() if store is None else store
+        return BufferPool(store, capacity_pages, policy=self.POLICY, **kwargs)
+
+
+class TestLruSemantics(PolicyTests):
     def test_hit_after_miss(self):
-        pool = BufferPool(make_store(), capacity_pages=100)
+        pool = self.make_pool(100)
         pool.fetch(0)
         pool.fetch(0)
         assert pool.stats.misses == 1
@@ -27,7 +59,7 @@ class TestLruSemantics:
 
     def test_eviction_order_is_lru(self):
         # Capacity for exactly two decoded bitmaps (3 pages each).
-        pool = BufferPool(make_store(), capacity_pages=6)
+        pool = self.make_pool(6)
         pool.fetch(0)
         pool.fetch(1)
         pool.fetch(0)      # touch 0 so 1 is the LRU victim
@@ -38,24 +70,23 @@ class TestLruSemantics:
         assert pool.stats.evictions == 1
 
     def test_capacity_never_exceeded(self):
-        pool = BufferPool(make_store(), capacity_pages=7)
+        pool = self.make_pool(7)
         for i in range(8):
             pool.fetch(i)
             assert pool.used_pages <= 7
 
     def test_oversized_fetch_still_served(self):
-        pool = BufferPool(make_store(), capacity_pages=1)
-        vector = pool.fetch(0)
-        assert vector.count() == 1
+        pool = self.make_pool(1)
+        assert read(pool, 0).count() == 1
 
     def test_stats_invariant_fetches(self):
-        pool = BufferPool(make_store(), capacity_pages=6)
+        pool = self.make_pool(6)
         for key in [0, 1, 2, 0, 1, 2, 2]:
             pool.fetch(key)
         assert pool.stats.fetches == pool.stats.hits + pool.stats.misses == 7
 
     def test_clear_drops_residents(self):
-        pool = BufferPool(make_store(), capacity_pages=100)
+        pool = self.make_pool(100)
         pool.fetch(0)
         pool.clear()
         assert pool.used_pages == 0
@@ -63,11 +94,12 @@ class TestLruSemantics:
         assert pool.stats.misses == 2
 
     def test_zero_capacity_rejected(self):
-        with pytest.raises(BufferError_):
-            BufferPool(make_store(), capacity_pages=0)
+        for capacity in (0, -3):
+            with pytest.raises(BufferError_):
+                self.make_pool(capacity)
 
     def test_hit_ratio(self):
-        pool = BufferPool(make_store(), capacity_pages=100)
+        pool = self.make_pool(100)
         assert pool.stats.hit_ratio == 0.0
         pool.fetch(0)
         pool.fetch(0)
@@ -75,10 +107,10 @@ class TestLruSemantics:
         assert pool.stats.hit_ratio == pytest.approx(2 / 3)
 
 
-class TestClockCharges:
+class TestClockCharges(PolicyTests):
     def test_miss_charges_io(self):
         clock = CostClock()
-        pool = BufferPool(make_store(), capacity_pages=100, clock=clock)
+        pool = self.make_pool(100, clock=clock)
         pool.fetch(0)
         assert clock.read_requests == 1
         assert clock.pages_read == 3
@@ -88,7 +120,7 @@ class TestClockCharges:
 
     def test_hit_charges_nothing(self):
         clock = CostClock()
-        pool = BufferPool(make_store(), capacity_pages=100, clock=clock)
+        pool = self.make_pool(100, clock=clock)
         pool.fetch(0)
         before = clock.total_ms
         pool.fetch(0)
@@ -98,14 +130,16 @@ class TestClockCharges:
         store = BitmapStore(codec="bbc", page_size=512)
         store.put("x", BitVector.from_indices(10_000, [7]))
         clock = CostClock()
-        pool = BufferPool(store, capacity_pages=100, clock=clock)
+        pool = self.make_pool(100, store, clock=clock)
         pool.fetch("x")
-        assert clock.bytes_decompressed > 0
-        assert clock.cpu_ms > 0
+        # The compressed convention keeps the payload as it is.
+        decodes = not self.POLICY.keeps_payload
+        assert (clock.bytes_decompressed > 0) == decodes
+        assert (clock.cpu_ms > 0) == decodes
 
     def test_raw_store_charges_no_decompression(self):
         clock = CostClock()
-        pool = BufferPool(make_store(), capacity_pages=100, clock=clock)
+        pool = self.make_pool(100, clock=clock)
         pool.fetch(0)
         assert clock.bytes_decompressed == 0
 
@@ -199,9 +233,9 @@ class TestEvictToFitKeep:
         assert pool.stats.evictions == 3
 
 
-class TestClearStats:
+class TestClearStats(PolicyTests):
     def test_clear_preserves_every_counter_exactly(self):
-        pool = BufferPool(make_store(), capacity_pages=6)
+        pool = self.make_pool(6)
         # misses: 0, 1, 2 (evicts 0), 0 (evicts 1); hit: 2.
         for key in [0, 1, 2, 0, 2]:
             pool.fetch(key)
@@ -220,16 +254,16 @@ class TestClearStats:
 @given(
     sequence=st.lists(st.integers(min_value=0, max_value=7), max_size=60),
     capacity=st.integers(min_value=3, max_value=30),
+    policy=st.sampled_from([DECODED, COMPRESSED]),
 )
 @settings(max_examples=150, deadline=None)
-def test_pool_properties(sequence, capacity):
-    """Invariants under arbitrary access sequences: correct contents,
-    bounded residency, consistent stats."""
+def test_pool_properties(sequence, capacity, policy):
+    """Invariants under arbitrary access sequences, under either policy:
+    correct contents, bounded residency, consistent stats."""
     store = make_store()
-    pool = BufferPool(store, capacity_pages=capacity)
+    pool = BufferPool(store, capacity_pages=capacity, policy=policy)
     for key in sequence:
-        vector = pool.fetch(key)
-        assert vector == store.get(key)
+        assert read(pool, key) == store.get(key)
         assert pool.used_pages <= max(capacity, 3)
     assert pool.stats.fetches == len(sequence)
     assert pool.stats.hits + pool.stats.misses == len(sequence)
@@ -263,7 +297,7 @@ class TestFillRunEntries:
         store.put("a", BitVector.zeros(65_536))
         pool = BufferPool(store, capacity_pages=100)
         pool.fetch("a")
-        assert isinstance(pool._resident["a"][0], BitVector)
+        assert isinstance(pool._resident["a"].form, BitVector)
 
     def test_replaced_payload_is_reread(self):
         store = self.make_sorted_store()
@@ -283,7 +317,8 @@ class TestProbingPool:
     def probing(self, store, capacity, clock=None, positions=None):
         positions = self.POSITIONS if positions is None else positions
         return BufferPool(
-            store, capacity, clock=clock, probe=lambda: (positions, 10_000)
+            store, capacity, clock,
+            replace(DECODED, probe=lambda: (positions, 10_000)),
         )
 
     def wah_store(self):
@@ -358,3 +393,80 @@ class TestProbingPool:
     def test_duplicate_keys_are_rejected(self):
         with pytest.raises(BufferError_):
             self.probing(self.wah_store(), 100).fetch_many([1, 1])
+
+
+class TestLruSemanticsCompressedPolicy(TestLruSemantics):
+    POLICY = COMPRESSED
+
+
+class TestClockChargesCompressedPolicy(TestClockCharges):
+    POLICY = COMPRESSED
+
+
+class TestClearStatsCompressedPolicy(TestClearStats):
+    POLICY = COMPRESSED
+
+
+class TestCompressedPolicy:
+    """What only the compressed policy does: decoded copies in the room
+    the encoded payloads leave free, block streams otherwise.  Over this
+    WAH store a payload is 1 page and its decoded bitmap 3."""
+
+    def wah_pool(self, capacity: int, store=None) -> BufferPool:
+        store = make_store(codec="wah") if store is None else store
+        assert {store.info(key).pages for key in store.keys()} == {1}
+        return BufferPool(store, capacity, policy=COMPRESSED)
+
+    @pytest.mark.parametrize("capacity", [1, 2, 4, 5, 9, 30])
+    def test_a_decoded_copy_never_changes_hits_misses_or_evictions(self, capacity):
+        store = make_store(codec="wah")
+        pool = self.wah_pool(capacity, store)
+        # The same LRU over encoded pages alone, with no copies at all.
+        resident, model = OrderedDict(), BufferStats()
+        copies = 0
+        for key in [0, 1, 2, 0, 3, 4, 0, 1, 5, 6, 7, 2, 2, 0, 6]:
+            copies += isinstance(pool.fetch(key), BitVector)
+            if key in resident:
+                resident.move_to_end(key)
+                model.hits += 1
+                continue
+            model.misses += 1
+            while resident and len(resident) + 1 > capacity:
+                resident.popitem(last=False)
+                model.evictions += 1
+            resident[key] = 1
+        assert pool.stats == model
+        assert pool.used_pages <= capacity
+        assert (copies > 0) == (capacity >= 4)
+
+    def test_copies_are_dropped_before_payloads(self):
+        pool = self.wah_pool(5)
+        assert isinstance(pool.fetch(0), BitVector)  # 1 + 3 pages
+        # Key 1's payload fits beside key 0's; key 0's copy makes way.
+        assert isinstance(pool.fetch(1), BitVector)
+        assert pool.contains(0) and pool.contains(1)
+        assert pool.stats.evictions == 0
+        assert pool.used_pages == 5
+        assert isinstance(pool.fetch(0), BitVector)  # and back again
+        assert (pool.stats.hits, pool.stats.evictions, pool.used_pages) == (1, 0, 5)
+
+    def test_a_copy_goes_with_its_payload_on_a_version_change(self):
+        store = make_store(codec="wah")
+        pool = self.wah_pool(100, store)
+        old = pool.fetch(0)
+        store.put(0, BitVector.from_indices(LENGTH, [5, 6]))
+        new = pool.fetch(0)
+        assert new is not old and new == store.get(0)
+        assert (pool.stats.hits, pool.stats.misses, pool.stats.evictions) == (0, 2, 0)
+        assert pool.used_pages == 4
+
+    def test_a_pool_smaller_than_a_decoded_bitmap_hands_out_streams(self):
+        store = make_store(codec="wah")
+        pool = self.wah_pool(2, store)
+        with obs.observed() as o:
+            for key in range(3):
+                assert isinstance(pool.fetch(key), BlockStream)
+                assert read(pool, key) == store.get(key)
+        assert pool.used_pages == 2
+        assert o.metrics.find("compress.physical", path="stream").value == 6
+        assert o.metrics.find("buffer.used_pages", pool="compressed").value == 2
