@@ -534,7 +534,7 @@ def run_threshold_bench(num_records: int, fanin: int = 16) -> dict:
     """
     from functools import reduce
 
-    from repro.expr import EvalStats, Threshold
+    from repro.expr import EvalStats, Threshold, compile_query
     from repro.index import BitmapIndex, IndexSpec, QueryEngine
     from repro.queries import IntervalQuery
     from repro.storage import CostClock
@@ -554,7 +554,7 @@ def run_threshold_bench(num_records: int, fanin: int = 16) -> dict:
 
     def run(expr):
         start = clock.words_operated
-        bitmap = engine.evaluate_shared([expr], {}, EvalStats())
+        bitmap = engine.evaluate_shared(compile_query([expr]), {}, EvalStats())
         return bitmap, clock.words_operated - start
 
     chain_bitmap, chain_words = run(reduce(lambda a, b: a | b, leaves))
@@ -887,7 +887,8 @@ def run_segment_probe_bench(repeats: int) -> dict:
     from dataclasses import replace
 
     from repro.index import BitmapIndex, IndexSpec
-    from repro.index.evaluation import component_order, plan_or
+    from repro.expr import compile_query
+    from repro.index.evaluation import component_order
     from repro.queries import MembershipQuery
     from repro.storage import BufferPool
     from repro.storage.buffer import DECODED
@@ -899,15 +900,15 @@ def run_segment_probe_bench(repeats: int) -> dict:
     for rows in SEGMENT_PROBE_ROWS:
         column = zipf_column(rows, spec.cardinality, 1.0, seed=3)
         segment = BitmapIndex.build(column, spec)
-        expr, operations = plan_or(segment.rewriter.rewrite_membership(query))
-        keys = component_order(expr.leaf_keys())
+        plan = compile_query(segment.rewriter.constituents(query))
+        keys = component_order(plan.keys)
 
         def answer(by_value: bool) -> BitVector:
             policy = replace(DECODED, probe=segment.value_probe) if by_value else DECODED
             pool = BufferPool(segment.store, 1 << 30, policy=policy)
             cache = dict(zip(keys, pool.fetch_many(keys)))
             length = segment.value_probe()[0].size if by_value else rows
-            bits = evaluate(expr, pool.fetch, length, None, cache, operations)
+            bits = evaluate(plan, pool.fetch, length, None, cache)
             return segment.restore_row_order(bits, by_value=by_value)
 
         expected = BitVector.from_bools(query.matches(column))

@@ -7,6 +7,9 @@ subpackage provides the shared machinery:
 * :mod:`repro.expr.nodes` — the expression AST (``Leaf``, ``Not``,
   ``And``, ``Or``, ``Xor``, ``Const``);
 * :mod:`repro.expr.simplify` — algebraic simplification;
+* :mod:`repro.expr.plan` — a query's rewritten constituents compiled
+  once into the :class:`~repro.expr.plan.QueryPlan` that evaluation and
+  cost accounting read;
 * :mod:`repro.expr.evaluator` — evaluation against a bitmap fetcher,
   one destination-passing walk per word range, with scan/operation
   accounting;
@@ -39,6 +42,7 @@ from repro.expr.nodes import (
     xor_of,
     zero,
 )
+from repro.expr.plan import QueryPlan, compile_query
 from repro.expr.planner import minimal_scan_cost, plan_expression
 from repro.expr.render import to_dot, to_tree
 from repro.expr.simplify import simplify
@@ -78,6 +82,8 @@ __all__ = [
     "zero",
     "simplify",
     "evaluate",
+    "QueryPlan",
+    "compile_query",
     "BLOCK_WORDS",
     "EvalStats",
     "expression_scan_count",

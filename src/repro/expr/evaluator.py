@@ -11,8 +11,9 @@ fetched (the paper's "number of bitmap scans") and the number of bulk
 logical word operations performed (the CPU side of the time model).
 
 Physically, :func:`evaluate` is a destination-passing walk over word
-ranges.  It fetches the leaves once, in depth-first first-touch order,
-then walks the tree once per range of :data:`BLOCK_WORDS` words and
+ranges.  It fetches the leaves once, in the depth-first first-touch
+order the expression's :class:`~repro.expr.plan.QueryPlan` lists them
+in, then walks the tree once per range of :data:`BLOCK_WORDS` words and
 writes every node straight into a destination slice.  A leaf is a
 *range source*: resident words (a :class:`~repro.bitmap.BitVector`),
 sliced in place, or a :class:`~repro.compress.streams.BlockStream`
@@ -48,6 +49,7 @@ from repro.compress.multiway import ThresholdCounter, counter_width
 from repro.compress.streams import BlockStream
 from repro.errors import BitmapError
 from repro.expr.nodes import And, Const, Expr, Leaf, Not, Or, Xor
+from repro.expr.plan import QueryPlan, compile_query
 from repro.expr.threshold import Threshold
 
 #: What a leaf evaluates from: resident words or a block stream.
@@ -97,27 +99,7 @@ def expression_operation_count(expr: Expr) -> int:
     exactly this many bulk ops (times the words per operation) to its
     clock.
     """
-    seen: set[Expr] = set()
-
-    def walk(kind, children) -> int:
-        ops = 0
-        for child in children:
-            # Leaves and constants cost nothing; skip hashing them.
-            child_kind = type(child)
-            if child_kind is Leaf or child_kind is Const:
-                continue
-            size = len(seen)
-            seen.add(child)  # one hash: a repeat leaves the set's size
-            if len(seen) > size:
-                ops += walk(child_kind, child.children())
-        if kind is Not:
-            return ops + 1
-        if kind is Threshold:
-            return ops + len(children)
-        return ops + len(children) - 1
-
-    kind = type(expr)
-    return 0 if kind is Leaf or kind is Const else walk(kind, expr.children())
+    return compile_query((expr,)).operations
 
 
 class _Arena(threading.local):
@@ -149,7 +131,7 @@ _ARENA = _Arena()
 
 
 def evaluate(
-    expr: Expr,
+    expr: Expr | QueryPlan,
     fetch: FetchFn,
     length: int,
     stats: EvalStats | None = None,
@@ -161,7 +143,9 @@ def evaluate(
     Parameters
     ----------
     expr:
-        The expression to evaluate.
+        The expression to evaluate, or the
+        :class:`~repro.expr.plan.QueryPlan` of a query (its ``expr`` is
+        walked); an expression is compiled into its plan first.
     fetch:
         Callback mapping a leaf key to its range source: the stored
         bitmap's words, or a block stream over its payload.
@@ -175,20 +159,22 @@ def evaluate(
         same query (the component-wise strategy passes one per query so
         that no bitmap is fetched twice).
     operations:
-        Bulk operations to charge to ``stats``; defaults to
-        :func:`expression_operation_count` of ``expr``.
+        Bulk operations to charge to ``stats``; defaults to the plan's
+        ``operations``.
 
     A bare :class:`Leaf` over resident words evaluates to the fetched
     vector itself (which may be a read-only view); any other expression,
     a bare stream leaf included, to a fresh vector.
     """
+    plan = expr if type(expr) is QueryPlan else compile_query((expr,))
+    expr = plan.expr
     if stats is None:
         stats = EvalStats()
     if cache is None:
         cache = {}
     resident: dict[Hashable, np.ndarray] = {}
     streamed: dict[Hashable, BlockStream] = {}
-    for key in dict.fromkeys([node.key for node in expr.leaves()]):
+    for key in plan.keys:
         source = cache.get(key)
         if source is None:
             source = _fetch_leaf(key, fetch, length, stats, cache)
@@ -196,9 +182,7 @@ def evaluate(
             streamed[key] = source
         else:
             resident[key] = source.words
-    stats.operations += (
-        expression_operation_count(expr) if operations is None else operations
-    )
+    stats.operations += plan.operations if operations is None else operations
     if type(expr) is Leaf and not streamed:
         return cache[expr.key]
 

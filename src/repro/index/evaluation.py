@@ -27,6 +27,13 @@ future work; this module adds one:
 All strategies produce identical answers; they differ only in their
 fetch schedules, which the buffer/clock statistics expose.
 
+Each query is compiled once (:func:`~repro.expr.compile_query`): the
+component-wise strategy compiles the whole query, the query-wise ones
+each constituent, which is then its own range walk.  Everything after
+the rewrite reads the :class:`~repro.expr.QueryPlan` — the prefetch's
+keys, the charge, :func:`~repro.expr.evaluate` — and a serving shard
+hands one plan to every segment's engine, so no segment walks the tree.
+
 :class:`QueryEngine` runs under one of two cost conventions, each a
 :class:`~repro.storage.buffer.Residency` of the one
 :class:`~repro.storage.BufferPool`, and both evaluate through the same
@@ -37,13 +44,13 @@ range walk, :func:`~repro.expr.evaluate`:
   operation the index's word count (Figure 9 needs this decompression
   charge);
 * ``engine="compressed"`` — the pool keeps encoded payloads, a miss is
-  charged its read pages only, each operator node the bytes its
-  operands occupy (encoded bytes of a leaf, word bytes of an inner
-  node; a shared subtree once) and a bare-leaf answer its
-  decompression.  Each leaf is read from its decoded copy when the pool
-  has room for one and from its block stream otherwise (the
-  ``compress.physical{path=}`` counter, one per leaf source), so the
-  choice never moves a simulated number.  Any codec in
+  charged its read pages only, each of the plan's operator terms the
+  bytes its operands occupy (encoded bytes of a leaf in this index,
+  word bytes of an inner node; a shared subtree once) and a bare-leaf
+  answer its decompression.  Each leaf is read from its decoded copy
+  when the pool has room for one and from its block stream otherwise
+  (the ``compress.physical{path=}`` counter, one per leaf source), so
+  the choice never moves a simulated number.  Any codec in
   :data:`~repro.compress.COMPRESSED_DOMAIN_CODECS` qualifies, and it
   runs component-wise.
 
@@ -63,9 +70,7 @@ from repro import obs as _obs
 from repro.bitmap import BitVector
 from repro.compress import COMPRESSED_DOMAIN_CODECS
 from repro.errors import QueryError
-from repro.expr import EvalStats, Expr, evaluate, expression_operation_count
-from repro.expr.nodes import Const, Leaf, Not, Or
-from repro.expr.threshold import Threshold
+from repro.expr import EvalStats, Expr, QueryPlan, compile_query, evaluate
 from repro.queries.model import IntervalQuery, MembershipQuery, ThresholdQuery
 from repro.storage import BufferPool, BufferStats, CostClock
 from repro.storage.buffer import COMPRESSED, DECODED
@@ -130,8 +135,11 @@ def component_order(keys: Iterable[Hashable]) -> list[Hashable]:
     return sorted(keys, key=_component_rank)
 
 
-def schedule_constituents(constituents: list[Expr]) -> list[Expr]:
-    """Order constituents to maximize consecutive leaf-set overlap.
+def schedule_constituents(
+    constituents: list[Expr] | list[QueryPlan],
+) -> list[Expr] | list[QueryPlan]:
+    """Order constituents (expressions, or their compiled plans) to
+    maximize consecutive leaf-set overlap.
 
     Nearest-neighbour chaining: start from the constituent with the
     *smallest* total overlap against all others (an extremity — a chain
@@ -168,27 +176,6 @@ def schedule_constituents(constituents: list[Expr]) -> list[Expr]:
         order.append(nxt)
         remaining.discard(nxt)
     return [constituents[i] for i in order]
-
-
-def plan_or(constituents: list[Expr]) -> tuple[Expr, int]:
-    """The one expression a query's constituents are OR-ed through, and
-    the bulk operations it is charged.
-
-    An ``Or`` constituent's operands join the top-level OR directly (the
-    leaf fetch order is unchanged).  The charge is that of evaluating
-    the constituents one by one and OR-ing the results: each
-    constituent's own operation count, with no sharing across
-    constituents, plus ``n - 1`` ORs.  A serving shard plans each query
-    once and hands the plan to every segment's engine.
-    """
-    if len(constituents) == 1:
-        return constituents[0], expression_operation_count(constituents[0])
-    operations = sum(map(expression_operation_count, constituents))
-    operands = [
-        op for expr in constituents
-        for op in (expr.operands if type(expr) is Or else (expr,))
-    ]
-    return Or(tuple(operands)), operations + len(constituents) - 1
 
 
 class QueryEngine:
@@ -280,7 +267,7 @@ class QueryEngine:
         """
         o = _obs.active()
         if o is None:
-            return self._rewrite_and_execute(query)
+            return self._execute_constituents(self.index.rewriter.constituents(query))
         klass = query_class_of(query)
         scheme = self.index.scheme.name
         with o.span(
@@ -290,34 +277,24 @@ class QueryEngine:
             klass=klass,
             engine=self.engine,
         ):
-            result = self._rewrite_and_execute(query)
+            result = self._execute_constituents(self.index.rewriter.constituents(query))
         o.observe("query.simulated_ms", result.simulated_ms,
                   scheme=scheme, klass=klass)
         o.count("query.executed", 1, scheme=scheme, klass=klass)
         return result
 
-    def _rewrite_and_execute(
-        self, query: IntervalQuery | MembershipQuery
-    ) -> EvaluationResult:
-        if isinstance(query, IntervalQuery):
-            constituents = [self.index.rewriter.rewrite_interval(query)]
-        elif isinstance(query, MembershipQuery):
-            constituents = self.index.rewriter.rewrite_membership(query)
-        elif isinstance(query, ThresholdQuery):
-            constituents = [self.index.rewriter.rewrite_threshold(query)]
-        else:
-            raise QueryError(f"unsupported query type {type(query).__name__}")
-        return self._execute_constituents(constituents)
-
     def _execute_constituents(self, constituents: list[Expr]) -> EvaluationResult:
+        """Compile and evaluate one query: one plan for the whole query
+        component-wise, one per constituent (its own walk) otherwise."""
         start_ms = self.clock.total_ms
         stats = EvalStats()
-        if self.strategy == "scheduled":
-            answer = self._query_wise(schedule_constituents(constituents), stats)
-        elif self.strategy == "query-wise":
-            answer = self._query_wise(constituents, stats)
+        if self.strategy in ("query-wise", "scheduled"):
+            plans = [compile_query((expr,)) for expr in constituents]
+            if self.strategy == "scheduled":
+                plans = schedule_constituents(plans)
+            answer = self._query_wise(plans, stats)
         else:
-            answer = self._component_wise(constituents, stats)
+            answer = self._component_wise(compile_query(constituents), stats)
         bitmap = self._finish(answer)
         return EvaluationResult(
             bitmap=bitmap,
@@ -328,23 +305,23 @@ class QueryEngine:
 
     def evaluate_shared(
         self,
-        constituents: list[Expr],
+        plan: QueryPlan,
         cache: dict[Hashable, BitVector],
         stats: EvalStats,
-        plan: tuple[Expr, int] | None = None,
     ) -> BitVector:
-        """Evaluate one query's constituents against a shared leaf cache.
+        """Evaluate one compiled query against a shared leaf cache.
 
         The serving layer's shared-scan batches prefetch the union of a
         batch's leaf bitmaps once (through :attr:`pool`) and pass the
         same ``cache`` to every query in the batch, so each stored
         bitmap crosses the buffer pool at most once per batch.  Word
         operations are charged to the engine's clock as in
-        :meth:`execute`.  ``plan`` is :func:`plan_or` of the
-        constituents, when the caller already has it.  A key missing
-        from ``cache`` is fetched and counted as a scan.
+        :meth:`execute`.  ``plan`` is the query's
+        :func:`~repro.expr.compile_query`, compiled once for every
+        segment.  A key missing from ``cache`` is fetched and counted
+        as a scan.
         """
-        return self._finish(self._evaluate_or(constituents, stats, cache, plan))
+        return self._finish(self._evaluate_or(plan, stats, cache))
 
     # ------------------------------------------------------------------
 
@@ -361,107 +338,67 @@ class QueryEngine:
         return self._restore(answer)
 
     def _evaluate_or(
-        self,
-        constituents: list[Expr],
-        stats: EvalStats,
-        cache: dict[Hashable, object],
-        plan: tuple[Expr, int] | None = None,
+        self, plan: QueryPlan, stats: EvalStats, cache: dict[Hashable, object]
     ) -> BitVector:
         """OR a query's constituents into its answer in one range walk
-        (:func:`plan_or`), charged by the engine's convention."""
-        expr, operations = plan_or(constituents) if plan is None else plan
-        operations = self._charge(self, constituents, operations)
-        return evaluate(expr, self.pool.fetch, self._length(), stats, cache, operations)
+        over the plan's flattened OR, charged by the engine's convention."""
+        operations = self._charge(self, plan)
+        return evaluate(plan, self.pool.fetch, self._length(), stats, cache, operations)
 
-    def _charge_words(self, constituents: list[Expr], operations: int) -> int:
-        """Charge the decoded convention: each of ``operations`` bulk
+    def _charge_words(self, plan: QueryPlan) -> int:
+        """Charge the decoded convention: each of the plan's bulk
         operations over the index's rows."""
-        self.clock.charge_word_ops(operations, max(1, -(-self.index.num_records // 64)))
-        return operations
+        self.clock.charge_word_ops(plan.operations, max(1, -(-self.index.num_records // 64)))
+        return plan.operations
 
-    def _charge_encoded(self, constituents: list[Expr], operations: int) -> int:
-        """Charge the compressed convention for OR-ing ``constituents``;
-        returns the bulk operations it counts (not the plan's
-        ``operations``: a shared subtree counts once).
+    def _charge_encoded(self, plan: QueryPlan) -> int:
+        """Charge the compressed convention; returns the bulk operations
+        it counts (a shared subtree once).
 
-        Each operator node is charged once, a subtree shared across
-        constituents too, for the bytes its operands occupy: a leaf's
-        encoded bytes, an inner node's or a constant's decoded words.  An
-        n-ary node over one operand passes it through uncharged.  The
-        constituents are OR-ed the same way, and a bare-leaf answer is
-        charged its decompression.
+        Each of the plan's terms is charged the bytes its operands
+        occupy: a leaf's encoded bytes in this index, an inner node's or
+        a constant's decoded words.  A bare-leaf answer is charged its
+        decompression.
         """
         word_bytes = 8 * -(-self.index.num_records // 64)
         payload = self.index.store.get_payload
-        memo: dict[Expr, list] = {}
-        operations = 0
-
-        def charge(kind, children, shared: bool = True) -> tuple[int, bool]:
-            """(bytes the node's value occupies, whether it is a leaf);
-            ``shared`` is False where no child can repeat."""
-            nonlocal operations
-            touched = 0
-            for child in children:
-                child_kind = type(child)
-                if child_kind is Leaf:
-                    value = len(payload(child.key)[0]), True
-                elif child_kind is Const:
-                    value = word_bytes, False
-                elif not shared:
-                    value = charge(child_kind, child.children())
-                else:
-                    slot = memo.setdefault(child, [])  # one hash per node
-                    if not slot:
-                        slot.append(charge(child_kind, child.children()))
-                    value = slot[0]
-                touched += value[0]
-            if len(children) == 1 and kind is not Not and kind is not Threshold:
-                return value
-            if kind is Not:
-                operations += 1
-            elif kind is Threshold:
-                operations += len(children)
-            else:
-                operations += len(children) - 1
+        for leaf_keys, inner in plan.terms:
+            touched = inner * word_bytes
+            for key in leaf_keys:
+                touched += len(payload(key)[0])
             self.clock.charge_word_ops(1, max(1, touched // 8))
-            return word_bytes, False
+        if plan.leaf is not None:
+            self.clock.charge_decompress(len(payload(plan.leaf)[0]))
+        return plan.term_operations
 
-        nbytes, is_leaf = charge(Or, constituents, len(constituents) > 1)
-        del charge  # the recursive closure holds itself, and so the engine
-        if is_leaf:
-            self.clock.charge_decompress(nbytes)
-        return operations
-
-    def _component_wise(
-        self, constituents: list[Expr], stats: EvalStats
-    ) -> BitVector:
+    def _component_wise(self, plan: QueryPlan, stats: EvalStats) -> BitVector:
         """Fetch each distinct bitmap once, in component order."""
         # Pre-fetch all leaves ordered by component so that each
         # component's bitmaps are read together (the paper's strategy
         # accesses each component once on behalf of all subqueries).
-        keys = component_order(
-            {key for expr in constituents for key in expr.leaf_keys()}
-        )
+        keys = component_order(plan.keys)
         cache = dict(zip(keys, self.pool.fetch_many(keys)))
         stats.scans += len(keys)
         stats.fetched_keys.extend(keys)
-        return self._evaluate_or(constituents, stats, cache)
+        return self._evaluate_or(plan, stats, cache)
 
-    def _query_wise(self, constituents: list[Expr], stats: EvalStats) -> BitVector:
+    def _query_wise(self, plans: list[QueryPlan], stats: EvalStats) -> BitVector:
         """Evaluate one constituent at a time with no cross-sharing."""
         length = self._length()
         answer: BitVector | None = None
-        for expr in constituents:
+        for plan in plans:
             cache: dict[Hashable, BitVector] = {}
-            result = evaluate(expr, self.pool.fetch, length, stats, cache)
+            result = evaluate(plan, self.pool.fetch, length, stats, cache)
             if answer is None:
                 # A bare-leaf constituent evaluates to the pool-resident
                 # vector itself (read-only under a mapped store), so the
                 # accumulator must be a private copy before |=.
-                answer = result if len(constituents) == 1 else result.copy()
+                answer = result if len(plans) == 1 else result.copy()
             else:
                 answer |= result
                 stats.operations += 1
         assert answer is not None
-        self._charge_words(constituents, stats.operations)
+        self.clock.charge_word_ops(
+            stats.operations, max(1, -(-self.index.num_records // 64))
+        )
         return answer

@@ -285,6 +285,23 @@ class QueryRewriter:
         children = tuple(self.rewrite(p) for p in query.predicates)
         return simplify(Threshold(query.k, children))
 
+    def constituents(
+        self, query: IntervalQuery | MembershipQuery | ThresholdQuery
+    ) -> list[Expr]:
+        """The expressions a query's answer is the OR of: one per
+        membership interval, else the query's one expression.
+
+        A threshold's k-of-N count is per row, so a row-range shard or
+        segment evaluates it on its own rows exactly.
+        """
+        if isinstance(query, IntervalQuery):
+            return [self.rewrite_interval(query)]
+        if isinstance(query, MembershipQuery):
+            return self.rewrite_membership(query)
+        if isinstance(query, ThresholdQuery):
+            return [self.rewrite_threshold(query)]
+        raise QueryError(f"unsupported query type {type(query).__name__}")
+
     def rewrite(
         self, query: IntervalQuery | MembershipQuery | ThresholdQuery
     ) -> Expr:

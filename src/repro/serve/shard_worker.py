@@ -3,8 +3,10 @@
 A :class:`ShardEngine` owns one shard's rows plus the serving
 machinery: a persistent query engine per segment, an
 ``(epoch, expression)`` result cache, and shared-scan batch planning.
-It is the one place that rewrites a query, probes the cache, plans
-shared-scan batches, fetches each batch's bitmaps once and evaluates.
+It is the one place that rewrites and compiles a query (one
+:class:`~repro.expr.QueryPlan` for every segment), probes the cache,
+plans shared-scan batches, fetches each batch's bitmaps once and
+evaluates.
 The rows are either a :class:`~repro.index.segmented.SegmentedBitmapIndex`
 (the sharded service builds one per shard) or a prebuilt
 :class:`~repro.index.BitmapIndex` served whole as the only segment
@@ -34,10 +36,9 @@ import numpy as np
 
 from repro.bitmap import BitVector, concatenate
 from repro.encoding import get_scheme
-from repro.errors import QueryError
-from repro.expr import EvalStats, Expr, Leaf
+from repro.expr import EvalStats, QueryPlan, compile_query
 from repro.index.bitmap_index import BitmapIndex, IndexSpec
-from repro.index.evaluation import QueryEngine, component_order, plan_or
+from repro.index.evaluation import QueryEngine, component_order
 from repro.index.rewrite import QueryRewriter
 from repro.index.segmented import DEFAULT_SEGMENT_SIZE, SegmentedBitmapIndex
 from repro.queries.model import IntervalQuery, MembershipQuery, ThresholdQuery
@@ -226,8 +227,8 @@ class ShardEngine:
     def evaluate_batch(self, queries: list[Query]) -> list[ShardAnswer]:
         """Answer ``queries`` over this shard's rows, batching scans.
 
-        The batch is planned into shared scans
-        (:func:`~repro.serve.batcher.plan_batches` over leaf-key
+        Each query is compiled once.  The batch is planned into shared
+        scans (:func:`~repro.serve.batcher.plan_batches` over leaf-key
         sharing, capped at ``max_batch``), each planned batch fetches
         the union of its bitmaps once per segment, and answers land in
         the shard's ``(epoch, expression)`` cache.  A query repeated in
@@ -236,28 +237,19 @@ class ShardEngine:
         """
         epoch = self.index.epoch
         answers: list[ShardAnswer | None] = [None] * len(queries)
-        expressions: list[tuple] = []
-        keysets: list[frozenset] = []
-        for query in queries:
-            constituents = self._rewrite(query)
-            expressions.append(tuple(constituents))
-            keysets.append(
-                frozenset(
-                    key for expr in constituents for key in expr.leaf_keys()
-                )
-            )
+        plans = [compile_query(self.rewriter.constituents(q)) for q in queries]
         pending: list[int] = []
         # A lone query has no repeat to find (hashing an expression tree
         # costs microseconds, so it is skipped).
         first: dict[tuple, int] | None = {} if len(queries) > 1 else None
         repeats: list[tuple[int, int]] = []
-        for i, expression in enumerate(expressions):
+        for i, plan in enumerate(plans):
             if first is not None:
-                j = first.setdefault(expression, i)
+                j = first.setdefault(plan.constituents, i)
                 if j != i:
                     repeats.append((i, j))
                     continue
-            cached = self.cache.get(epoch, expression)
+            cached = self.cache.get(epoch, plan.constituents)
             if cached is not None:
                 answers[i] = ShardAnswer(
                     bitmap=cached,
@@ -270,15 +262,10 @@ class ShardEngine:
                 )
             else:
                 pending.append(i)
-        for batch in plan_batches(
-            [keysets[i] for i in pending], self.max_batch
-        ):
+        for batch in plan_batches([plans[i].keys for i in pending], self.max_batch):
             self._shared_scan(
-                [pending[j] for j in batch],
-                expressions,
-                keysets,
-                epoch,
-                answers,
+                [pending[j] for j in batch], [plans[pending[j]] for j in batch],
+                epoch, answers,
             )
         for i, j in repeats:
             answers[i] = replace(
@@ -292,18 +279,6 @@ class ShardEngine:
         return answers  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
-
-    def _rewrite(self, query: Query) -> list[Expr]:
-        if isinstance(query, IntervalQuery):
-            return [self.rewriter.rewrite_interval(query)]
-        if isinstance(query, MembershipQuery):
-            return list(self.rewriter.rewrite_membership(query))
-        if isinstance(query, ThresholdQuery):
-            # Threshold counting is per row, and shards are row-disjoint:
-            # evaluating k-of-N inside each shard and concatenating the
-            # partial bitmaps in shard order is exact.
-            return [self.rewriter.rewrite_threshold(query)]
-        raise QueryError(f"unsupported query type {type(query).__name__}")
 
     def segment_engines(self) -> list:
         """Persistent per-segment engines, in segment order.
@@ -331,47 +306,36 @@ class ShardEngine:
         return list(current.values())
 
     def _shared_scan(
-        self,
-        batch: list[int],
-        expressions: list[tuple],
-        keysets: list[frozenset],
-        epoch: int,
-        answers: list,
+        self, batch: list[int], plans: list[QueryPlan], epoch: int, answers: list
     ) -> None:
-        """One shared fetch of the batch's bitmaps, per segment."""
+        """One shared fetch of the batch's bitmaps, per segment; the
+        answer to ``plans[j]`` lands in ``answers[batch[j]]``."""
         engines = self.segment_engines()
-        keys = component_order({key for i in batch for key in keysets[i]})
+        keys = component_order({key for plan in plans for key in plan.keys})
         fetch_start = self.clock.total_ms
         shared = [dict(zip(keys, engine.pool.fetch_many(keys))) for engine in engines]
         fetch_share = (self.clock.total_ms - fetch_start) / len(batch)
-        for i in batch:
+        for i, plan in zip(batch, plans):
             eval_start = self.clock.total_ms
             stats = EvalStats()
-            constituents = list(expressions[i])
-            # One plan per query, shared by every segment's engine.
-            plan = plan_or(constituents)
             pieces = [
-                engine.evaluate_shared(constituents, shared[k], stats, plan)
+                engine.evaluate_shared(plan, shared[k], stats)
                 for k, engine in enumerate(engines)
             ]
             if len(pieces) == 1:
                 bitmap = pieces[0]
                 # A bare-leaf answer is the pooled bitmap itself.
-                only = expressions[i][0] if len(expressions[i]) == 1 else None
-                pooled = (
-                    isinstance(only, Leaf)
-                    and shared[0].get(only.key) is bitmap
-                )
+                pooled = plan.leaf is not None and shared[0].get(plan.leaf) is bitmap
             else:
                 bitmap = concatenate(pieces) if pieces else BitVector.zeros(0)
                 pooled = False
-            self.cache.put(epoch, expressions[i], bitmap)
+            self.cache.put(epoch, plan.constituents, bitmap)
             answers[i] = ShardAnswer(
                 bitmap=bitmap,
                 epoch=epoch,
                 cached=False,
                 simulated_ms=(self.clock.total_ms - eval_start) + fetch_share,
-                scans=len(keysets[i]),
+                scans=len(plan.keys),
                 operations=stats.operations,
                 shared=pooled or self.cache.capacity > 0,
             )

@@ -154,6 +154,12 @@ class ServiceConfig:
             raise ServeError(f"workers must be >= 1, got {self.workers}")
         if self.max_batch < 1:
             raise ServeError(f"max_batch must be >= 1, got {self.max_batch}")
+        if self.default_timeout_s is not None and not self.default_timeout_s > 0:
+            raise ServeError(
+                f"default_timeout_s must be None or > 0, got {self.default_timeout_s}"
+            )
+        if self.cache_entries < 0:
+            raise ServeError(f"cache_entries must be >= 0, got {self.cache_entries}")
         if self.buffer_pages is not None and self.buffer_pages < 1:
             raise ServeError(f"buffer_pages must be >= 1, got {self.buffer_pages}")
         if self.engine not in ENGINES:
@@ -190,6 +196,8 @@ class ShardedConfig(ServiceConfig):
         super().__post_init__()
         if self.shards < 1:
             raise ServeError(f"shards must be >= 1, got {self.shards}")
+        if self.segment_size < 1:
+            raise ServeError(f"segment_size must be >= 1, got {self.segment_size}")
         if self.transport not in TRANSPORTS:
             raise ServeError(
                 f"unknown transport {self.transport!r}; "

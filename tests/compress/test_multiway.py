@@ -30,7 +30,7 @@ from repro.compress.multiway import (
 )
 from repro.compress.streams import open_stream
 from repro.errors import BitmapError
-from repro.expr import BLOCK_WORDS, EvalStats, Threshold, evaluate, leaf
+from repro.expr import BLOCK_WORDS, EvalStats, Threshold, compile_query, evaluate, leaf
 from repro.index import BitmapIndex, IndexSpec, QueryEngine
 from repro.queries import IntervalQuery
 from repro.storage import CostClock
@@ -246,7 +246,7 @@ class TestEngineAccounting:
     def run(self, index, expr):
         clock = CostClock()
         engine = QueryEngine(index, clock=clock, engine="compressed")
-        bitmap = engine.evaluate_shared([expr], {}, EvalStats())
+        bitmap = engine.evaluate_shared(compile_query([expr]), {}, EvalStats())
         return bitmap, clock.words_operated
 
     @pytest.mark.parametrize("n", [3, 4, 6])

@@ -10,7 +10,7 @@ from repro import obs
 from repro.bitmap import BitVector
 from repro.compress import COMPRESSED_DOMAIN_CODECS
 from repro.errors import QueryError
-from repro.expr import EvalStats
+from repro.expr import EvalStats, compile_query
 from repro.expr.nodes import And, Const, Leaf, Not, Or, Xor
 from repro.expr.threshold import Threshold
 from repro.index import BitmapIndex, IndexSpec, QueryEngine
@@ -250,7 +250,7 @@ class TestDecodedIntermediates:
         values = _diff_values(length)
         constituents = DECODED_INTERMEDIATE_CASES[case]
         with obs.observed() as o:
-            bitmap = engine.evaluate_shared(constituents, {}, EvalStats())
+            bitmap = engine.evaluate_shared(compile_query(constituents), {}, EvalStats())
         want = np.logical_or.reduce([_naive(c, values) for c in constituents])
         # Word-level equality: padding bits past ``length`` must be clear.
         assert bitmap == BitVector.from_bools(want)
@@ -300,7 +300,7 @@ class TestPhysicalChoice:
             )
             stats = EvalStats()
             answers.append([
-                engine.evaluate_shared(constituents, {}, stats)
+                engine.evaluate_shared(compile_query(constituents), {}, stats)
                 for constituents in DECODED_INTERMEDIATE_CASES.values()
             ] + [engine.execute(IntervalQuery(4, 4, DIFF_CARDINALITY)).bitmap])
             clocks.append((clock.words_operated, clock.cpu_ms,

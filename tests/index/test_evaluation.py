@@ -9,7 +9,7 @@ import pytest
 from repro.bitmap import BitVector, or_all
 from repro.encoding import ALL_SCHEME_NAMES, EXTENDED_SCHEME_NAMES
 from repro.errors import QueryError
-from repro.expr import EvalStats, evaluate
+from repro.expr import EvalStats, compile_query, evaluate
 from repro.expr.evaluator import BLOCK_WORDS
 from repro.expr.nodes import Const, Leaf
 from repro.index import BitmapIndex, IndexSpec, QueryEngine
@@ -256,7 +256,7 @@ class TestOneWalkDifferential:
                     for key in component_order(ref_cache):
                         cache[key] = engine.pool.fetch(key)
                     stats = EvalStats()
-                    answer = engine.evaluate_shared(constituents, cache, stats)
+                    answer = engine.evaluate_shared(compile_query(constituents), cache, stats)
                 else:
                     result = engine.execute(query)
                     answer, stats = result.bitmap, result.stats

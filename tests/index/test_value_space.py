@@ -14,7 +14,7 @@ import pytest
 
 from repro.compress import COMPRESSED_DOMAIN_CODECS, available_codecs
 from repro.encoding import ALL_SCHEME_NAMES, EXTENDED_SCHEME_NAMES
-from repro.expr import EvalStats
+from repro.expr import EvalStats, compile_query
 from repro.expr.nodes import And, Const, Not, Or, leaf
 from repro.index import BitmapIndex, IndexSpec, QueryEngine
 from repro.queries import IntervalQuery, MembershipQuery, ThresholdQuery
@@ -137,8 +137,8 @@ def test_hand_built_expressions_with_not_and_const():
     engine, other = index.engine(), twin.engine()
     for expr in expressions:
         got_stats, expected_stats = EvalStats(), EvalStats()
-        got = engine.evaluate_shared([expr], {}, got_stats)
-        assert got == other.evaluate_shared([expr], {}, expected_stats)
+        got = engine.evaluate_shared(compile_query([expr]), {}, got_stats)
+        assert got == other.evaluate_shared(compile_query([expr]), {}, expected_stats)
         assert got_stats == expected_stats
     assert engine.clock.total_ms == other.clock.total_ms
     assert engine.buffer_stats == other.buffer_stats

@@ -450,6 +450,9 @@ class TestConfig:
             {"engine": "quantum"},
             {"buffer_pages": 0},
             {"buffer_pages": -3, "engine": "compressed"},
+            {"cache_entries": -1},
+            {"default_timeout_s": 0.0},
+            {"default_timeout_s": -1.0},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

@@ -95,6 +95,9 @@ class TestConfig:
             {"call_timeout_s": 0.0},
             {"fused": "sometimes"},  # deprecated no-op, still validated
             {"buffer_pages": 0, "engine": "compressed"},
+            {"cache_entries": -1},
+            {"default_timeout_s": -0.5},
+            {"segment_size": 0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
